@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 # Enumerate the translation-invariant fixed points of the wand model and
 # show how the solution count changes at the critical coupling.
+import math
+
 import numpy as np
 
 from hcsos import (
     compatibility_residual,
     enumerate_solutions,
     eta,
-    solve_k2_closed_form,
     theta_cr,
 )
 
@@ -39,11 +40,12 @@ for s in sset.solutions:
     print(f"  {s.branch.value:<10} residual = {res:.2e}")
 print()
 
-# for k = 2 the pair has a closed form through rho = x + 1/x; it matches
-# the bracketed root finder to ~1e-12
+# for k = 2 the pair has a closed form through rho = x + 1/x, the root
+# above 2 of theta^3 rho^2 - rho - 2 = 0; the bracketed solver matches it
 theta = 0.7
-closed_upper = solve_k2_closed_form(theta)[0]
-bracketed_upper = enumerate_solutions(2, theta).solutions[1]
+t3 = theta**3
+rho = (1.0 + math.sqrt(1.0 + 8.0 * t3)) / (2.0 * t3)
+_, upper, lower = enumerate_solutions(2, theta).solutions
 print(f"k=2 closed form vs bracketed solver at theta={theta}:")
-print(f"  x: {closed_upper.x!r} vs {bracketed_upper.x!r} "
-      f"(gap {abs(closed_upper.x - bracketed_upper.x):.2e})")
+print(f"  rho: {rho!r} vs x_upper + x_lower = {upper.x + lower.x!r} "
+      f"(gap {abs(rho - upper.x - lower.x):.2e})")

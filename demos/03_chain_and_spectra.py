@@ -4,11 +4,9 @@
 import numpy as np
 
 from hcsos import (
-    gamma_of,
     kappa_of,
     kernel_of,
     solve_asymmetric,
-    solve_k2_closed_form,
     solve_symmetric,
     spectrum_asymmetric_k2,
     spectrum_numeric,
@@ -30,13 +28,13 @@ print(f"eigenvalues, closed form: {closed.eigenvalues}")
 print(f"eigenvalues, deflated quadratic: {numeric.eigenvalues}")
 print(f"s2 gap: {abs(closed.s2 - numeric.s2):.2e}")
 print(f"stationary distribution: {stationary(kern)}")
-print(f"kappa = {kappa_of(kern)!r}, gamma = {gamma_of(kern)!r}")
+print(f"kappa = {kappa_of(kern)!r} (MSW uses k kappa^2: gamma equals kappa)")
 print()
 
 # the k = 2 asymmetric kernel collapses to a one-parameter family in x;
 # its s2 is invariant under x -> 1/x
 theta = 0.8
-upper, lower = solve_k2_closed_form(theta)
+upper, lower = solve_asymmetric(2, theta)
 for s in (upper, lower):
     rep = spectrum_asymmetric_k2(s.x)
     print(f"x = {s.x:8.4f}: s2 = {rep.s2!r}")
@@ -49,5 +47,5 @@ upper = solve_asymmetric(k, theta)[0]
 kern = kernel_of(upper, k, theta)
 rep = spectrum_numeric(kern)
 print(f"k={k} upper-branch kernel at theta = 0.9 theta_cr:")
-print(f"  eigenvalues {rep.eigenvalues}, complex pair: {rep.complex_pair}")
-print(f"  kappa = {kappa_of(kern):.6f} = gamma ({gamma_of(kern):.6f})")
+print(f"  eigenvalues {rep.eigenvalues} (all real)")
+print(f"  kappa = {kappa_of(kern):.6f}")

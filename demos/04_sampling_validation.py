@@ -9,14 +9,14 @@ from hcsos import (
     estimate_marginals,
     kernel_of,
     sample,
-    solve_k2_closed_form,
+    solve_asymmetric,
     stationary,
 )
 
 np.set_printoptions(precision=4, suppress=True)
 
 theta = 0.9
-upper = solve_k2_closed_form(theta)[0]
+upper = solve_asymmetric(2, theta)[0]
 kern = kernel_of(upper, 2, theta)
 pi = stationary(kern)
 print(f"upper-branch measure at k=2, theta={theta}")

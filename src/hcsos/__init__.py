@@ -9,7 +9,6 @@ criteria, with a reproducible configuration sampler for validation.
 from .chain import (
     SpectrumReport,
     TransitionKernel,
-    gamma_of,
     kappa_of,
     kernel_of,
     spectrum_asymmetric_k2,
@@ -25,23 +24,16 @@ from .extremality import (
     Verdict,
     classify_mu0,
     classify_mu12,
-    classify_mu12_k2,
     classify_solution,
     h_func,
-    kesten_stigum,
-    msw_extreme,
     q_func,
     thresholds,
 )
 from .model import (
-    Activity,
     Branch,
     ModelParams,
     TisgmSolution,
-    WandAdmissibility,
-    activity_of,
     branch_of,
-    is_admissible,
 )
 from .rootfind import (
     Bracket,
@@ -72,7 +64,6 @@ from .tisgm import (
     eta,
     iterate_boundary_law,
     solve_asymmetric,
-    solve_k2_closed_form,
     solve_symmetric,
     theta_cr,
 )
@@ -80,7 +71,6 @@ from .tisgm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activity",
     "BoundaryLaw",
     "Bracket",
     "BracketError",
@@ -103,13 +93,10 @@ __all__ = [
     "TransitionKernel",
     "TreeConfig",
     "Verdict",
-    "WandAdmissibility",
-    "activity_of",
     "boundary_law_residual",
     "branch_of",
     "classify_mu0",
     "classify_mu12",
-    "classify_mu12_k2",
     "classify_solution",
     "compatibility_residual",
     "count_inadmissible_edges",
@@ -118,17 +105,12 @@ __all__ = [
     "eta",
     "expand_bracket_decreasing",
     "find_root",
-    "gamma_of",
     "h_func",
-    "is_admissible",
     "kappa_of",
     "kernel_of",
-    "kesten_stigum",
-    "msw_extreme",
     "q_func",
     "sample",
     "solve_asymmetric",
-    "solve_k2_closed_form",
     "solve_symmetric",
     "spectrum_asymmetric_k2",
     "spectrum_numeric",

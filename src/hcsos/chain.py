@@ -16,12 +16,13 @@ theta y^2 = x collapses P to a one-parameter matrix with eigenvalues
 1, +-sqrt(2) x / ((x+1) sqrt(x^2+1)).  A generic spectrum routine
 deflates the known eigenvalue 1 from the characteristic cubic and solves
 the remaining quadratic; it is the only spectrum source for asymmetric
-fixed points at k >= 3.
+fixed points at k >= 3, and it raises ArithmeticError for a kernel whose
+spectrum is not real.
 
-kappa is half the largest L1 distance between rows of P; gamma is the
-largest of the three pairwise half-L1 row distances.  Both enter the
-extremality test k * kappa * gamma < 1 and agree for every kernel this
-module produces.
+kappa is half the largest L1 distance between rows of P.  The MSW
+quantity gamma is the same row distance, so the extremality test
+k * kappa * gamma < 1 is evaluated as k * kappa^2 < 1 and gamma is
+reported equal to kappa.
 """
 
 from __future__ import annotations
@@ -56,17 +57,11 @@ class TransitionKernel:
 class SpectrumReport:
     """Eigenvalues sorted by descending modulus (leading entry 1).
 
-    ``s2`` is the modulus of the second-largest eigenvalue.  When a
-    complex pair survives the rounding tolerance, ``eigenvalues`` holds
-    the real parts, ``s2`` the common modulus, and ``complex_pair`` is
-    set (no kernel built from a valid fixed point has triggered this;
-    the path exists so a bad matrix cannot fail silently).
+    ``s2`` is the modulus of the second-largest eigenvalue.
     """
 
     eigenvalues: tuple[float, float, float]
     s2: float
-    closed_form_used: bool
-    complex_pair: bool = False
 
 
 def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
@@ -103,11 +98,7 @@ def spectrum_symmetric(y: float, theta: float, k: int) -> SpectrumReport:
     lam1 = -w / (w + 1.0)
     lam2 = 1.0 / (w + 1.0)
     s2 = lam2 if theta <= 1.0 else -lam1
-    return SpectrumReport(
-        eigenvalues=_sorted_eigs([1.0, lam1, lam2]),
-        s2=s2,
-        closed_form_used=True,
-    )
+    return SpectrumReport(eigenvalues=_sorted_eigs([1.0, lam1, lam2]), s2=s2)
 
 
 def spectrum_asymmetric_k2(x: float) -> SpectrumReport:
@@ -119,11 +110,7 @@ def spectrum_asymmetric_k2(x: float) -> SpectrumReport:
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
     s2 = math.sqrt(2.0) * x / ((x + 1.0) * math.sqrt(x * x + 1.0))
-    return SpectrumReport(
-        eigenvalues=(1.0, s2, -s2),
-        s2=s2,
-        closed_form_used=True,
-    )
+    return SpectrumReport(eigenvalues=(1.0, s2, -s2), s2=s2)
 
 
 def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
@@ -131,7 +118,9 @@ def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
 
     The characteristic cubic divided by (lambda - 1) leaves
     lambda^2 + (1 - tr) lambda + det, solved in closed form with the
-    numerically stable quadratic formula.
+    numerically stable quadratic formula.  A complex pair beyond rounding
+    noise raises ArithmeticError: no kernel built from a valid fixed
+    point has one, so it marks a bad matrix.
     """
     p = kern.p
     t = float(p[0, 0] + p[1, 1] + p[2, 2])
@@ -142,23 +131,13 @@ def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
     )
     b = 1.0 - t
     disc = b * b - 4.0 * d
-    if disc >= 0.0 or math.sqrt(-disc) * 0.5 <= _COMPLEX_TOL:
-        disc = max(disc, 0.0)
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-        r1 = q
-        r2 = d / q if q != 0.0 else 0.0
-        eigs = _sorted_eigs([1.0, r1, r2])
-        return SpectrumReport(
-            eigenvalues=eigs, s2=abs(eigs[1]), closed_form_used=False
-        )
-    real = -0.5 * b
-    modulus = math.sqrt(d)  # pair product d is positive whenever disc < 0
-    return SpectrumReport(
-        eigenvalues=(1.0, real, real),
-        s2=modulus,
-        closed_form_used=False,
-        complex_pair=True,
-    )
+    if disc < 0.0 and math.sqrt(-disc) * 0.5 > _COMPLEX_TOL:
+        raise ArithmeticError(f"kernel has a complex eigenvalue pair: {p}")
+    disc = max(disc, 0.0)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+    r2 = d / q if q != 0.0 else 0.0
+    eigs = _sorted_eigs([1.0, q, r2])
+    return SpectrumReport(eigenvalues=eigs, s2=abs(eigs[1]))
 
 
 def stationary(kern: TransitionKernel) -> np.ndarray:
@@ -186,10 +165,6 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     return pi
 
 
-def _half_l1_rows(p: np.ndarray, i: int, j: int) -> float:
-    return 0.5 * float(np.sum(np.abs(p[i] - p[j])))
-
-
 def kappa_of(kern: TransitionKernel) -> float:
     """Half the maximum L1 distance between any two rows of the kernel."""
     p = kern.p
@@ -198,17 +173,3 @@ def kappa_of(kern: TransitionKernel) -> float:
         for j in range(i + 1, 3):
             best = max(best, float(np.sum(np.abs(p[i] - p[j]))))
     return 0.5 * best
-
-
-def gamma_of(kern: TransitionKernel) -> float:
-    """Largest of the three pairwise half-L1 row distances.
-
-    Computed independently of kappa_of; equality of the two is a model
-    identity asserted by the test suite, not assumed here.
-    """
-    p = kern.p
-    return max(
-        _half_l1_rows(p, 0, 1),
-        _half_l1_rows(p, 1, 2),
-        _half_l1_rows(p, 0, 2),
-    )

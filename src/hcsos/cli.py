@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -28,7 +29,7 @@ from .extremality import (
     classify_solution,
     thresholds,
 )
-from .model import Branch, ModelParams, TisgmSolution
+from .model import ModelParams, TisgmSolution
 from .sampler import TreeConfig, estimate_marginals
 from .tisgm import (
     BoundaryLaw,
@@ -36,7 +37,7 @@ from .tisgm import (
     SolutionSet,
     enumerate_solutions,
     iterate_boundary_law,
-    solve_k2_closed_form,
+    solve_asymmetric,
     solve_symmetric,
     theta_cr,
 )
@@ -195,8 +196,8 @@ def _order_type(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {v}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {v}")
     return v
 
 
@@ -375,20 +376,10 @@ def cmd_thresholds(args) -> int:
 def _solution_for_measure(k: int, theta: float, measure: str) -> TisgmSolution:
     if measure == "mu0":
         return solve_symmetric(k, theta)
-    if k == 2:
-        if not 0.0 < theta < 1.0:
-            raise ValueError(
-                f"measure {measure} does not exist at k=2, theta={theta}"
-            )
-        upper, lower = solve_k2_closed_form(theta)
-    else:
-        sset = enumerate_solutions(k, theta)
-        asym = [s for s in sset.solutions if s.branch is not Branch.SYMMETRIC]
-        if not asym:
-            raise ValueError(
-                f"measure {measure} does not exist at k={k}, theta={theta}"
-            )
-        upper, lower = asym
+    pair = solve_asymmetric(k, theta)
+    if not pair:
+        raise ValueError(f"measure {measure} does not exist at k={k}, theta={theta}")
+    upper, lower = pair
     return upper if measure == "mu1" else lower
 
 

@@ -5,7 +5,9 @@ Two criteria drive every verdict:
 * Kesten-Stigum (non-extremality): k s2^2 > 1, with s2 the modulus of
   the second-largest eigenvalue of the transition kernel.
 * MSW (extremality): k kappa gamma < 1 with the row-distance quantities
-  from the chain module; kappa = gamma here, so the test is k kappa^2 < 1.
+  from the chain module.  gamma is the same row distance as kappa, so
+  the test is evaluated as k kappa^2 < 1 and gamma is reported equal to
+  kappa.
 
 On the symmetric branch kappa = gamma = s2, so the two tests are sharp
 complements of each other: outside a small boundary band exactly one of
@@ -15,8 +17,11 @@ s2 branch switch at theta = 1) is reported as Undetermined.
 For the asymmetric measures at k = 2 the Kesten-Stigum condition
 provably never holds (it reduces to (x-1)^2 + 2(x^2+1) < 0), so the
 verdict is Extreme when 2 kappa^2 < 1 and Undetermined otherwise --
-never NonExtreme.  For k >= 3 the row-distance identity kappa = gamma is
-not backed by theory, so only the Kesten-Stigum side is trusted there.
+never NonExtreme.  For k >= 3 the MSW bound is not backed by theory for
+the asymmetric kernels, so only the Kesten-Stigum side is trusted there.
+Every k, k = 2 included, reaches the asymmetric pair through the one
+solver ``solve_asymmetric``, so ``classify_mu12`` and a sweep report
+the same numbers for the same measure.
 
 Thresholds (all for the symmetric measure unless noted, boundary values
 excluded):
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chain import (
-    gamma_of,
     kappa_of,
     kernel_of,
     spectrum_asymmetric_k2,
@@ -50,12 +54,7 @@ from .chain import (
 )
 from .model import Branch, TisgmSolution
 from .rootfind import Bracket, RootConfig, find_root
-from .tisgm import (
-    solve_asymmetric,
-    solve_k2_closed_form,
-    solve_symmetric,
-    theta_cr,
-)
+from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 
@@ -87,29 +86,9 @@ class ExtremalityVerdict:
     verdict: Verdict
     s2: float
     kappa: float
-    gamma: float
+    gamma: float  # equal to kappa
     ks_value: float  # k * s2^2; > 1 proves non-extremality
     msw_value: float  # k * kappa * gamma; < 1 proves extremality
-
-
-def kesten_stigum(k: int, s2: float) -> tuple[bool, float]:
-    """(condition holds, k s2^2); True signals non-extremality."""
-    if k < 2:
-        raise ValueError(f"tree order k must be >= 2, got {k}")
-    if abs(s2) > 1.0:
-        raise ValueError(f"|s2| must be <= 1, got {s2}")
-    value = k * s2 * s2
-    return value > 1.0, value
-
-
-def msw_extreme(k: int, kappa: float, gamma: float) -> tuple[bool, float]:
-    """(condition holds, k kappa gamma); True signals extremality."""
-    if k < 2:
-        raise ValueError(f"tree order k must be >= 2, got {k}")
-    if not (0.0 <= kappa <= 1.0 and 0.0 <= gamma <= 1.0):
-        raise ValueError(f"kappa, gamma must lie in [0, 1], got {kappa}, {gamma}")
-    value = k * kappa * gamma
-    return value < 1.0, value
 
 
 def classify_solution(
@@ -132,13 +111,18 @@ def classify_solution(
     """
     kern = kernel_of(sol, k, theta)
     kappa = kappa_of(kern)
-    gamma = gamma_of(kern)
     measure = _MEASURE_OF_BRANCH[sol.branch]
 
     if sol.branch is Branch.SYMMETRIC:
         spec = spectrum_symmetric(sol.y, theta, k)
-        ks = k * spec.s2**2
-        msw = k * kappa * gamma
+    elif k == 2:
+        spec = spectrum_asymmetric_k2(sol.x)
+    else:
+        spec = spectrum_numeric(kern)
+    ks = k * spec.s2**2
+    msw = k * kappa * kappa
+
+    if sol.branch is Branch.SYMMETRIC:
         if ks > 1.0 + boundary_tol:
             verdict = Verdict.NON_EXTREME
         elif ks < 1.0 - boundary_tol:
@@ -146,20 +130,14 @@ def classify_solution(
         else:
             verdict = Verdict.UNDETERMINED
     elif k == 2:
-        spec = spectrum_asymmetric_k2(sol.x)
-        ks = k * spec.s2**2
-        msw = k * kappa * gamma
         verdict = (
             Verdict.EXTREME if msw < 1.0 - boundary_tol else Verdict.UNDETERMINED
         )
     else:
-        spec = spectrum_numeric(kern)
-        ks = k * spec.s2**2
-        msw = k * kappa * gamma
         verdict = (
             Verdict.NON_EXTREME if ks > 1.0 + boundary_tol else Verdict.UNDETERMINED
         )
-    return ExtremalityVerdict(measure, verdict, spec.s2, kappa, gamma, ks, msw)
+    return ExtremalityVerdict(measure, verdict, spec.s2, kappa, kappa, ks, msw)
 
 
 def classify_mu0(
@@ -167,27 +145,6 @@ def classify_mu0(
 ) -> ExtremalityVerdict:
     """Classify the symmetric measure, which exists at every (k, theta)."""
     return classify_solution(k, theta, solve_symmetric(k, theta), boundary_tol)
-
-
-def classify_mu12_k2(
-    theta: float,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-    measure: Measure = Measure.MU1,
-) -> ExtremalityVerdict:
-    """Classify an asymmetric measure at k = 2 (exists for 0 < theta < 1).
-
-    Kesten-Stigum can never hold here, so the only decisive outcome is
-    Extreme (2 kappa^2 < 1); anything else stays Undetermined.
-    """
-    if measure is Measure.MU0:
-        raise ValueError("mu0 is handled by classify_mu0")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(
-            f"mu1/mu2 exist only for 0 < theta < theta_cr(2) = 1, got {theta}"
-        )
-    upper, lower = solve_k2_closed_form(theta)
-    sol = upper if measure is Measure.MU1 else lower
-    return classify_solution(2, theta, sol, boundary_tol)
 
 
 def classify_mu12(
@@ -198,14 +155,14 @@ def classify_mu12(
 ) -> ExtremalityVerdict:
     """Classify an asymmetric measure for any k >= 2.
 
-    k = 2 uses the closed-form route; k >= 3 trusts only the
-    Kesten-Stigum direction (numeric spectrum).  Raises ValueError when
-    the measure does not exist (theta at or above theta_cr(k)).
+    The pair comes from ``solve_asymmetric``, as in a sweep.  At k = 2
+    Kesten-Stigum can never hold, so the only decisive outcome is
+    Extreme (2 kappa^2 < 1); k >= 3 trusts only the Kesten-Stigum
+    direction (numeric spectrum).  Raises ValueError when the measure
+    does not exist (theta at or above theta_cr(k)).
     """
     if measure is Measure.MU0:
         raise ValueError("mu0 is handled by classify_mu0")
-    if k == 2:
-        return classify_mu12_k2(theta, boundary_tol, measure)
     pair = solve_asymmetric(k, theta)
     if not pair:
         raise ValueError(
@@ -274,8 +231,12 @@ _ROOT_CFG = RootConfig(abs_tol=1e-12)
 
 
 def _mu12_margin_k2(theta: float) -> float:
-    # 2 kappa^2 - 1 for the upper branch; decreasing in theta on (0, 1)
-    x1 = solve_k2_closed_form(theta)[0].x
+    # 2 kappa^2 - 1 for the upper branch; decreasing in theta on (0, 1).
+    # x1 is the closed-form upper root: with rho = x + 1/x the k = 2 fixed
+    # point condition is theta^3 rho^2 - rho - 2 = 0
+    t3 = theta**3
+    rho1 = (1.0 + math.sqrt(1.0 + 8.0 * t3)) / (2.0 * t3)
+    x1 = 0.5 * (rho1 + math.sqrt(rho1 * rho1 - 4.0))
     kappa = x1 * x1 / (x1 * x1 + 1.0)
     return 2.0 * kappa * kappa - 1.0
 

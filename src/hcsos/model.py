@@ -4,6 +4,8 @@ Spins live in {0, ..., m} with m even.  Neighboring spins i, j on the
 tree are admissible iff |i - j| = 1, or i = j with i even (the wand
 graph: a path with loops attached to the even spins).  Each admissible
 pair carries an activity weight: 1 on even loops, theta on unit steps.
+``activity_matrix`` holds both: a pair is admissible iff its weight is
+positive.  ``check_params`` is the one validator of k, theta and m.
 
 For m = 2 a translation-invariant splitting Gibbs measure is described
 by a positive pair (x, y), the k-th roots of the boundary-law entries;
@@ -12,6 +14,7 @@ by a positive pair (x, y), the k-th roots of the boundary-law entries;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,81 +38,51 @@ def branch_of(x: float, tol: float = BRANCH_TOL) -> Branch:
     return Branch.UPPER if x > 1.0 else Branch.LOWER
 
 
+def check_params(
+    k: int | None = None, theta: float | None = None, m: int | None = None
+) -> None:
+    """Raise ValueError unless k >= 2, 0 < theta < inf and m is even >= 2.
+
+    A parameter left at None is not checked.
+    """
+    if k is not None and k < 2:
+        raise ValueError(f"tree order k must be >= 2, got {k}")
+    if theta is not None:
+        if not theta > 0:
+            raise ValueError(f"coupling theta must be positive, got {theta}")
+        if theta == math.inf:
+            raise ValueError(f"coupling theta must be finite, got {theta}")
+    if m is not None and (m < 2 or m % 2 != 0):
+        raise ValueError(f"spin cap m must be even and >= 2, got {m}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Model instance: tree order k >= 2, coupling theta > 0, even spin cap m."""
+    """Model instance: tree order k >= 2, finite theta > 0, even spin cap m."""
 
     k: int
     theta: float
     m: int = 2
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"tree order k must be >= 2, got {self.k}")
-        if not self.theta > 0:
-            raise ValueError(f"coupling theta must be positive, got {self.theta}")
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(f"spin cap m must be even and >= 2, got {self.m}")
+        check_params(self.k, self.theta, self.m)
 
 
-@dataclass(frozen=True)
-class WandAdmissibility:
-    """Edge predicate of the wand graph on spins {0, ..., m}."""
+def activity_matrix(m: int, theta: float) -> np.ndarray:
+    """(m+1) x (m+1) edge weights: 1 on even loops, theta on unit steps.
 
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(f"spin cap m must be even and >= 2, got {self.m}")
-
-
-@dataclass(frozen=True)
-class Activity:
-    """Activity weights on wand-graph edges: 1 on even loops, theta on steps."""
-
-    m: int
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(f"spin cap m must be even and >= 2, got {self.m}")
-        if not self.theta > 0:
-            raise ValueError(f"coupling theta must be positive, got {self.theta}")
-
-
-def _check_spin(m: int, s: int) -> None:
-    if not 0 <= s <= m:
-        raise ValueError(f"spin {s} outside {{0, ..., {m}}}")
-
-
-def is_admissible(adm: WandAdmissibility, i: int, j: int) -> bool:
-    """True iff spins i, j may sit on neighboring vertices."""
-    _check_spin(adm.m, i)
-    _check_spin(adm.m, j)
-    return abs(i - j) == 1 or (i == j and i % 2 == 0)
-
-
-def activity_of(act: Activity, i: int, j: int) -> float:
-    """Edge weight for the pair (i, j): 1, theta, or 0."""
-    _check_spin(act.m, i)
-    _check_spin(act.m, j)
-    if i == j and i % 2 == 0:
-        return 1.0
-    if abs(i - j) == 1:
-        return act.theta
-    return 0.0
-
-
-def activity_matrix(act: Activity) -> np.ndarray:
-    """(m+1) x (m+1) matrix of edge weights; zero exactly off the wand graph."""
-    n = act.m + 1
+    The entry is zero exactly off the wand graph, so spins i, j may sit
+    on neighboring vertices iff the (i, j) entry is positive.
+    """
+    check_params(theta=theta, m=m)
+    n = m + 1
     lam = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j and i % 2 == 0:
                 lam[i, j] = 1.0
             elif abs(i - j) == 1:
-                lam[i, j] = act.theta
+                lam[i, j] = theta
     return lam
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionKernel, stationary
-from .model import WandAdmissibility, is_admissible
+from .model import activity_matrix
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,7 @@ def estimate_marginals(
 
 def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
     """Number of parent-child spin pairs violating wand admissibility."""
-    adm = WandAdmissibility(m=m)
-    allowed = np.array(
-        [[is_admissible(adm, i, j) for j in range(m + 1)] for i in range(m + 1)]
-    )
+    allowed = activity_matrix(m, 1.0) > 0.0
     parents = config.tree.parents()
     child_idx = np.arange(1, config.tree.vertex_count)
     if child_idx.size == 0:

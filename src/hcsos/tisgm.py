@@ -21,7 +21,9 @@ solutions exist iff theta is below
 
 and come in reciprocal pairs (one root above 1, its partner the exact
 reciprocal).  Total count: one fixed point at or above theta_cr(k),
-three strictly below.
+three strictly below.  ``solve_asymmetric`` is the one route to the
+pair for every k; the k = 2 closed form through rho = x + 1/x is kept
+as a test oracle in tests/reference.py.
 
 For general even m the module also exposes forward iteration of the
 full boundary-law map (exploratory: no count claims are made there).
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Activity,
     Branch,
     ModelParams,
     TisgmSolution,
     activity_matrix,
+    check_params,
 )
 from .rootfind import Bracket, RootConfig, expand_bracket_decreasing, find_root
 
@@ -59,16 +61,6 @@ class NumericalDomainError(ArithmeticError):
     """Boundary-law iteration left the positive orthant (overflow or zero)."""
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"tree order k must be >= 2, got {k}")
-
-
-def _check_theta(theta: float) -> None:
-    if not theta > 0:
-        raise ValueError(f"coupling theta must be positive, got {theta}")
-
-
 def _power_sum(x: float, n: int) -> float:
     """1 + x + ... + x^(n-1) by Horner accumulation (no (x^n-1)/(x-1))."""
     acc = 0.0
@@ -82,7 +74,7 @@ def theta_cr(k: int) -> float:
 
     Equals ((k-1) k^k / 2^k)^(1/(k+1)); exactly 1 for k = 2.
     """
-    _check_k(k)
+    check_params(k)
     return ((k - 1) * float(k) ** k / 2.0**k) ** (1.0 / (k + 1))
 
 
@@ -91,7 +83,7 @@ def eta(x: float, k: int) -> float:
 
     Symmetric under x -> 1/x, maximal at x = 1 with value (k-1) k^k / 2^k.
     """
-    _check_k(k)
+    check_params(k)
     if not x > 0:
         raise ValueError(f"eta requires x > 0, got {x}")
     try:
@@ -140,8 +132,7 @@ def solve_symmetric(
     y solves theta y^(k+1) + y - 2 theta = 0; the root lies in
     (0, 2^(1/(k+1))) since f(0) < 0 < f(2^(1/(k+1))) and f is increasing.
     """
-    _check_k(k)
-    _check_theta(theta)
+    check_params(k, theta)
 
     def f(y: float) -> float:
         return theta * y ** (k + 1) + y - 2.0 * theta
@@ -160,8 +151,7 @@ def solve_asymmetric(
     partner is set to its exact reciprocal, and y is recovered from
     theta y^k = x + ... + x^(k-1).
     """
-    _check_k(k)
-    _check_theta(theta)
+    check_params(k, theta)
     if theta >= theta_cr(k):
         return []
 
@@ -179,29 +169,6 @@ def solve_asymmetric(
 
     upper = _checked(k, theta, x1, recover_y(x1), Branch.UPPER)
     lower = _checked(k, theta, x2, recover_y(x2), Branch.LOWER)
-    return [upper, lower]
-
-
-def solve_k2_closed_form(theta: float) -> list[TisgmSolution]:
-    """Asymmetric pair for k = 2 in closed form, valid for 0 < theta < 1.
-
-    With rho = x + 1/x the quartic fixed-point condition collapses to
-    theta^3 rho^2 - rho - 2 = 0, whose only root above 2 is
-    rho1 = (1 + sqrt(1 + 8 theta^3)) / (2 theta^3); then
-    x = (rho1 +- sqrt(rho1^2 - 4)) / 2 and y = sqrt(x / theta).
-    The negative root rho2 is discarded.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(
-            f"asymmetric pair for k = 2 exists only for 0 < theta < 1, got {theta}"
-        )
-    t3 = theta**3
-    rho1 = (1.0 + math.sqrt(1.0 + 8.0 * t3)) / (2.0 * t3)
-    half_gap = math.sqrt(rho1 * rho1 - 4.0)
-    x1 = 0.5 * (rho1 + half_gap)
-    x2 = 0.5 * (rho1 - half_gap)
-    upper = _checked(2, theta, x1, math.sqrt(x1 / theta), Branch.UPPER)
-    lower = _checked(2, theta, x2, math.sqrt(x2 / theta), Branch.LOWER)
     return [upper, lower]
 
 
@@ -226,8 +193,6 @@ class SolutionSet:
 
 def enumerate_solutions(k: int, theta: float) -> SolutionSet:
     """Complete ordered solution set: one at/above theta_cr(k), three below."""
-    _check_k(k)
-    _check_theta(theta)
     tc = theta_cr(k)
     sym = solve_symmetric(k, theta)
     if abs(theta - tc) < CRITICAL_TOL:
@@ -313,7 +278,7 @@ def iterate_boundary_law(
     if init.m != params.m:
         raise ValueError(f"init has m = {init.m}, params have m = {params.m}")
 
-    lam = activity_matrix(Activity(m=params.m, theta=params.theta))
+    lam = activity_matrix(params.m, params.theta)
     z = np.asarray(init.z, dtype=float)
     tail: list[tuple[float, ...]] = [tuple(float(v) for v in z)]
     delta = math.inf
@@ -335,6 +300,6 @@ def iterate_boundary_law(
 
 def boundary_law_residual(params: ModelParams, law: BoundaryLaw) -> float:
     """Max-norm distance between a law and its image under one map step."""
-    lam = activity_matrix(Activity(m=params.m, theta=params.theta))
+    lam = activity_matrix(params.m, params.theta)
     z = np.asarray(law.z, dtype=float)
     return float(np.max(np.abs(_map_once(lam, params.k, z) - z)))

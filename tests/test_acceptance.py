@@ -10,14 +10,13 @@ import mpmath as mp
 import numpy as np
 
 from hcsos.chain import (
-    gamma_of,
     kappa_of,
     kernel_of,
     spectrum_asymmetric_k2,
     spectrum_numeric,
     spectrum_symmetric,
 )
-from hcsos.extremality import Verdict, classify_mu0, classify_mu12_k2, thresholds
+from hcsos.extremality import Verdict, classify_mu0, classify_mu12, thresholds
 from hcsos.model import ModelParams
 from hcsos.sampler import TreeConfig, count_inadmissible_edges, estimate_marginals, sample
 from hcsos.tisgm import (
@@ -25,10 +24,10 @@ from hcsos.tisgm import (
     compatibility_residual,
     enumerate_solutions,
     iterate_boundary_law,
-    solve_k2_closed_form,
     solve_symmetric,
     theta_cr,
 )
+from reference import gamma_of, solve_k2_closed_form
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -154,12 +153,12 @@ def test_criterion_06_asymmetric_extremality_window():
     ok = err_root <= 1e-8
     detail = f"|root-closed|={err_root:.2e}"
     for theta in np.linspace(t5_closed + 1e-4, 1.0 - 1e-4, 25):
-        if classify_mu12_k2(float(theta)).verdict is not Verdict.EXTREME:
+        if classify_mu12(2, float(theta)).verdict is not Verdict.EXTREME:
             ok, detail = False, f"not Extreme at theta={theta}"
             break
     if ok:
         for theta in np.linspace(0.05, t5_closed - 1e-4, 25):
-            if classify_mu12_k2(float(theta)).verdict is not Verdict.UNDETERMINED:
+            if classify_mu12(2, float(theta)).verdict is not Verdict.UNDETERMINED:
                 ok, detail = False, f"not Undetermined at theta={theta}"
                 break
     _report(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcsos.chain import (
-    gamma_of,
+    TransitionKernel,
     kappa_of,
     kernel_of,
     spectrum_asymmetric_k2,
@@ -16,10 +16,10 @@ from hcsos.model import Branch, TisgmSolution
 from hcsos.tisgm import (
     enumerate_solutions,
     solve_asymmetric,
-    solve_k2_closed_form,
     solve_symmetric,
     theta_cr,
 )
+from reference import gamma_of, solve_k2_closed_form
 
 
 def _one_parameter_matrix(x: float) -> np.ndarray:
@@ -139,7 +139,6 @@ class TestNumericSpectrum:
         sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
         rep = spectrum_numeric(kernel_of(sol, 2, 1.0))
         assert rep.eigenvalues == pytest.approx((1.0, 0.5, -0.5), abs=1e-14)
-        assert not rep.complex_pair
 
     def test_matches_symmetric_closed_form(self):
         theta, k = 0.7, 3
@@ -156,11 +155,19 @@ class TestNumericSpectrum:
         upper = solve_asymmetric(k, theta)[0]
         kern = kernel_of(upper, k, theta)
         rep = spectrum_numeric(kern)
-        assert not rep.complex_pair
         assert abs(rep.s2) < 1.0
         for lam in rep.eigenvalues:
             residual = abs(np.linalg.det(kern.p - lam * np.eye(3)))
             assert residual <= 1e-10
+
+    def test_complex_pair_raises(self):
+        # the cyclic shift has eigenvalues 1, exp(+-2 pi i / 3): no
+        # kernel of a fixed point looks like this, so it must not pass
+        sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
+        cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        kern = TransitionKernel(p=cycle, source=sol, k=2, theta=1.0)
+        with pytest.raises(ArithmeticError):
+            spectrum_numeric(kern)
 
 
 class TestStationary:

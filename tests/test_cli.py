@@ -46,6 +46,12 @@ class TestTisgmCommand:
             run(["tisgm", "--k", "2", "--theta", "-0.5"])
         assert err.value.code == 2
 
+    def test_usage_error_infinite_theta(self):
+        for verb in ("tisgm", "classify"):
+            with pytest.raises(SystemExit) as err:
+                run([verb, "--k", "2", "--theta", "inf"])
+            assert err.value.code == 2
+
 
 class TestClassifyCommand:
     def test_mu0_large_k(self, capsys):
@@ -69,6 +75,24 @@ class TestClassifyCommand:
     def test_all_above_threshold_notes_absence(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "1.4", "--measure", "all"]) == 0
         assert "do not exist" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_sweep_rows(self, k, capsys):
+        # classify and sweep reach every measure through the same solver,
+        # so they report the same witnesses bit for bit
+        for theta in (0.02, 0.05, 0.1, 0.3, 0.6, 0.9, 0.97, 1.2, 1.55, 2.5):
+            common = ["--k", str(k), "--format", "json"]
+            sweep = ["sweep", "--theta-min", repr(theta), "--theta-max", "3.0",
+                     "--steps", "2"]
+            assert run(sweep + common) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            rows = json.loads(first)["solutions"]
+            assert run(["classify", "--theta", repr(theta)] + common) == 0
+            verdicts = json.loads(capsys.readouterr().out)
+            assert len(verdicts) == len(rows)
+            for row, v in zip(rows, verdicts):
+                for key in ("s2", "kappa", "ks_value", "msw_value", "verdict"):
+                    assert v[key] == row[key], (theta, v["measure"], key)
 
 
 class TestSweepCommand:
@@ -172,6 +196,12 @@ class TestSweepCommand:
         )
         assert rc == 1
 
+    def test_infinite_theta_max_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--k", "2", "--theta-min", "0.5", "--theta-max", "inf",
+                 "--steps", "5"])
+        assert err.value.code == 2
+
     def test_steps_guard(self):
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--k", "2", "--theta-min", "0.5", "--theta-max", "0.6",
@@ -233,6 +263,16 @@ class TestSimulateCommand:
         root = np.array(payload["level_frequencies"][0])
         assert np.max(np.abs(stat - root)) < 0.05
         assert abs(sum(payload["stationary"]) - 1.0) < 1e-12
+
+    def test_small_theta_asymmetric_k2(self, tmp_path, capsys):
+        # the sampled measure is the tisgm Upper solution, down to theta = 0.02
+        out = tmp_path / "stats.json"
+        argv = ["--k", "2", "--theta", "0.02"]
+        assert run(["simulate", *argv, "--measure", "mu1", "--depth", "2",
+                    "--samples", "200", "--out", str(out)]) == 0
+        assert run(["tisgm", *argv, "--format", "json"]) == 0
+        upper = json.loads(capsys.readouterr().out)["solutions"][1]
+        assert json.loads(out.read_text())["solution"] == upper
 
     def test_missing_measure(self, capsys):
         rc = run(

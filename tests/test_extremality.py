@@ -1,22 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
-from hcsos.chain import spectrum_asymmetric_k2, spectrum_symmetric
+from hcsos.chain import spectrum_asymmetric_k2
 from hcsos.extremality import (
     Measure,
     Verdict,
     classify_mu0,
     classify_mu12,
-    classify_mu12_k2,
     h_func,
-    kesten_stigum,
-    msw_extreme,
     q_func,
     thresholds,
 )
-from hcsos.tisgm import solve_symmetric, theta_cr
 
 # Frozen reference values (50-digit mpmath evaluations rounded to float64).
 H2_AT_02 = 0.8846280394692626
@@ -32,40 +26,41 @@ THETA4 = 1.2263282974775683
 
 
 class TestCriteria:
+    # the Kesten-Stigum value k s2^2 and the MSW value k kappa gamma, as
+    # classify_solution evaluates them
+
     def test_kesten_stigum_below(self):
-        assert kesten_stigum(2, 0.5) == (False, 0.5)
+        v = classify_mu0(2, 1.0)
+        assert v.s2 == pytest.approx(0.5, abs=1e-12)
+        assert v.ks_value == 2 * v.s2**2
+        assert v.verdict is not Verdict.NON_EXTREME
 
     def test_kesten_stigum_boundary_strict(self):
-        holds, value = kesten_stigum(4, 0.5)
-        assert value == 1.0 and holds is False
+        v = classify_mu0(4, 1.0)
+        assert v.ks_value == pytest.approx(1.0, abs=1e-12)
+        assert v.verdict is not Verdict.NON_EXTREME
 
     def test_kesten_stigum_from_symmetric_branch(self):
-        sol = solve_symmetric(4, 0.5)
-        s2 = spectrum_symmetric(sol.y, 0.5, 4).s2
-        holds, value = kesten_stigum(4, s2)
-        assert holds and value > 1.0
+        v = classify_mu0(4, 0.5)
+        assert v.ks_value == 4 * v.s2**2
+        assert v.ks_value > 1.0 and v.verdict is Verdict.NON_EXTREME
 
     def test_msw_simple(self):
-        assert msw_extreme(2, 0.5, 0.5) == (True, 0.5)
+        v = classify_mu0(2, 1.0)
+        assert v.msw_value == pytest.approx(0.5, abs=1e-12)
+        assert v.verdict is Verdict.EXTREME
 
     def test_msw_near_k2_boundary(self):
-        x = math.sqrt(1.0 + math.sqrt(2.0)) - 1e-6
-        kappa = x * x / (x * x + 1.0)
-        holds, value = msw_extreme(2, kappa, kappa)
-        assert holds and value < 1.0
+        # just above theta5 the asymmetric k = 2 measures pass MSW
+        v = classify_mu12(2, THETA5 + 1e-6, Measure.MU1)
+        assert v.msw_value < 1.0 and v.verdict is Verdict.EXTREME
 
     def test_msw_arithmetic(self):
-        holds, value = msw_extreme(3, 0.6, 0.6)
-        assert not holds
-        assert value == pytest.approx(1.08, abs=1e-12)
-
-    def test_domain_guards(self):
-        with pytest.raises(ValueError):
-            kesten_stigum(1, 0.5)
-        with pytest.raises(ValueError):
-            kesten_stigum(2, 1.5)
-        with pytest.raises(ValueError):
-            msw_extreme(2, 1.2, 0.5)
+        # gamma is reported equal to kappa, and msw is k kappa gamma
+        for measure in (Measure.MU1, Measure.MU2):
+            v = classify_mu12(3, 1.2, measure)
+            assert v.gamma == v.kappa
+            assert v.msw_value == 3 * v.kappa * v.gamma
 
 
 class TestClassifyMu0:
@@ -124,14 +119,14 @@ class TestClassifyMu0:
 
 class TestClassifyMu12:
     def test_extreme_near_one(self):
-        assert classify_mu12_k2(0.98).verdict is Verdict.EXTREME
+        assert classify_mu12(2, 0.98).verdict is Verdict.EXTREME
 
     def test_undetermined_below_theta5(self):
-        assert classify_mu12_k2(0.5).verdict is Verdict.UNDETERMINED
+        assert classify_mu12(2, 0.5).verdict is Verdict.UNDETERMINED
 
     def test_never_non_extreme(self):
         for theta in np.linspace(0.05, 0.99, 40):
-            v = classify_mu12_k2(float(theta))
+            v = classify_mu12(2, float(theta))
             assert v.verdict is not Verdict.NON_EXTREME
             assert v.ks_value < 1.0
 
@@ -143,19 +138,19 @@ class TestClassifyMu12:
             assert 2.0 * s2 * s2 < 1.0
 
     def test_mu2_mirrors_mu1(self):
-        v1 = classify_mu12_k2(0.97, measure=Measure.MU1)
-        v2 = classify_mu12_k2(0.97, measure=Measure.MU2)
+        v1 = classify_mu12(2, 0.97, Measure.MU1)
+        v2 = classify_mu12(2, 0.97, Measure.MU2)
         assert v1.verdict is v2.verdict
         assert v1.s2 == pytest.approx(v2.s2, abs=1e-12)
         assert v1.kappa == pytest.approx(v2.kappa, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            classify_mu12_k2(1.0)
+            classify_mu12(2, 1.0)
         with pytest.raises(ValueError):
-            classify_mu12_k2(1.2)
+            classify_mu12(2, 1.2)
         with pytest.raises(ValueError):
-            classify_mu12_k2(0.5, measure=Measure.MU0)
+            classify_mu12(2, 0.5, Measure.MU0)
 
     def test_k3_dispatch(self):
         v = classify_mu12(3, 1.2, Measure.MU1)
@@ -258,5 +253,5 @@ class TestCorollaryConsistency:
             theta = float(theta)
             assert classify_mu0(2, theta).verdict is Verdict.EXTREME
             for measure in (Measure.MU1, Measure.MU2):
-                v = classify_mu12_k2(theta, measure=measure)
+                v = classify_mu12(2, theta, measure)
                 assert v.verdict is Verdict.UNDETERMINED

@@ -1,89 +1,86 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcsos.model import (
-    Activity,
     Branch,
     ModelParams,
     TisgmSolution,
-    WandAdmissibility,
     activity_matrix,
-    activity_of,
     branch_of,
-    is_admissible,
 )
 
 
+def _wand_weight(theta: float, i: int, j: int) -> float:
+    """Edge weight of (i, j) read off the wand graph's definition."""
+    if i == j and i % 2 == 0:
+        return 1.0
+    return theta if abs(i - j) == 1 else 0.0
+
+
 class TestAdmissibility:
+    # a pair is admissible iff its activity is positive
+
     def test_unit_step_allowed(self):
-        assert is_admissible(WandAdmissibility(m=2), 0, 1) is True
+        assert activity_matrix(2, 1.0)[0, 1] > 0.0
 
     def test_odd_loop_forbidden(self):
-        assert is_admissible(WandAdmissibility(m=2), 1, 1) is False
+        assert activity_matrix(2, 1.0)[1, 1] == 0.0
 
     def test_distant_pair_forbidden(self):
-        assert is_admissible(WandAdmissibility(m=2), 0, 2) is False
+        assert activity_matrix(2, 1.0)[0, 2] == 0.0
 
     def test_even_loops_allowed(self):
-        adm = WandAdmissibility(m=6)
+        lam = activity_matrix(6, 1.0)
         for s in (0, 2, 4, 6):
-            assert is_admissible(adm, s, s)
+            assert lam[s, s] > 0.0
         for s in (1, 3, 5):
-            assert not is_admissible(adm, s, s)
-
-    def test_spin_out_of_range(self):
-        adm = WandAdmissibility(m=2)
-        with pytest.raises(ValueError):
-            is_admissible(adm, 0, 3)
-        with pytest.raises(ValueError):
-            is_admissible(adm, -1, 0)
+            assert lam[s, s] == 0.0
 
     def test_symmetry_exhaustive(self):
         for m in range(2, 21, 2):
-            adm = WandAdmissibility(m=m)
-            for i in range(m + 1):
-                for j in range(m + 1):
-                    assert is_admissible(adm, i, j) == is_admissible(adm, j, i)
+            lam = activity_matrix(m, 0.7)
+            assert (lam == lam.T).all()
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(1, 10), i=st.integers(0, 20), j=st.integers(0, 20))
     def test_symmetry_property(self, p, i, j):
         m = 2 * p
         assume(i <= m and j <= m)
-        adm = WandAdmissibility(m=m)
-        assert is_admissible(adm, i, j) == is_admissible(adm, j, i)
+        lam = activity_matrix(m, 1.3)
+        assert lam[i, j] == lam[j, i]
 
 
 class TestActivity:
     def test_even_loop_weight(self):
-        assert activity_of(Activity(m=2, theta=0.7), 2, 2) == 1.0
+        assert activity_matrix(2, 0.7)[2, 2] == 1.0
 
     def test_step_weight(self):
-        assert activity_of(Activity(m=2, theta=0.7), 1, 2) == 0.7
+        assert activity_matrix(2, 0.7)[1, 2] == 0.7
 
     def test_non_edge_weight(self):
-        assert activity_of(Activity(m=2, theta=0.7), 0, 2) == 0.0
+        assert activity_matrix(2, 0.7)[0, 2] == 0.0
 
     def test_zero_exactly_off_the_graph(self):
         for m in range(2, 21, 2):
-            adm = WandAdmissibility(m=m)
-            act = Activity(m=m, theta=1.3)
+            lam = activity_matrix(m, 1.3)
             for i in range(m + 1):
                 for j in range(m + 1):
-                    weight = activity_of(act, i, j)
-                    assert (weight == 0.0) == (not is_admissible(adm, i, j))
+                    wand_edge = abs(i - j) == 1 or (i == j and i % 2 == 0)
+                    assert (lam[i, j] == 0.0) == (not wand_edge)
 
     def test_matrix_matches_pointwise(self):
-        act = Activity(m=4, theta=0.9)
-        lam = activity_matrix(act)
+        lam = activity_matrix(4, 0.9)
         for i in range(5):
             for j in range(5):
-                assert lam[i, j] == activity_of(act, i, j)
+                assert lam[i, j] == _wand_weight(0.9, i, j)
 
-    def test_spin_out_of_range(self):
-        with pytest.raises(ValueError):
-            activity_of(Activity(m=2, theta=1.0), 3, 0)
+    def test_invalid_arguments(self):
+        for m, theta in ((3, 1.0), (0, 1.0), (2, 0.0), (2, math.inf)):
+            with pytest.raises(ValueError):
+                activity_matrix(m, theta)
 
 
 class TestParams:
@@ -99,6 +96,7 @@ class TestParams:
             {"k": 2, "theta": -1.0},
             {"k": 2, "theta": 0.5, "m": 3},
             {"k": 2, "theta": 0.5, "m": 0},
+            {"k": 2, "theta": math.inf},
         ],
     )
     def test_invalid(self, kwargs):

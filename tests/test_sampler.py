@@ -4,12 +4,13 @@ import pytest
 from hcsos.chain import kernel_of, stationary
 from hcsos.model import Branch, TisgmSolution
 from hcsos.sampler import (
+    Configuration,
     TreeConfig,
     count_inadmissible_edges,
     estimate_marginals,
     sample,
 )
-from hcsos.tisgm import solve_k2_closed_form, solve_symmetric
+from hcsos.tisgm import solve_asymmetric, solve_symmetric
 
 UNIFORM = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
 
@@ -70,7 +71,7 @@ class TestSampling:
     def test_no_inadmissible_edges_single_configs(self):
         for theta, sol in [
             (1.0, UNIFORM),
-            (0.9, solve_k2_closed_form(0.9)[0]),
+            (0.9, solve_asymmetric(2, 0.9)[0]),
             (0.5, solve_symmetric(2, 0.5)),
         ]:
             kern = kernel_of(sol, 2, theta)
@@ -78,10 +79,18 @@ class TestSampling:
                 config = sample(kern, TreeConfig(k=2, depth=5, seed=seed))
                 assert count_inadmissible_edges(config) == 0
 
+    def test_counts_forbidden_pairs(self):
+        # root 0 with children 2, 1, 1: only the pair (0, 2) is forbidden
+        cfg = TreeConfig(k=2, depth=1)
+        config = Configuration(spins=np.array([0, 2, 1, 1], dtype=np.int8), tree=cfg)
+        assert count_inadmissible_edges(config) == 1
+        with pytest.raises(ValueError):
+            count_inadmissible_edges(config, m=3)
+
     def test_no_inadmissible_edges_bulk(self):
         # 10^4 independent configurations at depth 6: the aggregated
         # parent-child pair table must hold no mass on (0,2), (1,1), (2,0)
-        kern = kernel_of(solve_k2_closed_form(0.7)[1], 2, 0.7)
+        kern = kernel_of(solve_asymmetric(2, 0.7)[1], 2, 0.7)
         stats = estimate_marginals(kern, TreeConfig(k=2, depth=6, seed=9), 10_000)
         pf = stats.pair_frequencies
         assert pf[0, 2] == 0.0 and pf[1, 1] == 0.0 and pf[2, 0] == 0.0

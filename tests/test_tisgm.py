@@ -16,10 +16,10 @@ from hcsos.tisgm import (
     eta,
     iterate_boundary_law,
     solve_asymmetric,
-    solve_k2_closed_form,
     solve_symmetric,
     theta_cr,
 )
+from reference import solve_k2_closed_form
 
 # Frozen high-precision reference values (50-digit mpmath evaluations of
 # the defining expressions, rounded to float64).
