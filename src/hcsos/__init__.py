@@ -11,9 +11,7 @@ from .chain import (
     TransitionKernel,
     kappa_of,
     kernel_of,
-    spectrum_asymmetric_k2,
     spectrum_numeric,
-    spectrum_symmetric,
     stationary,
 )
 from .extremality import (
@@ -112,9 +110,7 @@ __all__ = [
     "sample",
     "solve_asymmetric",
     "solve_symmetric",
-    "spectrum_asymmetric_k2",
     "spectrum_numeric",
-    "spectrum_symmetric",
     "stationary",
     "theta_cr",
     "thresholds",

@@ -8,16 +8,18 @@ every child's spin from its parent's row of
     P = [ x^k/(1 + x^k)   0             1/(1 + x^k)  ]     w = theta y^k.
         [ 0               w/(1 + w)     1/(1 + w)    ]
 
-The zero pattern mirrors the inadmissible spin pairs (0,2), (1,1), (2,0).
+The zero pattern mirrors the inadmissible spin pairs (0,2), (1,1), (2,0),
+so the transition graph is the path 0 - 1 - 2 (with loops at 0 and 2).
+A chain whose transition graph is a tree is reversible, and for this
+path the spectrum and the stationary law follow from exact identities
+in the entries, built from products and ratios of positive numbers:
 
-Closed-form spectra are available on the symmetric branch (eigenvalues
-1, -w/(w+1), 1/(w+1)) and for the k = 2 asymmetric branch, where
-theta y^2 = x collapses P to a one-parameter matrix with eigenvalues
-1, +-sqrt(2) x / ((x+1) sqrt(x^2+1)).  A generic spectrum routine
-deflates the known eigenvalue 1 from the characteristic cubic and solves
-the remaining quadratic; it is the only spectrum source for asymmetric
-fixed points at k >= 3, and it raises ArithmeticError for a kernel whose
-spectrum is not real.
+* the non-unit eigenvalues sum to t = P00 P22 - P01 P21 (which is
+  tr P - 1 rewritten with the row sums) and multiply to -d with
+  d = P00 P12 P21 + P01 P10 P22 > 0, so they are real, of opposite sign,
+  and s2 = (|t| + sqrt(t^2 + 4 d)) / 2;
+* detailed balance along the path gives pi proportional to
+  (P10 / P01, 1, P12 / P21).
 
 kappa is half the largest L1 distance between rows of P.  The MSW
 quantity gamma is the same row distance, so the extremality test
@@ -34,13 +36,13 @@ import numpy as np
 
 from .model import TisgmSolution
 
-# Imaginary parts below this are rounding noise, not a complex pair.
-_COMPLEX_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Row-stochastic 3x3 transition matrix of one fixed point's chain."""
+    """Row-stochastic 3x3 transition matrix of one fixed point's chain.
+
+    ``p`` must have the wand zero pattern P02 = P11 = P20 = 0.
+    """
 
     p: np.ndarray
     source: TisgmSolution
@@ -50,6 +52,8 @@ class TransitionKernel:
     def __post_init__(self) -> None:
         if self.p.shape != (3, 3):
             raise ValueError(f"kernel must be 3x3, got {self.p.shape}")
+        if self.p[0, 2] != 0.0 or self.p[1, 1] != 0.0 or self.p[2, 0] != 0.0:
+            raise ValueError(f"kernel lacks the wand zero pattern: {self.p}")
         self.p.setflags(write=False)
 
 
@@ -57,7 +61,9 @@ class TransitionKernel:
 class SpectrumReport:
     """Eigenvalues sorted by descending modulus (leading entry 1).
 
-    ``s2`` is the modulus of the second-largest eigenvalue.
+    ``s2`` is the modulus of the second-largest eigenvalue.  When the two
+    non-unit moduli are equal (trace 1, as on the k = 2 asymmetric
+    branch) rounding may leave the third one ulp above s2.
     """
 
     eigenvalues: tuple[float, float, float]
@@ -80,89 +86,41 @@ def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
     return TransitionKernel(p=p, source=sol, k=k, theta=theta)
 
 
-def _sorted_eigs(vals: list[float]) -> tuple[float, float, float]:
-    # modulus descending; on ties the positive eigenvalue first
-    ordered = sorted(vals, key=lambda v: (-abs(v), -v))
-    return (ordered[0], ordered[1], ordered[2])
-
-
-def spectrum_symmetric(y: float, theta: float, k: int) -> SpectrumReport:
-    """Closed-form spectrum on the symmetric branch (x = 1).
-
-    Eigenvalues are 1, -w/(w+1) and 1/(w+1) with w = theta y^k.  The
-    second-largest modulus is 1/(w+1) for theta <= 1 and w/(w+1) for
-    theta > 1 (for the root of the symmetric equation, w < 1 exactly
-    when theta < 1).
-    """
-    w = theta * y**k
-    lam1 = -w / (w + 1.0)
-    lam2 = 1.0 / (w + 1.0)
-    s2 = lam2 if theta <= 1.0 else -lam1
-    return SpectrumReport(eigenvalues=_sorted_eigs([1.0, lam1, lam2]), s2=s2)
-
-
-def spectrum_asymmetric_k2(x: float) -> SpectrumReport:
-    """Closed-form spectrum of the k = 2 asymmetric kernel.
-
-    The non-unit eigenvalues are the symmetric pair
-    +-sqrt(2) x / ((x+1) sqrt(x^2+1)), invariant under x -> 1/x.
-    """
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
-    s2 = math.sqrt(2.0) * x / ((x + 1.0) * math.sqrt(x * x + 1.0))
-    return SpectrumReport(eigenvalues=(1.0, s2, -s2), s2=s2)
-
-
 def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
-    """Spectrum of any row-stochastic 3x3 kernel via deflation of the root 1.
+    """Spectrum of a wand kernel from the path-graph identities.
 
-    The characteristic cubic divided by (lambda - 1) leaves
-    lambda^2 + (1 - tr) lambda + det, solved in closed form with the
-    numerically stable quadratic formula.  A complex pair beyond rounding
-    noise raises ArithmeticError: no kernel built from a valid fixed
-    point has one, so it marks a bad matrix.
+    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0.  The
+    second one is sign(t) s2 (positive when t = 0) and the third is
+    -d divided by it.  No step subtracts nearly equal numbers on the way
+    to s2, so s2 keeps full relative accuracy however small it is.
     """
-    p = kern.p
-    t = float(p[0, 0] + p[1, 1] + p[2, 2])
-    d = float(
-        p[0, 0] * (p[1, 1] * p[2, 2] - p[1, 2] * p[2, 1])
-        - p[0, 1] * (p[1, 0] * p[2, 2] - p[1, 2] * p[2, 0])
-        + p[0, 2] * (p[1, 0] * p[2, 1] - p[1, 1] * p[2, 0])
-    )
-    b = 1.0 - t
-    disc = b * b - 4.0 * d
-    if disc < 0.0 and math.sqrt(-disc) * 0.5 > _COMPLEX_TOL:
-        raise ArithmeticError(f"kernel has a complex eigenvalue pair: {p}")
-    disc = max(disc, 0.0)
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-    r2 = d / q if q != 0.0 else 0.0
-    eigs = _sorted_eigs([1.0, q, r2])
-    return SpectrumReport(eigenvalues=eigs, s2=abs(eigs[1]))
+    (p00, p01, _), (p10, _, p12), (_, p21, p22) = kern.p.tolist()
+    t = p00 * p22 - p01 * p21
+    d = p00 * p12 * p21 + p01 * p10 * p22
+    s2 = 0.5 * (abs(t) + math.sqrt(t * t + 4.0 * d))
+    lam2 = -s2 if t < 0.0 else s2
+    return SpectrumReport(eigenvalues=(1.0, lam2, -d / lam2), s2=s2)
 
 
 def stationary(kern: TransitionKernel) -> np.ndarray:
     """Unique probability vector pi with pi P = pi (all entries positive).
 
-    Uses Grassmann-Taksar-Heyman state elimination: every operation adds
-    or multiplies nonnegative numbers, so the result stays positive even
-    for the nearly degenerate kernels of strongly asymmetric fixed
-    points (where a direct linear solve rounds tiny masses negative).
+    Detailed balance on the path 0 - 1 - 2 gives pi proportional to
+    (P10 / P01, 1, P12 / P21).  Ratios rather than products, so no
+    probability is squared: on the symmetric branch at small w the
+    masses are about (1/2w, 1, 1/2w), and pi_1 ~ w keeps full accuracy
+    down to the smallest normal double.  Below that (a ratio overflows,
+    or an entry is zero) the chain is numerically reducible, which
+    raises.
     """
-    t = kern.p.T.copy()  # t[i, j] = transition mass j -> i
-    for n in (2, 1):
-        s = float(np.sum(t[:n, n]))
-        if s <= 0.0:
-            raise RuntimeError(f"numerically reducible kernel {kern.p}")
-        t[n, :n] /= s
-        t[:n, :n] += np.outer(t[:n, n], t[n, :n])
-    pi = np.empty(3)
-    pi[0] = 1.0
-    pi[1] = t[1, 0]
-    pi[2] = t[2, 0] + pi[1] * t[2, 1]
-    pi /= pi.sum()
-    if np.any(pi <= 0.0):
-        raise RuntimeError(f"non-positive stationary vector {pi}")
-    return pi
+    (_, p01, _), (p10, _, p12), (_, p21, _) = kern.p.tolist()
+    if p01 > 0.0 and p21 > 0.0:
+        mass = (p10 / p01, 1.0, p12 / p21)
+        total = sum(mass)
+        pi = np.array([m / total for m in mass])
+        if math.isfinite(total) and np.all(pi > 0.0):
+            return pi
+    raise RuntimeError(f"non-positive stationary vector for kernel {kern.p}")
 
 
 def kappa_of(kern: TransitionKernel) -> float:

@@ -27,9 +27,10 @@ from .extremality import (
     classify_mu0,
     classify_mu12,
     classify_solution,
+    solution_of,
     thresholds,
 )
-from .model import ModelParams, TisgmSolution
+from .model import ModelParams
 from .sampler import TreeConfig, estimate_marginals
 from .tisgm import (
     BoundaryLaw,
@@ -37,8 +38,6 @@ from .tisgm import (
     SolutionSet,
     enumerate_solutions,
     iterate_boundary_law,
-    solve_asymmetric,
-    solve_symmetric,
     theta_cr,
 )
 
@@ -334,34 +333,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_thresholds(args) -> int:
     if args.k >= 4:
-        print(
+        note = (
             f"k = {args.k}: no extremality thresholds; the symmetric measure "
-            "is non-extreme for every theta > 0 once k >= 4."
+            "is non-extreme for every theta > 0"
         )
+        if args.k == 4:
+            note += " except theta = 1, where 4 s2^2 = 1 exactly (Undetermined)"
+        _print_or_dump(args, [note + "."], {"k": args.k, "thresholds": []})
         return 0
     table = thresholds(args.k)
-    if getattr(args, "format", "text") == "json":
-        print(
-            json.dumps(
-                {
-                    "k": table.k,
-                    "thresholds": [
-                        {
-                            "name": t.name,
-                            "value": t.value,
-                            "closed_form": t.closed_form,
-                            "root_found": t.root_found,
-                            "provenance": t.provenance,
-                        }
-                        for t in table.entries
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"k = {table.k}")
-    print(f"{'name':<8} {'closed-form':<24} {'root-found':<24} {'difference':<12}")
+    lines = [
+        f"k = {table.k}",
+        f"{'name':<8} {'closed-form':<24} {'root-found':<24} {'difference':<12}",
+    ]
     for t in table.entries:
         closed = repr(t.closed_form) if t.closed_form is not None else "-"
         diff = (
@@ -369,22 +353,26 @@ def cmd_thresholds(args) -> int:
             if t.closed_form is not None
             else "-"
         )
-        print(f"{t.name:<8} {closed:<24} {t.root_found!r:<24} {diff:<12}")
+        lines.append(f"{t.name:<8} {closed:<24} {t.root_found!r:<24} {diff:<12}")
+    obj = {
+        "k": table.k,
+        "thresholds": [
+            {
+                "name": t.name,
+                "value": t.value,
+                "closed_form": t.closed_form,
+                "root_found": t.root_found,
+                "provenance": t.provenance,
+            }
+            for t in table.entries
+        ],
+    }
+    _print_or_dump(args, lines, obj)
     return 0
 
 
-def _solution_for_measure(k: int, theta: float, measure: str) -> TisgmSolution:
-    if measure == "mu0":
-        return solve_symmetric(k, theta)
-    pair = solve_asymmetric(k, theta)
-    if not pair:
-        raise ValueError(f"measure {measure} does not exist at k={k}, theta={theta}")
-    upper, lower = pair
-    return upper if measure == "mu1" else lower
-
-
 def cmd_simulate(args) -> int:
-    sol = _solution_for_measure(args.k, args.theta, args.measure)
+    sol = solution_of(args.k, args.theta, Measure(args.measure))
     kern = kernel_of(sol, args.k, args.theta)
     cfg = TreeConfig(k=args.k, depth=args.depth, seed=args.seed)
     stats = estimate_marginals(kern, cfg, args.samples)

@@ -49,15 +49,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import (
-    kappa_of,
-    kernel_of,
-    spectrum_asymmetric_k2,
-    spectrum_numeric,
-    spectrum_symmetric,
-)
+from .chain import kappa_of, kernel_of, spectrum_numeric
 from .model import Branch, TisgmSolution
-from .rootfind import Bracket, RootConfig, find_root
+from .rootfind import Bracket, find_root
 from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
 
 DEFAULT_BOUNDARY_TOL = 1e-9
@@ -110,20 +104,14 @@ def classify_solution(
     there, so only k = 4 lands on the band (k s2^2 = 1 exactly).
     Asymmetric at k = 2: Extreme iff 2 kappa^2 < 1 - boundary_tol,
     otherwise Undetermined.  Asymmetric at k >= 3: NonExtreme iff the
-    numeric Kesten-Stigum value exceeds 1 + boundary_tol, otherwise
-    Undetermined.
+    Kesten-Stigum value exceeds 1 + boundary_tol, otherwise
+    Undetermined.  Every branch and k takes s2 from the one spectrum
+    formula of the chain module.
     """
     kern = kernel_of(sol, k, theta)
     kappa = kappa_of(kern)
-    measure = _MEASURE_OF_BRANCH[sol.branch]
-
-    if sol.branch is Branch.SYMMETRIC:
-        spec = spectrum_symmetric(sol.y, theta, k)
-    elif k == 2:
-        spec = spectrum_asymmetric_k2(sol.x)
-    else:
-        spec = spectrum_numeric(kern)
-    ks = k * spec.s2**2
+    s2 = spectrum_numeric(kern).s2
+    ks = k * s2**2
     msw = k * kappa * kappa
 
     if sol.branch is Branch.SYMMETRIC:
@@ -141,14 +129,34 @@ def classify_solution(
         verdict = (
             Verdict.NON_EXTREME if ks > 1.0 + boundary_tol else Verdict.UNDETERMINED
         )
-    return ExtremalityVerdict(measure, verdict, spec.s2, kappa, kappa, ks, msw)
+    measure = _MEASURE_OF_BRANCH[sol.branch]
+    return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
+
+
+def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:
+    """Fixed point that indexes ``measure`` at (k, theta).
+
+    mu0 is the symmetric root; mu1 and mu2 are the upper and lower roots
+    of ``solve_asymmetric``.  Raises ValueError when mu1/mu2 do not exist
+    (theta at or above theta_cr(k)).
+    """
+    if measure is Measure.MU0:
+        return solve_symmetric(k, theta)
+    pair = solve_asymmetric(k, theta)
+    if not pair:
+        raise ValueError(
+            f"mu1/mu2 do not exist at k={k}, theta={theta} >= theta_cr = {theta_cr(k)}"
+        )
+    upper, lower = pair
+    return upper if measure is Measure.MU1 else lower
 
 
 def classify_mu0(
     k: int, theta: float, boundary_tol: float = DEFAULT_BOUNDARY_TOL
 ) -> ExtremalityVerdict:
     """Classify the symmetric measure, which exists at every (k, theta)."""
-    return classify_solution(k, theta, solve_symmetric(k, theta), boundary_tol)
+    sol = solution_of(k, theta, Measure.MU0)
+    return classify_solution(k, theta, sol, boundary_tol)
 
 
 def classify_mu12(
@@ -162,18 +170,12 @@ def classify_mu12(
     The pair comes from ``solve_asymmetric``, as in a sweep.  At k = 2
     Kesten-Stigum can never hold, so the only decisive outcome is
     Extreme (2 kappa^2 < 1); k >= 3 trusts only the Kesten-Stigum
-    direction (numeric spectrum).  Raises ValueError when the measure
-    does not exist (theta at or above theta_cr(k)).
+    direction.  Raises ValueError when the measure does not exist (theta
+    at or above theta_cr(k)).
     """
     if measure is Measure.MU0:
         raise ValueError("mu0 is handled by classify_mu0")
-    pair = solve_asymmetric(k, theta)
-    if not pair:
-        raise ValueError(
-            f"mu1/mu2 do not exist at k={k}, theta={theta} >= theta_cr = {theta_cr(k)}"
-        )
-    upper, lower = pair
-    sol = upper if measure is Measure.MU1 else lower
+    sol = solution_of(k, theta, measure)
     return classify_solution(k, theta, sol, boundary_tol)
 
 
@@ -231,9 +233,6 @@ class ThresholdTable:
         raise KeyError(name)
 
 
-_ROOT_CFG = RootConfig(abs_tol=1e-12)
-
-
 def _mu12_margin_k2(theta: float) -> float:
     # 2 kappa^2 - 1 for the upper branch; decreasing in theta on (0, 1).
     # x1 is the closed-form upper root: with rho = x + 1/x the k = 2 fixed
@@ -260,10 +259,10 @@ def thresholds(k: int) -> ThresholdTable:
         t5_closed = ((2.0 + s) / (2.0 + 2.0 * math.sqrt(2.0))) ** (1.0 / 3.0)
         h2 = lambda t: h_func(2, t)
         q2 = lambda t: q_func(2, t)
-        t1_root = find_root(h2, Bracket.certify(h2, 0.01, 1.0), _ROOT_CFG)
-        t2_root = find_root(q2, Bracket.certify(q2, 1.0, 4.0), _ROOT_CFG)
+        t1_root = find_root(h2, Bracket.certify(h2, 0.01, 1.0))
+        t2_root = find_root(q2, Bracket.certify(q2, 1.0, 4.0))
         t5_root = find_root(
-            _mu12_margin_k2, Bracket.certify(_mu12_margin_k2, 0.5, 0.999), _ROOT_CFG
+            _mu12_margin_k2, Bracket.certify(_mu12_margin_k2, 0.5, 0.999)
         )
         return ThresholdTable(
             k=2,
@@ -276,8 +275,8 @@ def thresholds(k: int) -> ThresholdTable:
     if k == 3:
         h3 = lambda t: h_func(3, t)
         q3 = lambda t: q_func(3, t)
-        t3_root = find_root(h3, Bracket.certify(h3, 0.01, 1.0), _ROOT_CFG)
-        t4_root = find_root(q3, Bracket.certify(q3, 1.0, 4.0), _ROOT_CFG)
+        t3_root = find_root(h3, Bracket.certify(h3, 0.01, 1.0))
+        t4_root = find_root(q3, Bracket.certify(q3, 1.0, 4.0))
         return ThresholdTable(
             k=3,
             entries=(

@@ -43,7 +43,7 @@ from .model import (
     activity_matrix,
     check_params,
 )
-from .rootfind import Bracket, RootConfig, expand_bracket_decreasing, find_root
+from .rootfind import Bracket, expand_bracket_decreasing, find_root
 
 # theta within this distance of theta_cr(k): the asymmetric pair has
 # merged into x = 1 beyond root-finder resolution.
@@ -124,9 +124,7 @@ def _checked(k: int, theta: float, x: float, y: float, branch: Branch) -> TisgmS
     return TisgmSolution(x=x, y=y, branch=branch)
 
 
-def solve_symmetric(
-    k: int, theta: float, cfg: RootConfig = RootConfig()
-) -> TisgmSolution:
+def solve_symmetric(k: int, theta: float) -> TisgmSolution:
     """Unique fixed point with x = 1.
 
     y solves theta y^(k+1) + y - 2 theta = 0; the root lies in
@@ -138,13 +136,11 @@ def solve_symmetric(
         return theta * y ** (k + 1) + y - 2.0 * theta
 
     hi = 2.0 ** (1.0 / (k + 1))
-    y = find_root(f, Bracket.certify(f, 0.0, hi), cfg)
+    y = find_root(f, Bracket.certify(f, 0.0, hi))
     return _checked(k, theta, 1.0, y, Branch.SYMMETRIC)
 
 
-def solve_asymmetric(
-    k: int, theta: float, cfg: RootConfig = RootConfig()
-) -> list[TisgmSolution]:
+def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
     """Reciprocal pair of fixed points with x != 1; empty at or above theta_cr.
 
     The upper root solves eta(x) = theta^(k+1) on (1, inf); the lower
@@ -161,7 +157,7 @@ def solve_asymmetric(
         # float resolution: no separable asymmetric pair exists
         return []
     bracket = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
-    x1 = find_root(lambda x: eta(x, k) - target, bracket, cfg)
+    x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
 
     def recover_y(x: float) -> float:

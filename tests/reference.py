@@ -2,8 +2,10 @@
 
 None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
-kappa and root-finds the k = 3 thresholds.  The closed forms here reach
-the same quantities another way.
+kappa, root-finds the k = 3 thresholds and takes every spectrum and
+stationary law from the path-graph identities of the chain module.
+The closed forms and 50-digit evaluations here reach the same
+quantities another way.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from hcsos.chain import SpectrumReport
 from hcsos.model import Branch, TisgmSolution
 from hcsos.tisgm import RESIDUAL_TOL, ConsistencyError, compatibility_residual
 
@@ -83,3 +86,72 @@ def ks_thresholds(k: int) -> tuple[mp.mpf, mp.mpf]:
             mp.root(w * (w + 1) ** k / mp.mpf(2) ** k, k + 1)
             for w in (root_k - 1, 1 / (root_k - 1))
         )
+
+
+def _sorted_eigs(vals: list[float]) -> tuple[float, float, float]:
+    # modulus descending; on ties the positive eigenvalue first
+    ordered = sorted(vals, key=lambda v: (-abs(v), -v))
+    return (ordered[0], ordered[1], ordered[2])
+
+
+def spectrum_symmetric(y: float, theta: float, k: int) -> SpectrumReport:
+    """Closed-form spectrum on the symmetric branch (x = 1).
+
+    Eigenvalues are 1, -w/(w+1) and 1/(w+1) with w = theta y^k.  The
+    second-largest modulus is 1/(w+1) for theta <= 1 and w/(w+1) for
+    theta > 1 (for the root of the symmetric equation, w < 1 exactly
+    when theta < 1).
+    """
+    w = theta * y**k
+    lam1 = -w / (w + 1.0)
+    lam2 = 1.0 / (w + 1.0)
+    s2 = lam2 if theta <= 1.0 else -lam1
+    return SpectrumReport(eigenvalues=_sorted_eigs([1.0, lam1, lam2]), s2=s2)
+
+
+def spectrum_asymmetric_k2(x: float) -> SpectrumReport:
+    """Closed-form spectrum of the k = 2 asymmetric kernel.
+
+    The non-unit eigenvalues are the symmetric pair
+    +-sqrt(2) x / ((x+1) sqrt(x^2+1)), invariant under x -> 1/x.
+    """
+    if not x > 0:
+        raise ValueError(f"need x > 0, got {x}")
+    s2 = math.sqrt(2.0) * x / ((x + 1.0) * math.sqrt(x * x + 1.0))
+    return SpectrumReport(eigenvalues=(1.0, s2, -s2), s2=s2)
+
+
+def s2_mp(k: int, theta: float, sol: TisgmSolution) -> mp.mpf:
+    """s2 of the fixed point's kernel from a 50-digit general eigensolver.
+
+    The kernel is rebuilt in mpmath from (x, y, theta), so rounding of
+    the float entries does not enter the reference value.
+    """
+    with mp.workdps(50):
+        xk = mp.mpf(sol.x) ** k
+        w = mp.mpf(theta) * mp.mpf(sol.y) ** k
+        p = mp.matrix(
+            [
+                [xk / (xk + w), w / (xk + w), 0],
+                [xk / (1 + xk), 0, 1 / (1 + xk)],
+                [0, w / (1 + w), 1 / (1 + w)],
+            ]
+        )
+        moduli = sorted((abs(v) for v in mp.eig(p, left=False, right=False)), reverse=True)
+        return +moduli[1]
+
+
+def stationary_mp(k: int, theta: float, sol: TisgmSolution) -> list[mp.mpf]:
+    """Stationary law pi proportional to z * (lambda z), at 50 digits.
+
+    z = (x^k, y^k, 1) is the boundary law and lambda the activity matrix
+    [[1, theta, 0], [theta, 0, theta], [0, theta, 1]]: reversibility of
+    the chain in terms of the model, not of the kernel's entries.
+    """
+    with mp.workdps(50):
+        theta = mp.mpf(theta)
+        z = [mp.mpf(sol.x) ** k, mp.mpf(sol.y) ** k, mp.mpf(1)]
+        lz = [z[0] + theta * z[1], theta * (z[0] + z[2]), theta * z[1] + z[2]]
+        mass = [a * b for a, b in zip(z, lz)]
+        total = sum(mass)
+        return [m / total for m in mass]

@@ -9,13 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from hcsos.chain import (
-    kappa_of,
-    kernel_of,
-    spectrum_asymmetric_k2,
-    spectrum_numeric,
-    spectrum_symmetric,
-)
+from hcsos.chain import kappa_of, kernel_of, spectrum_numeric
 from hcsos.extremality import Verdict, classify_mu0, classify_mu12, thresholds
 from hcsos.model import ModelParams
 from hcsos.sampler import TreeConfig, count_inadmissible_edges, estimate_marginals, sample
@@ -27,7 +21,13 @@ from hcsos.tisgm import (
     solve_symmetric,
     theta_cr,
 )
-from reference import gamma_of, ks_thresholds, solve_k2_closed_form
+from reference import (
+    gamma_of,
+    ks_thresholds,
+    solve_k2_closed_form,
+    spectrum_asymmetric_k2,
+    spectrum_symmetric,
+)
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -7,19 +7,25 @@ from hcsos.chain import (
     TransitionKernel,
     kappa_of,
     kernel_of,
-    spectrum_asymmetric_k2,
     spectrum_numeric,
-    spectrum_symmetric,
     stationary,
 )
 from hcsos.model import Branch, TisgmSolution
+from hcsos.rootfind import UnboundedBracketError
 from hcsos.tisgm import (
     enumerate_solutions,
     solve_asymmetric,
     solve_symmetric,
     theta_cr,
 )
-from reference import gamma_of, solve_k2_closed_form
+from reference import (
+    gamma_of,
+    s2_mp,
+    solve_k2_closed_form,
+    spectrum_asymmetric_k2,
+    spectrum_symmetric,
+    stationary_mp,
+)
 
 
 def _one_parameter_matrix(x: float) -> np.ndarray:
@@ -161,13 +167,24 @@ class TestNumericSpectrum:
             assert residual <= 1e-10
 
     def test_complex_pair_raises(self):
-        # the cyclic shift has eigenvalues 1, exp(+-2 pi i / 3): no
-        # kernel of a fixed point looks like this, so it must not pass
+        # the cyclic shift has eigenvalues 1, exp(+-2 pi i / 3); it moves
+        # 2 -> 0, which no wand kernel allows, so it is refused on sight
         sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
         cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        kern = TransitionKernel(p=cycle, source=sol, k=2, theta=1.0)
-        with pytest.raises(ArithmeticError):
-            spectrum_numeric(kern)
+        with pytest.raises(ValueError, match="zero pattern"):
+            TransitionKernel(p=cycle, source=sol, k=2, theta=1.0)
+
+    def test_spectrum_is_real_with_product_minus_d(self):
+        # the non-unit eigenvalues have opposite signs and |lam3| <= s2
+        rng = np.random.default_rng(5)
+        for kern in _sample_kernels(rng, 200):
+            rep = spectrum_numeric(kern)
+            one, lam2, lam3 = rep.eigenvalues
+            assert one == 1.0 and abs(lam2) == rep.s2
+            assert lam2 * lam3 < 0.0 and abs(lam3) <= rep.s2 * (1.0 + 1e-15)
+            # trace and determinant of P against the spectrum
+            assert abs(1.0 + lam2 + lam3 - np.trace(kern.p)) <= 1e-14
+            assert abs(lam2 * lam3 - np.linalg.det(kern.p)) <= 1e-14
 
 
 class TestStationary:
@@ -257,3 +274,43 @@ class TestClosedNumericAgreementGrids:
             k_u = kappa_of(kernel_of(upper, 2, float(theta)))
             k_l = kappa_of(kernel_of(lower, 2, float(theta)))
             assert abs(k_u - k_l) <= 1e-12
+
+
+# theta grid down to 1e-3, where x^k spans hundreds of decades on the
+# asymmetric branches; at k = 12, theta = 0.055 a deflated characteristic
+# quadratic gave s2 = 7.9e-99 instead of 4.2e-17
+ORACLE_THETAS = [float(t) for t in np.geomspace(1e-3, 4.0, 14)] + [0.055]
+
+
+class TestFiftyDigitOracle:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 20])
+    def test_s2_and_stationary(self, k):
+        checked = 0
+        for theta in ORACLE_THETAS:
+            sols = [solve_symmetric(k, theta)]
+            try:
+                sols += solve_asymmetric(k, theta)
+            except (UnboundedBracketError, OverflowError):
+                # known solver defects at small theta for large k: the
+                # bracket search gives up, or x^k overflows in the residual
+                pass
+            for sol in sols:
+                kern = kernel_of(sol, k, theta)
+                s2 = spectrum_numeric(kern).s2
+                assert abs(s2 / s2_mp(k, theta, sol) - 1) <= 2e-15, (k, theta, sol)
+                for got, want in zip(stationary(kern), stationary_mp(k, theta, sol)):
+                    if want >= 1e-290:
+                        assert abs(got / want - 1) <= 2e-15, (k, theta, sol)
+                checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("k, theta", [(100, 1e-3), (100, 0.01), (20, 1e-8)])
+    def test_symmetric_branch_at_tiny_w(self, k, theta):
+        # w = theta y^k lies between 1e-273 and 1e-162 here, so w^2
+        # underflows: pi_1 ~ w must not be formed from a product of two
+        # probabilities
+        sol = solve_symmetric(k, theta)
+        kern = kernel_of(sol, k, theta)
+        assert abs(spectrum_numeric(kern).s2 / s2_mp(k, theta, sol) - 1) <= 2e-15
+        for got, want in zip(stationary(kern), stationary_mp(k, theta, sol)):
+            assert abs(got / want - 1) <= 2e-15, (k, theta, got, want)

@@ -13,6 +13,8 @@ from hcsos.cli import (
     write_phase_csv,
 )
 from hcsos.extremality import thresholds
+from hcsos.tisgm import solve_asymmetric, solve_symmetric
+from reference import s2_mp, stationary_mp
 
 
 def run(argv):
@@ -65,6 +67,14 @@ class TestClassifyCommand:
     def test_missing_measure_is_a_domain_failure(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "1.2", "--measure", "mu1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_tiny_s2_matches_oracle(self, capsys):
+        # s2 ~ 4.2e-17 here; a deflated characteristic quadratic printed 7.9e-99
+        argv = ["classify", "--k", "12", "--theta", "0.055", "--measure", "mu1"]
+        assert run(argv + ["--format", "json"]) == 0
+        (got,) = json.loads(capsys.readouterr().out)
+        upper = solve_asymmetric(12, 0.055)[0]
+        assert abs(got["s2"] / s2_mp(12, 0.055, upper) - 1) <= 2e-15
 
     def test_all_measures(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "0.9", "--measure", "all"]) == 0
@@ -225,6 +235,16 @@ class TestThresholdsCommand:
         assert run(["thresholds", "--k", "4"]) == 0
         assert "non-extreme for every theta" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_json_without_thresholds(self, k, capsys):
+        assert run(["thresholds", "--k", str(k), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"k": k, "thresholds": []}
+
+    def test_k4_note_names_the_boundary_point(self, capsys):
+        # 4 s2^2 = 1 exactly at theta = 1, so mu0 is Undetermined there
+        assert run(["thresholds", "--k", "4"]) == 0
+        assert "except theta = 1" in capsys.readouterr().out
+
     def test_json(self, capsys):
         assert run(["thresholds", "--k", "2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -280,6 +300,25 @@ class TestSimulateCommand:
              "--out", "-"]
         )
         assert rc == 1
+        assert "mu1/mu2 do not exist at k=2, theta=1.2" in capsys.readouterr().err
+
+    def test_deep_lower_branch(self, capsys):
+        # the stationary law of this kernel overflowed to [0, 0, nan] under
+        # GTH elimination
+        argv = ["simulate", "--k", "20", "--theta", "0.1894", "--measure", "mu2",
+                "--depth", "1", "--samples", "10"]
+        assert run(argv) == 0
+        stat = json.loads(capsys.readouterr().out)["stationary"]
+        assert all(v > 0.0 for v in stat) and abs(sum(stat) - 1.0) < 1e-15
+
+    def test_symmetric_branch_at_tiny_w(self, capsys):
+        # w = theta y^k ~ 1.3e-172 here, whose square underflows
+        argv = ["simulate", "--k", "100", "--theta", "0.01", "--measure", "mu0",
+                "--depth", "1", "--samples", "10"]
+        assert run(argv) == 0
+        stat = json.loads(capsys.readouterr().out)["stationary"]
+        want = stationary_mp(100, 0.01, solve_symmetric(100, 0.01))
+        assert all(abs(got / w - 1) <= 2e-15 for got, w in zip(stat, want))
 
 
 class TestIterateCommand:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hcsos.chain import spectrum_asymmetric_k2
 from hcsos.extremality import (
     Measure,
     Verdict,
@@ -11,6 +10,7 @@ from hcsos.extremality import (
     q_func,
     thresholds,
 )
+from reference import spectrum_asymmetric_k2
 
 # Frozen reference values (50-digit mpmath evaluations rounded to float64).
 H2_AT_02 = 0.8846280394692626
