@@ -372,13 +372,12 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    cfg = TreeConfig(k=args.k, depth=args.depth, seed=args.seed)
     sol = solution_of(args.k, args.theta, Measure(args.measure))
     kern = kernel_of(sol, args.k, args.theta)
-    cfg = TreeConfig(k=args.k, depth=args.depth, seed=args.seed)
     stats = estimate_marginals(kern, cfg, args.samples)
     pf = stats.pair_frequencies
-    n_edges = args.samples * (cfg.vertex_count - 1)
-    bad_mass = float(pf[0, 2] + pf[1, 1] + pf[2, 0])
+    pc = stats.pair_counts
     payload = {
         "k": args.k,
         "theta": args.theta,
@@ -390,7 +389,7 @@ def cmd_simulate(args) -> int:
         "stationary": list(map(float, stationary(kern))),
         "level_frequencies": [list(map(float, f)) for f in stats.level_frequencies],
         "pair_frequencies": [[float(v) for v in row] for row in pf],
-        "inadmissible_edges": int(round(bad_mass * n_edges)),
+        "inadmissible_edges": int(pc[0, 2] + pc[1, 1] + pc[2, 0]),
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out == "-":
@@ -525,6 +524,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
         return 1
 
 

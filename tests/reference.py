@@ -2,9 +2,10 @@
 
 None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
-kappa, root-finds the k = 3 thresholds and takes every spectrum and
-stationary law from the path-graph identities of the chain module.
-The closed forms and 50-digit evaluations here reach the same
+kappa, root-finds the k = 3 thresholds, takes every spectrum and
+stationary law from the path-graph identities of the chain module and
+samples in chunks of rows with two comparisons per vertex.  The closed
+forms, 50-digit evaluations and the one-shot sampler here reach the same
 quantities another way.
 """
 
@@ -13,8 +14,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from hcsos.chain import SpectrumReport
+from hcsos.chain import SpectrumReport, TransitionKernel, stationary
 from hcsos.model import Branch, TisgmSolution
+from hcsos.sampler import TreeConfig, _snapped_cumulative
 from hcsos.tisgm import RESIDUAL_TOL, ConsistencyError, compatibility_residual
 
 
@@ -155,3 +157,47 @@ def stationary_mp(k: int, theta: float, sol: TisgmSolution) -> list[mp.mpf]:
         mass = [a * b for a, b in zip(z, lz)]
         total = sum(mass)
         return [m / total for m in mass]
+
+
+def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
+    """(n, vertex_count) spin matrix; row s is the s-th independent sample.
+
+    The sampler as it was before chunked draws: every uniform at once,
+    parent spins gathered by index and a three-way comparison against
+    the gathered cumulative rows.
+    """
+    v = cfg.vertex_count
+    uniforms = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, v))
+    pi_cum = np.cumsum(stationary(kern))
+    pi_cum[-1] = 1.0
+    row_cum = _snapped_cumulative(kern.p)
+    parents = cfg.parents()
+
+    spins = np.empty((n, v), dtype=np.int8)
+    spins[:, 0] = np.searchsorted(pi_cum, uniforms[:, 0], side="right")
+    offsets = cfg.level_offsets
+    for level in range(1, cfg.depth + 1):
+        sl = slice(offsets[level], offsets[level + 1])
+        parent_spins = spins[:, parents[sl]]
+        # smallest state whose cumulative mass exceeds the uniform draw
+        spins[:, sl] = (
+            uniforms[:, sl, None] >= row_cum[parent_spins]
+        ).sum(axis=2, dtype=np.int8)
+    return spins
+
+
+def spin_counts(spins: np.ndarray, cfg: TreeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level spin counts (depth + 1, 3) and parent-child pair counts (3, 3)
+    of a ``draw_spins`` matrix, tallied one edge at a time with ``np.add.at``."""
+    offsets = cfg.level_offsets
+    levels = np.array(
+        [
+            np.bincount(spins[:, offsets[lv] : offsets[lv + 1]].ravel(), minlength=3)
+            for lv in range(cfg.depth + 1)
+        ]
+    )
+    pairs = np.zeros((3, 3), dtype=np.int64)
+    child = np.arange(1, cfg.vertex_count)
+    parent = cfg.parents()[child]
+    np.add.at(pairs, (spins[:, parent].ravel(), spins[:, child].ravel()), 1)
+    return levels, pairs

@@ -1,9 +1,15 @@
+import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hcsos import cli, sampler
 from hcsos.cli import (
     CSV_HEADER,
     build_phase_record,
@@ -13,6 +19,7 @@ from hcsos.cli import (
     write_phase_csv,
 )
 from hcsos.extremality import thresholds
+from hcsos.sampler import TreeConfig, estimate_marginals
 from hcsos.tisgm import solve_asymmetric, solve_symmetric
 from reference import s2_mp, stationary_mp
 
@@ -319,6 +326,87 @@ class TestSimulateCommand:
         stat = json.loads(capsys.readouterr().out)["stationary"]
         want = stationary_mp(100, 0.01, solve_symmetric(100, 0.01))
         assert all(abs(got / w - 1) <= 2e-15 for got, w in zip(stat, want))
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("--k 2 --theta 1.0 --measure mu0 --depth 4 --samples 2000 --seed 5",
+             "0548a4ef74821bf5da1f1f8a859933fc7595fd5d39a1eb90ba8c62f7db877459"),
+            ("--k 3 --theta 0.5 --measure mu1 --depth 4 --samples 5000 --seed 0",
+             "a0a45941a49016a7485aed84c87e08fc923fdd935592709ddc7c4abe2a41f5a3"),
+            ("--k 5 --theta 0.3 --measure mu2 --depth 3 --samples 777 "
+             "--seed 20240810",
+             "7f452e28647a7b7ec41ac6222e23b75a61fb2bb2161303a17e35df2e1154e4d9"),
+        ],
+    )
+    def test_pinned_output(self, capsys, argv, digest):
+        # digests of the output of the one-shot sampler, before chunked draws
+        assert run(["simulate", *argv.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_inadmissible_edges_from_pair_counts(self, capsys, monkeypatch):
+        def with_forbidden_pairs(kern, cfg, n):
+            stats = estimate_marginals(kern, cfg, n)
+            pc = stats.pair_counts.copy()
+            pc[0, 2], pc[1, 1], pc[2, 0] = 1, 2, 4
+            return dataclasses.replace(stats, pair_counts=pc)
+
+        monkeypatch.setattr(cli, "estimate_marginals", with_forbidden_pairs)
+        argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "3",
+                "--samples", "50"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["inadmissible_edges"] == 7
+
+    @pytest.mark.parametrize(
+        "argv", [["--k", "2", "--depth", "60"], ["--k", "3", "--depth", "20"]]
+    )
+    def test_over_large_tree_refused_before_sampling(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("the sampler was reached")
+
+        monkeypatch.setattr(cli, "estimate_marginals", never)
+        assert run(["simulate", "--theta", "0.5", *argv, "--samples", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "tree too large to sample" in err and "V = " in err
+        assert "array is too big" not in err
+
+    def test_memory_error_is_a_domain_error(self, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "estimate_marginals", out_of_memory)
+        assert run(["simulate", "--k", "2", "--theta", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: not enough memory for this request\n"
+
+
+class TestSimulateFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(2, 2000),
+        depth=st.integers(0, 80),
+        theta=st.sampled_from(["0.05", "0.5", "1.0", "3.0"]),
+        measure=st.sampled_from(["mu0", "mu1", "mu2"]),
+    )
+    def test_exit_code_and_messages(self, k, depth, theta, measure):
+        v = 1 + (k + 1) * (k**depth - 1) // (k - 1)
+        # sample only small trees; refused ones allocate nothing
+        assume(v <= 100_000 or v > sampler.MAX_VERTICES)
+        if v <= 100_000:
+            assert TreeConfig(k=k, depth=depth).vertex_count == v
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["simulate", "--k", str(k), "--theta", theta, "--measure", measure,
+                "--depth", str(depth), "--samples", "1"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        text = err.getvalue()
+        assert rc in (0, 1)
+        assert "Traceback" not in text
+        for numpy_text in ("array is too big", "Unable to allocate", "numpy"):
+            assert numpy_text not in text
+        if v > sampler.MAX_VERTICES:
+            assert rc == 1 and "tree too large to sample" in text
 
 
 class TestIterateCommand:

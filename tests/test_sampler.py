@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hcsos import sampler
 from hcsos.chain import kernel_of, stationary
 from hcsos.model import Branch, TisgmSolution
 from hcsos.sampler import (
@@ -11,6 +14,7 @@ from hcsos.sampler import (
     sample,
 )
 from hcsos.tisgm import solve_asymmetric, solve_symmetric
+from reference import draw_spins, spin_counts
 
 UNIFORM = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
 
@@ -144,3 +148,87 @@ class TestMarginals:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             estimate_marginals(_uniform_kernel(), TreeConfig(k=2, depth=1), 0)
+
+
+def _kernel(k, theta=0.5):
+    return kernel_of(solve_symmetric(k, theta), k, theta)
+
+
+class TestStreamingMatchesOneShotDraw:
+    """The chunked draw against the one-shot sampler kept in reference.py."""
+
+    @staticmethod
+    def _cases(k):
+        shallow = TreeConfig(k=k, depth=3, seed=7)
+        rows = max(1, sampler._CHUNK // shallow.vertex_count)
+        # the shallowest tree with more vertices than one chunk holds: rows = 1
+        depth = next(
+            d for d in range(30)
+            if TreeConfig(k=k, depth=d).vertex_count > sampler._CHUNK
+        )
+        return [
+            (TreeConfig(k=k, depth=0, seed=3), 5),
+            (TreeConfig(k=k, depth=2, seed=11), 1),
+            (shallow, 2 * rows + 7),
+            (TreeConfig(k=k, depth=depth, seed=20240810), 3),
+        ]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_counts_equal_oracle_bitwise(self, k):
+        kern = _kernel(k)
+        for cfg, n in self._cases(k):
+            levels, pairs = spin_counts(draw_spins(kern, cfg, n), cfg)
+            stats = estimate_marginals(kern, cfg, n)
+            assert stats.pair_counts.dtype == np.int64
+            assert np.array_equal(stats.pair_counts, pairs)
+            for got, want in zip(stats.level_frequencies, levels, strict=True):
+                assert np.array_equal(got, want / want.sum())
+            want_pf = pairs.astype(float)
+            if cfg.depth >= 1:
+                want_pf /= pairs.sum()
+            assert np.array_equal(stats.pair_frequencies, want_pf)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sample_equals_oracle_row(self, k):
+        kern = _kernel(k)
+        for cfg, _ in self._cases(k):
+            want = draw_spins(kern, cfg, 1)[0]
+            got = sample(kern, cfg).spins
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestMemoryBound:
+    def test_peak_independent_of_samples(self):
+        # k = 3, depth 4: 161 vertices; 40000 samples hold 6.4e6 vertex-samples,
+        # which the one-shot draw kept as ~170 MB of arrays
+        kern = kernel_of(solve_asymmetric(3, 0.5)[0], 3, 0.5)
+        cfg = TreeConfig(k=3, depth=4, seed=0)
+        tracemalloc.start()
+        try:
+            estimate_marginals(kern, cfg, 40_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestSizeLimit:
+    def test_largest_allowed_tree(self):
+        cfg = TreeConfig(k=2, depth=24)
+        assert cfg.vertex_count == 50_331_646 <= sampler.MAX_VERTICES
+
+    @pytest.mark.parametrize(
+        "k,depth,size",
+        [
+            (2, 25, "100663294"),
+            (3, 20, "6973568801"),
+            (2, 60, "3458764513820540926"),
+            (2000, 80, "more than 2000^80"),
+            (2, 10**9, "more than 2^1000000000"),
+        ],
+    )
+    def test_refuses_over_large_tree(self, k, depth, size):
+        with pytest.raises(ValueError) as err:
+            TreeConfig(k=k, depth=depth)
+        msg = str(err.value)
+        assert f"k={k}, depth={depth}" in msg and f"V = {size} vertices" in msg
