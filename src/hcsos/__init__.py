@@ -31,13 +31,10 @@ from .model import (
     Branch,
     ModelParams,
     TisgmSolution,
-    branch_of,
 )
 from .rootfind import (
     Bracket,
     BracketError,
-    ConvergenceError,
-    RootConfig,
     UnboundedBracketError,
     expand_bracket_decreasing,
     find_root,
@@ -75,14 +72,12 @@ __all__ = [
     "Branch",
     "Configuration",
     "ConsistencyError",
-    "ConvergenceError",
     "EmpiricalStats",
     "ExtremalityVerdict",
     "IterationOutcome",
     "Measure",
     "ModelParams",
     "NumericalDomainError",
-    "RootConfig",
     "SolutionSet",
     "SpectrumReport",
     "Threshold",
@@ -92,7 +87,6 @@ __all__ = [
     "TreeConfig",
     "Verdict",
     "boundary_law_residual",
-    "branch_of",
     "classify_mu0",
     "classify_mu12",
     "classify_solution",

@@ -74,15 +74,13 @@ def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
     """Transition matrix of the chain indexed by the fixed point ``sol``."""
     xk = sol.x**k
     w = theta * sol.y**k
-    p = np.array(
-        [
-            [xk / (xk + w), w / (xk + w), 0.0],
-            [xk / (1.0 + xk), 0.0, 1.0 / (1.0 + xk)],
-            [0.0, w / (1.0 + w), 1.0 / (1.0 + w)],
-        ]
-    )
-    if not np.all(np.isfinite(p)):
+    p00, p01 = xk / (xk + w), w / (xk + w)
+    p10, p12 = xk / (1.0 + xk), 1.0 / (1.0 + xk)
+    p21, p22 = w / (1.0 + w), 1.0 / (1.0 + w)
+    # every entry is NaN or in [0, 1], so the sum is finite iff all are
+    if not math.isfinite(p00 + p01 + p10 + p12 + p21 + p22):
         raise ArithmeticError(f"degenerate kernel for x={sol.x}, y={sol.y}")
+    p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
     return TransitionKernel(p=p, source=sol, k=k, theta=theta)
 
 
@@ -125,9 +123,8 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
 
 def kappa_of(kern: TransitionKernel) -> float:
     """Half the maximum L1 distance between any two rows of the kernel."""
-    p = kern.p
-    best = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            best = max(best, float(np.sum(np.abs(p[i] - p[j]))))
-    return 0.5 * best
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = kern.p.tolist()
+    d01 = abs(a0 - b0) + abs(a1 - b1) + abs(a2 - b2)
+    d02 = abs(a0 - c0) + abs(a1 - c1) + abs(a2 - c2)
+    d12 = abs(b0 - c0) + abs(b1 - c1) + abs(b2 - c2)
+    return 0.5 * max(d01, d02, d12)

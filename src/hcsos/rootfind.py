@@ -1,10 +1,17 @@
 """Certified scalar root finding on sign-change brackets.
 
-Bisection is the backbone: once a bracket with a sign change is
-certified, the root estimate is correct to the bracket width no matter
-how badly behaved the derivative is.  An optional Newton-style polish
-runs after bisection and is accepted only if it stays inside the final
-bracket, so it can sharpen the estimate but never invalidate it.
+``find_root`` runs Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973) on a certified bracket.  Each
+step is an inverse-quadratic or secant step, taken only if it lands well
+inside the bracket and shrinks it fast enough; otherwise it bisects.  The
+bracket keeps a sign change at every step, so the estimate always lies
+inside it and inside the certified one, however badly behaved the
+derivative is, and the convergence is superlinear wherever f is smooth.
+
+The iteration stops once the bracket is a few ulp of |root| wide, with
+an absolute floor of the smallest subnormal so that a root at 0 still
+ends.  The stop rule is relative, so a root of any magnitude, 1e-300
+included, keeps full relative precision.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.
@@ -16,10 +23,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-# Relative floor on the bracket width: below ~4 ulp the float midpoint
-# can no longer split the interval, whatever abs_tol asks for.
-_REL_FLOOR = 4.0 * math.ulp(1.0)
+_EPS = math.ulp(1.0)
+# Floor of the stop rule: a root at 0 ends once the bracket is subnormal.
+_TINY = math.ulp(0.0)
 
+# Brent converges only linearly near a multiple root.  At a root at 0,
+# where the floor is subnormal, that takes ~1850 steps for t |t| from
+# [-1, 3]; the cap lets such a root end and still stops a runaway.
+_MAX_ITER = 4000
 _MAX_DOUBLINGS = 60
 
 
@@ -32,11 +43,12 @@ class UnboundedBracketError(BracketError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best estimate found."""
+    """Iteration budget exhausted; carries the best estimate and its bracket."""
 
-    def __init__(self, message: str, best: float):
+    def __init__(self, message: str, best: float, bracket: Bracket):
         super().__init__(message)
         self.best = best
+        self.bracket = bracket
 
 
 def _sign(v: float) -> int:
@@ -71,77 +83,71 @@ class Bracket:
         return cls(lo, hi, _sign(f(lo)), _sign(f(hi)))
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-    polish: bool = True
+def find_root(f: Callable[[float], float], b: Bracket) -> float:
+    """Root of f inside the certified bracket b, by Brent's method.
 
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+    The estimate is the end of the current sign-change bracket [x, c]
+    with the smaller |f|.  It stops when the bracket's half-width is at
+    most 2 eps |x| plus the subnormal floor, or when f(x) == 0.  The
+    result always lies inside the certified bracket.
 
-
-def _width_tol(cfg: RootConfig, lo: float, hi: float) -> float:
-    return cfg.abs_tol + _REL_FLOOR * max(abs(lo), abs(hi))
-
-
-def find_root(
-    f: Callable[[float], float], b: Bracket, cfg: RootConfig = RootConfig()
-) -> float:
-    """Root of f inside the certified bracket b.
-
-    Bisects until the bracket width falls below abs_tol (plus a few-ulp
-    relative floor so roots of any magnitude terminate), then optionally
-    polishes with one Newton step built from the secant slope of the
-    final bracket.  The result always lies inside the certified bracket.
-
-    Raises ConvergenceError (carrying the best estimate) if max_iter
-    bisections do not reach the tolerance.
+    Raises ConvergenceError, carrying the best estimate and the final
+    bracket, if _MAX_ITER steps do not reach the stop rule.
     """
     if b.f_lo_sign == 0:
         return b.lo
     if b.f_hi_sign == 0:
         return b.hi
 
-    lo, hi = b.lo, b.hi
-    f_lo, f_hi = f(lo), f(hi)
-    lo_sign = _sign(f_lo)
-
-    for _ in range(cfg.max_iter):
-        if hi - lo <= _width_tol(cfg, lo, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float floor: the interval cannot be split further
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if _sign(f_mid) == lo_sign:
-            lo, f_lo = mid, f_mid
+    # x is the estimate, c the far end of the bracket, a the previous x
+    a, fa = b.lo, f(b.lo)
+    x, fx = b.hi, f(b.hi)
+    c, fc = a, fa
+    d = e = x - a
+    for _ in range(_MAX_ITER):
+        if abs(fc) < abs(fx):
+            a, fa = x, fx
+            x, fx = c, fc
+            c, fc = a, fa
+        tol = 2.0 * _EPS * abs(x) + _TINY
+        m = 0.5 * (c - x)
+        if abs(m) <= tol or fx == 0.0:
+            return x
+        if abs(e) >= tol and abs(fa) > abs(fx):
+            s = fx / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic through a, x, c
+                q = fa / fc
+                r = fx / fc
+                p = s * (2.0 * m * q * (q - r) - (x - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # take the step only if it lands well inside the bracket and
+            # is under half the step before last; else bisect
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, f_hi = mid, f_mid
-    else:
-        raise ConvergenceError(
-            f"no convergence after {cfg.max_iter} bisections; "
-            f"bracket [{lo}, {hi}]",
-            best=0.5 * (lo + hi),
-        )
-
-    root = 0.5 * (lo + hi)
-    if not lo < root < hi:
-        root = lo if abs(f_lo) <= abs(f_hi) else hi
-
-    if cfg.polish:
-        slope = (f_hi - f_lo) / (hi - lo)
-        if slope != 0.0 and math.isfinite(slope):
-            f_root = f(root)
-            cand = root - f_root / slope
-            if lo <= cand <= hi and abs(f(cand)) <= abs(f_root):
-                root = cand
-    return root
+            d = e = m
+        a, fa = x, fx
+        x += d if abs(d) > tol else math.copysign(tol, m)
+        fx = f(x)
+        if (fx > 0.0 and fc > 0.0) or (fx < 0.0 and fc < 0.0):
+            # x crossed to c's side: the bracket is now [a, x]
+            c, fc = a, fa
+            d = e = x - a
+    (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (c, fc)])
+    raise ConvergenceError(
+        f"no convergence after {_MAX_ITER} steps; bracket [{lo}, {hi}]",
+        best=x if abs(fx) <= abs(fc) else c,
+        bracket=Bracket(lo, hi, _sign(f_lo), _sign(f_hi)),
+    )
 
 
 def expand_bracket_decreasing(

@@ -129,6 +129,8 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
 
     y solves theta y^(k+1) + y - 2 theta = 0; the root lies in
     (0, 2^(1/(k+1))) since f(0) < 0 < f(2^(1/(k+1))) and f is increasing.
+    ``find_root`` stops on a bracket a few ulp of y wide, so y keeps full
+    relative precision down to the smallest theta, where y ~ 2 theta.
     """
     check_params(k, theta)
 

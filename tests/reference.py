@@ -201,3 +201,59 @@ def spin_counts(spins: np.ndarray, cfg: TreeConfig) -> tuple[np.ndarray, np.ndar
     parent = cfg.parents()[child]
     np.add.at(pairs, (spins[:, parent].ravel(), spins[:, child].ravel()), 1)
     return levels, pairs
+
+
+def symmetric_y_mp(k: int, theta: float) -> mp.mpf:
+    """y of the symmetric fixed point at 50 digits.
+
+    f(y) = theta y^(k+1) + y - 2 theta is increasing and convex on y > 0,
+    and f > 0 at both 2 theta and 2^(1/(k+1)).  Newton's method started
+    at the smaller of the two therefore decreases monotonically to the
+    root, from any theta.
+    """
+    with mp.workdps(60):
+        t = mp.mpf(theta)
+        y = min(2 * t, mp.root(2, k + 1))
+        for _ in range(1000):
+            step = (t * y ** (k + 1) + y - 2 * t) / ((k + 1) * t * y**k + 1)
+            y -= step
+            if abs(step) <= abs(y) * mp.mpf(10) ** -55:
+                break
+        else:
+            raise RuntimeError(f"Newton did not settle at k={k}, theta={theta}")
+    with mp.workdps(50):
+        return +y
+
+
+def asymmetric_pair_mp(k: int, theta: float) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
+    """(x, y) of the upper and lower fixed points at 50 digits, theta < theta_cr.
+
+    The upper x solves eta(x) = theta^(k+1) on (1, inf), where eta
+    decreases; it is bisected at 60 digits after doubling an upper end.
+    The lower x is its reciprocal, and y = ((x + ... + x^(k-1)) / theta)^(1/k).
+    Where eta is flat (x near 1) the root carries about half the working
+    digits, far more than a double holds.
+    """
+    with mp.workdps(60):
+        t = mp.mpf(theta)
+        target = t ** (k + 1)
+
+        def above(x):
+            s = sum(x**i for i in range(1, k))
+            return s * (1 + s) ** k / (x**k + 1) ** k > target
+
+        lo, hi = mp.mpf(1), mp.mpf(2)
+        while above(hi):
+            lo, hi = hi, 2 * hi
+        for _ in range(200 + int(mp.log(hi, 2))):
+            mid = (lo + hi) / 2
+            if above(mid):
+                lo = mid
+            else:
+                hi = mid
+        x1 = (lo + hi) / 2
+        pair = tuple(
+            (x, mp.root(sum(x**i for i in range(1, k)) / t, k)) for x in (x1, 1 / x1)
+        )
+    with mp.workdps(50):
+        return tuple((+x, +y) for x, y in pair)

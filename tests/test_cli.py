@@ -333,7 +333,7 @@ class TestSimulateCommand:
             ("--k 2 --theta 1.0 --measure mu0 --depth 4 --samples 2000 --seed 5",
              "0548a4ef74821bf5da1f1f8a859933fc7595fd5d39a1eb90ba8c62f7db877459"),
             ("--k 3 --theta 0.5 --measure mu1 --depth 4 --samples 5000 --seed 0",
-             "a0a45941a49016a7485aed84c87e08fc923fdd935592709ddc7c4abe2a41f5a3"),
+             "2651229abe7eacb62a397df003ba3e5ec4c9a947516e68d68fc653bb51cc951e"),
             ("--k 5 --theta 0.3 --measure mu2 --depth 3 --samples 777 "
              "--seed 20240810",
              "7f452e28647a7b7ec41ac6222e23b75a61fb2bb2161303a17e35df2e1154e4d9"),

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcsos import rootfind
 from hcsos.rootfind import (
     Bracket,
     BracketError,
     ConvergenceError,
-    RootConfig,
     UnboundedBracketError,
     expand_bracket_decreasing,
     find_root,
@@ -68,15 +68,16 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             Bracket.certify(f, -1.0, 1.0)
 
-    def test_convergence_error_carries_halving_bound(self):
-        target = math.pi / 4.0
-        f = lambda t: t - target
-        cfg = RootConfig(abs_tol=1e-16, max_iter=10, polish=False)
+    def test_cap_raises_with_best_inside_final_bracket(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
+        f = lambda t: math.tanh(3.0 * (t - 0.3))
+        b = Bracket.certify(f, -1.0, 2.0)
         with pytest.raises(ConvergenceError) as err:
-            find_root(f, Bracket.certify(f, 0.0, 1.0), cfg)
-        # width after n bisections is (hi-lo)/2^n; the midpoint estimate
-        # is at most one width away from the true root
-        assert abs(err.value.best - target) <= 1.0 / 2**10
+            find_root(f, b)
+        final = err.value.bracket
+        assert b.lo <= final.lo <= err.value.best <= final.hi <= b.hi
+        assert final.hi - final.lo < b.hi - b.lo
+        assert Bracket.certify(f, final.lo, final.hi) == final
 
     def test_large_scale_root_terminates(self):
         # pure abs_tol would stall below one ulp of the root; the
@@ -84,6 +85,12 @@ class TestFindRoot:
         f = lambda t: t - 3.0e9
         root = find_root(f, Bracket.certify(f, 1.0, 1.0e10))
         assert root == pytest.approx(3.0e9, rel=1e-12)
+
+    def test_multiple_root_at_zero_ends(self):
+        # linear convergence down to the subnormal floor, where f = 0
+        f = lambda t: t * abs(t)
+        root = find_root(f, Bracket.certify(f, -1.0, 3.0))
+        assert abs(root) <= 1e-160
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-3.0, 3.0))
@@ -123,17 +130,3 @@ class TestExpandBracket:
     def test_unbounded_failure(self):
         with pytest.raises(UnboundedBracketError):
             expand_bracket_decreasing(lambda x: 1.0 + 1.0 / (1.0 + x), 1.0, 0.5)
-
-
-class TestConfig:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RootConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            RootConfig(max_iter=0)
-
-    def test_polish_off_still_converges(self):
-        f = lambda t: t * t - 2.0
-        cfg = RootConfig(polish=False)
-        root = find_root(f, Bracket.certify(f, 1.0, 2.0), cfg)
-        assert abs(root - math.sqrt(2.0)) <= 1e-12

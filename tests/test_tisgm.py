@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcsos import tisgm
 from hcsos.model import Branch, ModelParams
 from hcsos.tisgm import (
     BoundaryLaw,
@@ -19,7 +20,7 @@ from hcsos.tisgm import (
     solve_symmetric,
     theta_cr,
 )
-from reference import solve_k2_closed_form
+from reference import asymmetric_pair_mp, solve_k2_closed_form, symmetric_y_mp
 
 # Frozen high-precision reference values (50-digit mpmath evaluations of
 # the defining expressions, rounded to float64).
@@ -155,6 +156,57 @@ class TestAsymmetric:
         upper, lower = solve_asymmetric(3, 1.0)
         assert upper.branch is Branch.UPPER
         assert lower.branch is Branch.LOWER
+
+
+class TestFiftyDigitRoots:
+    """Relative accuracy of the returned roots against 50-digit oracles."""
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 143])
+    @pytest.mark.parametrize(
+        "theta", [1e-300, 1e-200, 1e-100, 1e-35, 1e-20, 1e-16, 1e-10]
+    )
+    def test_symmetric_root_at_small_theta(self, k, theta):
+        # y ~ 2 theta: a stop rule on the absolute bracket width lost
+        # these digits (relative error 1e-9 at 1e-20, y = 0 below ~1e-29)
+        y = solve_symmetric(k, theta).y
+        with mp.workdps(50):
+            assert abs(y - symmetric_y_mp(k, theta)) <= 4 * math.ulp(y)
+
+    def test_asymmetric_pair_k5(self):
+        k, theta = 5, 0.8135757171447633
+        sols = solve_asymmetric(k, theta)
+        with mp.workdps(50):
+            for sol, (x, y) in zip(sols, asymmetric_pair_mp(k, theta)):
+                assert abs(sol.x / x - 1) <= 2e-15
+                assert abs(sol.y / y - 1) <= 2e-15
+
+
+def test_root_evaluation_budget_on_sweep_grids(monkeypatch):
+    # f-evaluations per find_root call, counted as the benchmark's tracer
+    # counts them; the sweep grids measured 10.3 on average and 16 at most
+    evals = []
+
+    def counting(f, *rest):
+        n = 0
+
+        def counted(x):
+            nonlocal n
+            n += 1
+            return f(x)
+
+        try:
+            return find_root(counted, *rest)
+        finally:
+            evals.append(n)
+
+    find_root = tisgm.find_root
+    monkeypatch.setattr(tisgm, "find_root", counting)
+    for k in (2, 3, 8):
+        for theta in np.linspace(0.1, 2.5, 250):
+            enumerate_solutions(k, float(theta))
+    assert len(evals) == 1251
+    assert sum(evals) / len(evals) <= 14
+    assert max(evals) <= 18
 
 
 class TestClosedFormK2:
