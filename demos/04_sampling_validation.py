@@ -5,7 +5,6 @@ import numpy as np
 
 from hcsos import (
     TreeConfig,
-    count_inadmissible_edges,
     estimate_marginals,
     kernel_of,
     sample,
@@ -27,7 +26,6 @@ config = sample(kern, cfg)
 print(f"\none configuration on {cfg.vertex_count} vertices "
       f"(depth {cfg.depth}, seed {cfg.seed}):")
 print(config.spins)
-print(f"inadmissible parent-child pairs: {count_inadmissible_edges(config)}")
 
 n = 50_000
 stats = estimate_marginals(kern, cfg, n)
@@ -36,6 +34,9 @@ for level, freq in enumerate(stats.level_frequencies):
     gap = np.max(np.abs(freq - pi))
     print(f"  level {level}: {freq}  (max gap to stationary {gap:.4f})")
 
+pc = stats.pair_counts
+print(f"inadmissible parent-child pairs: {pc[0, 2] + pc[1, 1] + pc[2, 0]} "
+      f"of {pc.sum()} edges")
 print("\nedge-pair frequencies (rows: parent spin, cols: child spin):")
 print(stats.pair_frequencies)
 print("analytic edge law pi_i P_ij:")

@@ -43,7 +43,6 @@ from .sampler import (
     Configuration,
     EmpiricalStats,
     TreeConfig,
-    count_inadmissible_edges,
     estimate_marginals,
     sample,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "classify_mu12",
     "classify_solution",
     "compatibility_residual",
-    "count_inadmissible_edges",
     "enumerate_solutions",
     "estimate_marginals",
     "eta",

@@ -61,26 +61,30 @@ def _sign(v: float) -> int:
 
 @dataclass(frozen=True)
 class Bracket:
-    """Interval [lo, hi] with a certified sign change of the target function."""
+    """Interval [lo, hi] with a certified sign change of the target function.
+
+    f_lo and f_hi are the function's values at the ends, kept so that
+    ``find_root`` need not evaluate them again.
+    """
 
     lo: float
     hi: float
-    f_lo_sign: int
-    f_hi_sign: int
+    f_lo: float
+    f_hi: float
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise BracketError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo_sign == self.f_hi_sign:
+        signs = _sign(self.f_lo), _sign(self.f_hi)
+        if signs[0] == signs[1]:
             raise BracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: "
-                f"signs ({self.f_lo_sign}, {self.f_hi_sign})"
+                f"no sign change on [{self.lo}, {self.hi}]: signs {signs}"
             )
 
     @classmethod
     def certify(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
         """Evaluate f at the endpoints and certify the sign change."""
-        return cls(lo, hi, _sign(f(lo)), _sign(f(hi)))
+        return cls(lo, hi, f(lo), f(hi))
 
 
 def find_root(f: Callable[[float], float], b: Bracket) -> float:
@@ -94,14 +98,14 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
     Raises ConvergenceError, carrying the best estimate and the final
     bracket, if _MAX_ITER steps do not reach the stop rule.
     """
-    if b.f_lo_sign == 0:
+    if _sign(b.f_lo) == 0:
         return b.lo
-    if b.f_hi_sign == 0:
+    if _sign(b.f_hi) == 0:
         return b.hi
 
     # x is the estimate, c the far end of the bracket, a the previous x
-    a, fa = b.lo, f(b.lo)
-    x, fx = b.hi, f(b.hi)
+    a, fa = b.lo, b.f_lo
+    x, fx = b.hi, b.f_hi
     c, fc = a, fa
     d = e = x - a
     for _ in range(_MAX_ITER):
@@ -146,7 +150,7 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
     raise ConvergenceError(
         f"no convergence after {_MAX_ITER} steps; bracket [{lo}, {hi}]",
         best=x if abs(fx) <= abs(fc) else c,
-        bracket=Bracket(lo, hi, _sign(f_lo), _sign(f_hi)),
+        bracket=Bracket(lo, hi, f_lo, f_hi),
     )
 
 
@@ -170,7 +174,7 @@ def expand_bracket_decreasing(
     for _ in range(_MAX_DOUBLINGS):
         g_hi = f(hi) - target
         if g_hi <= 0.0:
-            return Bracket(lo, hi, 1, _sign(g_hi))
+            return Bracket(lo, hi, g_lo, g_hi)
         hi *= 2.0
     raise UnboundedBracketError(
         f"f stayed above target {target} out to x = {hi}; no bracket found"

@@ -20,13 +20,24 @@ for V vertices whatever the number of samples.  One sample row is capped
 at ``MAX_VERTICES`` vertices, checked by ``TreeConfig`` before anything
 is allocated.
 
-Spins are read off by inverse CDF over the exact row probabilities: a
-child of a parent in state a takes state (u >= c_a0) + (u >= c_a1),
-where c_a0, c_a1 are the first two cumulative entries of row a, snapped
-to 1 where the remaining row mass is exactly zero, so zero-probability
-(inadmissible) transitions can never fire.  ``sample`` and
-``estimate_marginals`` share this one draw; the latter keeps only
-integer counts of spins per level and of parent-child pairs.
+Spins are read off by inverse CDF over the exact row probabilities, with
+one live comparison per child.  The cumulative rows are snapped to 1
+where the remaining row mass is exactly zero, so zero-probability
+(inadmissible) transitions can never fire, and the wand zero pattern
+P02 = P11 = P20 = 0 then leaves one comparison of each row constant:
+c01 = 1, which u < 1 never reaches; c11 = c10 + 0 exactly; and c20 = 0,
+which every u reaches.  So the two-comparison rule (u >= c_a0) +
+(u >= c_a1) reduces, bit for bit, to [u >= c00], 2 [u >= c10] and
+1 + [u >= c21] for a parent in state a = 0, 1, 2.  The three comparisons
+of each uniform are packed once per chunk into bits = [u >= c00] +
+2 [u >= c10] + 4 [u >= c21]; a child of a parent in state a takes
+b = bit a of it and the state b + (b & a) + (a >> 1).
+
+``sample`` and ``estimate_marginals`` share this one draw; the latter
+keeps only integer counts.  The number n_a of children whose parent is
+in state a and whose bit b is set fixes the level's pair table, because
+those children number m_a, the parent level's count of a times the
+children per parent: [[m0-n0, n0, 0], [m1-n1, 0, n1], [0, m2-n2, n2]].
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ from typing import Iterator
 import numpy as np
 
 from .chain import TransitionKernel, stationary
-from .model import activity_matrix
 
 # Vertex-samples per draw from the stream.
 _CHUNK = 1 << 17
@@ -91,17 +101,6 @@ class TreeConfig:
     def vertex_count(self) -> int:
         return self.level_offsets[-1]
 
-    def parents(self) -> np.ndarray:
-        """Parent index for every vertex (the root maps to itself)."""
-        par = np.zeros(self.vertex_count, dtype=np.int64)
-        offsets = self.level_offsets
-        for level in range(2, self.depth + 1):
-            start, prev = offsets[level], offsets[level - 1]
-            count = offsets[level + 1] - start
-            par[start : start + count] = prev + np.arange(count) // self.k
-        # level-1 vertices all hang off the root (already zero)
-        return par
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -142,51 +141,54 @@ def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _inverse_cdf(u: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """Smallest state whose cumulative mass exceeds u, as int8.
-
-    u < 1 never reaches the last cumulative entry (1 up to rounding), so
-    the first two decide.
-    """
-    spins = (u >= c0).view(np.int8)
-    spins += (u >= c1).view(np.int8)
-    return spins
-
-
-def _per_child(parent: np.ndarray, width: int) -> np.ndarray:
-    """Parent-level spins repeated once per child, for a level of that width."""
-    return np.repeat(parent, width // parent.shape[1], axis=1)
-
-
 def _draw(
     kern: TransitionKernel, cfg: TreeConfig, n: int
-) -> Iterator[list[np.ndarray]]:
+) -> Iterator[list[tuple[np.ndarray, list[int]]]]:
     """Spins of n samples, one chunk of rows at a time.
 
-    Each chunk is a list with one int8 array of shape (rows, level size)
-    per level; row r of every array belongs to the same sample.
+    Each chunk is a list with one (spins, counts) pair per level.  spins
+    is an int8 array of shape (rows, level size); row r of every array
+    belongs to the same sample.  The root's counts are its spin counts;
+    a lower level's are n_0, n_1, n_2, the children with bit b set per
+    parent state.
     """
     v = cfg.vertex_count
     rows = max(1, _CHUNK // v)
     stream = np.random.Generator(np.random.Philox(key=cfg.seed))
     pi_cum = np.cumsum(stationary(kern))
     cum = _snapped_cumulative(kern.p)
-    c0, c1 = cum[:, 0], cum[:, 1]
     offsets = cfg.level_offsets
     for start in range(0, n, rows):
         u = stream.random((min(rows, n - start), v))
-        levels = [_inverse_cdf(u[:, :1], pi_cum[0], pi_cum[1])]
+        # u < 1 never reaches the last cumulative entry of pi
+        root = (u[:, :1] >= pi_cum[0]).view(np.int8) + (u[:, :1] >= pi_cum[1])
+        levels = [(root, np.bincount(root.ravel(), minlength=3).tolist())]
+        bits = (u >= cum[2, 1]).view(np.int8)
+        bits <<= 1
+        bits |= u >= cum[1, 0]
+        bits <<= 1
+        bits |= u >= cum[0, 0]
         for level in range(1, cfg.depth + 1):
-            block = u[:, offsets[level] : offsets[level + 1]]
-            ps = _per_child(levels[-1], block.shape[1])
-            levels.append(_inverse_cdf(block, c0[ps], c1[ps]))
+            block = bits[:, offsets[level] : offsets[level + 1]]
+            parent = levels[-1][0]
+            ps = np.repeat(parent, block.shape[1] // parent.shape[1], axis=1)
+            b = block >> ps
+            b &= 1
+            low = b & ps  # b where the parent is 1
+            high = ps >> 1  # 1 where the parent is 2
+            child = b + low
+            child += high
+            high &= b
+            nb, n1, n2 = (np.count_nonzero(x.view(bool)) for x in (b, low, high))
+            levels.append((child, [nb - n1 - n2, n1, n2]))
         yield levels
 
 
 def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
     """One admissible configuration, deterministic in cfg.seed."""
     (levels,) = _draw(kern, cfg, 1)
-    return Configuration(spins=np.concatenate(levels, axis=1)[0], tree=cfg)
+    spins = np.concatenate([s for s, _ in levels], axis=1)[0]
+    return Configuration(spins=spins, tree=cfg)
 
 
 def estimate_marginals(
@@ -196,20 +198,21 @@ def estimate_marginals(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     level_counts = np.zeros((cfg.depth + 1, 3), dtype=np.int64)
-    pair_counts = np.zeros(9, dtype=np.int64)
+    pair_counts = np.zeros((3, 3), dtype=np.int64)
     for levels in _draw(kern, cfg, n_samples):
-        level_counts[0] += np.bincount(levels[0].ravel(), minlength=3)
-        for level in range(1, cfg.depth + 1):
-            child = levels[level]
-            key = _per_child(levels[level - 1], child.shape[1])
-            key *= 3
-            key += child
-            pairs = np.bincount(key.ravel(), minlength=9)
+        (_, above), *below = levels
+        level_counts[0] += above
+        for level, (_, (n0, n1, n2)) in enumerate(below, 1):
+            # children per parent: k + 1 under the root, k below
+            m0, m1, m2 = (c * (cfg.k + (level == 1)) for c in above)
+            pairs = np.array(
+                [[m0 - n0, n0, 0], [m1 - n1, 0, n1], [0, m2 - n2, n2]], dtype=np.int64
+            )
             pair_counts += pairs
             # each child has one parent: its level's spin counts are column sums
-            level_counts[level] += pairs.reshape(3, 3).sum(axis=0)
+            above = pairs.sum(axis=0).tolist()
+            level_counts[level] += above
 
-    pair_counts = pair_counts.reshape(3, 3)
     pair_freq = pair_counts.astype(float)
     if cfg.depth >= 1:
         pair_freq /= pair_counts.sum()
@@ -219,14 +222,3 @@ def estimate_marginals(
         n_samples=n_samples,
         pair_counts=pair_counts,
     )
-
-
-def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
-    """Number of parent-child spin pairs violating wand admissibility."""
-    allowed = activity_matrix(m, 1.0) > 0.0
-    parents = config.tree.parents()
-    child_idx = np.arange(1, config.tree.vertex_count)
-    if child_idx.size == 0:
-        return 0
-    pairs = allowed[config.spins[parents[child_idx]], config.spins[child_idx]]
-    return int(np.size(pairs) - np.count_nonzero(pairs))

@@ -4,9 +4,10 @@ None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
 kappa, root-finds the k = 3 thresholds, takes every spectrum and
 stationary law from the path-graph identities of the chain module and
-samples in chunks of rows with two comparisons per vertex.  The closed
-forms, 50-digit evaluations and the one-shot sampler here reach the same
-quantities another way.
+samples in chunks of rows with one live comparison per vertex and
+counts pairs without visiting edges.  The closed forms, 50-digit
+evaluations, the one-shot sampler and the edge-by-edge admissibility
+count here reach the same quantities another way.
 """
 
 import math
@@ -15,8 +16,8 @@ import mpmath as mp
 import numpy as np
 
 from hcsos.chain import SpectrumReport, TransitionKernel, stationary
-from hcsos.model import Branch, TisgmSolution
-from hcsos.sampler import TreeConfig, _snapped_cumulative
+from hcsos.model import Branch, TisgmSolution, activity_matrix
+from hcsos.sampler import Configuration, TreeConfig, _snapped_cumulative
 from hcsos.tisgm import RESIDUAL_TOL, ConsistencyError, compatibility_residual
 
 
@@ -159,6 +160,30 @@ def stationary_mp(k: int, theta: float, sol: TisgmSolution) -> list[mp.mpf]:
         return [m / total for m in mass]
 
 
+def parents(cfg: TreeConfig) -> np.ndarray:
+    """Parent index for every vertex in level order (the root maps to itself)."""
+    par = np.zeros(cfg.vertex_count, dtype=np.int64)
+    offsets = cfg.level_offsets
+    for level in range(2, cfg.depth + 1):
+        start, prev = offsets[level], offsets[level - 1]
+        count = offsets[level + 1] - start
+        par[start : start + count] = prev + np.arange(count) // cfg.k
+    # level-1 vertices all hang off the root (already zero)
+    return par
+
+
+def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
+    """Number of parent-child spin pairs violating wand admissibility,
+    checked edge by edge against the activity matrix."""
+    allowed = activity_matrix(m, 1.0) > 0.0
+    par = parents(config.tree)
+    child_idx = np.arange(1, config.tree.vertex_count)
+    if child_idx.size == 0:
+        return 0
+    pairs = allowed[config.spins[par[child_idx]], config.spins[child_idx]]
+    return int(np.size(pairs) - np.count_nonzero(pairs))
+
+
 def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     """(n, vertex_count) spin matrix; row s is the s-th independent sample.
 
@@ -171,14 +196,14 @@ def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     pi_cum = np.cumsum(stationary(kern))
     pi_cum[-1] = 1.0
     row_cum = _snapped_cumulative(kern.p)
-    parents = cfg.parents()
+    par = parents(cfg)
 
     spins = np.empty((n, v), dtype=np.int8)
     spins[:, 0] = np.searchsorted(pi_cum, uniforms[:, 0], side="right")
     offsets = cfg.level_offsets
     for level in range(1, cfg.depth + 1):
         sl = slice(offsets[level], offsets[level + 1])
-        parent_spins = spins[:, parents[sl]]
+        parent_spins = spins[:, par[sl]]
         # smallest state whose cumulative mass exceeds the uniform draw
         spins[:, sl] = (
             uniforms[:, sl, None] >= row_cum[parent_spins]
@@ -198,7 +223,7 @@ def spin_counts(spins: np.ndarray, cfg: TreeConfig) -> tuple[np.ndarray, np.ndar
     )
     pairs = np.zeros((3, 3), dtype=np.int64)
     child = np.arange(1, cfg.vertex_count)
-    parent = cfg.parents()[child]
+    parent = parents(cfg)[child]
     np.add.at(pairs, (spins[:, parent].ravel(), spins[:, child].ravel()), 1)
     return levels, pairs
 

@@ -106,7 +106,7 @@ class TestExpandBracket:
     def test_reciprocal(self):
         b = expand_bracket_decreasing(lambda x: 1.0 / x, 1.0, 0.25)
         assert b.lo <= 4.0 <= b.hi
-        assert b.f_lo_sign == 1 and b.f_hi_sign <= 0
+        assert b.f_lo == 1.0 - 0.25 and b.f_hi <= 0.0
 
     def test_exponential_from_zero(self):
         b = expand_bracket_decreasing(lambda x: math.exp(-x), 0.0, 0.5)

@@ -2,19 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcsos import sampler
-from hcsos.chain import kernel_of, stationary
-from hcsos.model import Branch, TisgmSolution
-from hcsos.sampler import (
-    Configuration,
-    TreeConfig,
-    count_inadmissible_edges,
-    estimate_marginals,
-    sample,
-)
-from hcsos.tisgm import solve_asymmetric, solve_symmetric
-from reference import draw_spins, spin_counts
+from hcsos.chain import TransitionKernel, kernel_of, stationary
+from hcsos.model import Branch, TisgmSolution, branch_of
+from hcsos.sampler import Configuration, TreeConfig, estimate_marginals, sample
+from hcsos.tisgm import enumerate_solutions, solve_asymmetric, solve_symmetric
+import reference
+from reference import count_inadmissible_edges, draw_spins, parents, spin_counts
 
 UNIFORM = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
 
@@ -42,9 +39,9 @@ class TestTreeGeometry:
 
     def test_parent_arithmetic(self):
         cfg = TreeConfig(k=2, depth=2)
-        parents = cfg.parents()
-        assert list(parents[1:4]) == [0, 0, 0]
-        assert list(parents[4:10]) == [1, 1, 2, 2, 3, 3]
+        par = parents(cfg)
+        assert list(par[1:4]) == [0, 0, 0]
+        assert list(par[4:10]) == [1, 1, 2, 2, 3, 3]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,12 +89,12 @@ class TestSampling:
             count_inadmissible_edges(config, m=3)
 
     def test_no_inadmissible_edges_bulk(self):
-        # 10^4 independent configurations at depth 6: the aggregated
-        # parent-child pair table must hold no mass on (0,2), (1,1), (2,0)
+        # 2000 sampled configurations at depth 6, checked edge by edge; the
+        # pair table's forbidden entries are zero by construction
         kern = kernel_of(solve_asymmetric(2, 0.7)[1], 2, 0.7)
-        stats = estimate_marginals(kern, TreeConfig(k=2, depth=6, seed=9), 10_000)
-        pf = stats.pair_frequencies
-        assert pf[0, 2] == 0.0 and pf[1, 1] == 0.0 and pf[2, 0] == 0.0
+        for seed in range(2000):
+            config = sample(kern, TreeConfig(k=2, depth=6, seed=seed))
+            assert count_inadmissible_edges(config) == 0
 
 
 class TestMarginals:
@@ -195,6 +192,96 @@ class TestStreamingMatchesOneShotDraw:
             want = draw_spins(kern, cfg, 1)[0]
             got = sample(kern, cfg).spins
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # Hand-built wand kernels for the edges of the one-comparison rule.
+    EDGE_KERNELS = {
+        "p00 zero": [[0.0, 1.0, 0.0], [0.4, 0.0, 0.6], [0.0, 0.3, 0.7]],
+        "row 0 one ulp short": [
+            [0.25, float(np.nextafter(0.75, 0.0)), 0.0],
+            [0.4, 0.0, 0.6],
+            [0.0, 0.3, 0.7],
+        ],
+        "p12 zero": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]],
+        "p22 zero": [[0.5, 0.5, 0.0], [0.4, 0.0, 0.6], [0.0, 1.0, 0.0]],
+    }
+
+    @pytest.fixture
+    def uniform_root(self, monkeypatch):
+        # p12 = 0 leaves state 2 transient, which stationary() refuses; a
+        # uniform root law makes every parent state occur in every case
+        def uniform(kern):
+            return np.full(3, 1.0 / 3.0)
+
+        monkeypatch.setattr(sampler, "stationary", uniform)
+        monkeypatch.setattr(reference, "stationary", uniform)
+
+    @staticmethod
+    def _edge_kernel(name):
+        p = np.array(TestStreamingMatchesOneShotDraw.EDGE_KERNELS[name])
+        return TransitionKernel(p=p, source=UNIFORM, k=2, theta=1.0)
+
+    @staticmethod
+    def _assert_matches_oracle(kern, cfg, n):
+        spins = draw_spins(kern, cfg, n)
+        levels, pairs = spin_counts(spins, cfg)
+        stats = estimate_marginals(kern, cfg, n)
+        assert np.array_equal(stats.pair_counts, pairs)
+        for got, want in zip(stats.level_frequencies, levels, strict=True):
+            assert np.array_equal(got, want / want.sum())
+        got = sample(kern, cfg).spins
+        assert got.dtype == spins.dtype and np.array_equal(got, spins[0])
+
+    @pytest.mark.usefixtures("uniform_root")
+    @pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_edge_kernels_equal_oracle_bitwise(self, name, k):
+        kern = self._edge_kernel(name)
+        if name == "row 0 one ulp short":
+            assert kern.p[0, 0] + kern.p[0, 1] == np.nextafter(1.0, 0.0)
+        for cfg, n in self._cases(k):
+            self._assert_matches_oracle(kern, cfg, n)
+
+    @pytest.mark.usefixtures("uniform_root")
+    def test_edge_kernels_force_their_rows(self):
+        cfg = TreeConfig(k=3, depth=3, seed=4)
+        pc = {
+            name: estimate_marginals(self._edge_kernel(name), cfg, 200).pair_counts
+            for name in self.EDGE_KERNELS
+        }
+        assert pc["p00 zero"][0, 0] == 0 < pc["p00 zero"][0, 1]  # row 0 gives 1
+        assert pc["p12 zero"][1, 2] == 0 < pc["p12 zero"][1, 0]  # row 1 gives 0
+        assert pc["p22 zero"][2, 2] == 0 < pc["p22 zero"][2, 1]  # row 2 gives 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xk=st.floats(1e-6, 1e6),
+        w=st.floats(1e-6, 1e6),
+        k=st.sampled_from([2, 3, 5]),
+        depth=st.integers(0, 3),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_positive_kernels_equal_oracle_bitwise(self, xk, w, k, depth, n, seed):
+        # a kernel depends on (x^k, w = theta y^k) alone: x = x^k at k = 1, y = 1
+        kern = kernel_of(TisgmSolution(x=xk, y=1.0, branch=branch_of(xk)), 1, w)
+        self._assert_matches_oracle(kern, TreeConfig(k, depth, seed), n)
+
+    def test_zero_pattern_fixes_one_comparison_per_row(self):
+        # the rule assumes c01 = 1, c11 = c10 and c20 = 0 in the snapped rows
+        checked = 0
+        for k in (2, 3, 5, 8, 50):
+            for theta in np.geomspace(1e-3, 1e3, 61):
+                try:
+                    sols = enumerate_solutions(k, float(theta)).solutions
+                except (ValueError, ArithmeticError):
+                    continue  # known solver defects at extreme theta
+                for sol in sols:
+                    cum = sampler._snapped_cumulative(kernel_of(sol, k, theta).p)
+                    assert cum[0, 1] == 1.0
+                    assert cum[1, 1] == cum[1, 0]
+                    assert cum[2, 0] == 0.0
+                    checked += 1
+        assert checked >= 500
 
 
 class TestMemoryBound:
