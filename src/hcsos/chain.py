@@ -70,34 +70,58 @@ class SpectrumReport:
     s2: float
 
 
-def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
-    """Transition matrix of the chain indexed by the fixed point ``sol``."""
-    xk = sol.x**k
-    w = theta * sol.y**k
+def kernel_entries(
+    x: float, y: float, k: int, theta: float
+) -> tuple[float, float, float, float, float, float]:
+    """Nonzero entries (P00, P01, P10, P12, P21, P22) of the kernel at (x, y).
+
+    ``kernel_of`` and the extremality classifier both start from these
+    six floats, so a verdict and a kernel agree bit for bit.
+    """
+    xk = x**k
+    w = theta * y**k
     p00, p01 = xk / (xk + w), w / (xk + w)
     p10, p12 = xk / (1.0 + xk), 1.0 / (1.0 + xk)
     p21, p22 = w / (1.0 + w), 1.0 / (1.0 + w)
     # every entry is NaN or in [0, 1], so the sum is finite iff all are
     if not math.isfinite(p00 + p01 + p10 + p12 + p21 + p22):
-        raise ArithmeticError(f"degenerate kernel for x={sol.x}, y={sol.y}")
+        raise ArithmeticError(f"degenerate kernel for x={x}, y={y}")
+    return p00, p01, p10, p12, p21, p22
+
+
+def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
+    """Transition matrix of the chain indexed by the fixed point ``sol``."""
+    p00, p01, p10, p12, p21, p22 = kernel_entries(sol.x, sol.y, k, theta)
     p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
     return TransitionKernel(p=p, source=sol, k=k, theta=theta)
 
 
-def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
-    """Spectrum of a wand kernel from the path-graph identities.
+def _entries(kern: TransitionKernel) -> tuple[float, ...]:
+    (p00, p01, _), (p10, _, p12), (_, p21, p22) = kern.p.tolist()
+    return p00, p01, p10, p12, p21, p22
+
+
+def path_spectrum(
+    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float
+) -> tuple[float, float, float]:
+    """(s2, lambda2, lambda3) of a wand kernel from its six entries.
 
     The non-unit eigenvalues solve lambda^2 - t lambda - d = 0.  The
     second one is sign(t) s2 (positive when t = 0) and the third is
     -d divided by it.  No step subtracts nearly equal numbers on the way
     to s2, so s2 keeps full relative accuracy however small it is.
     """
-    (p00, p01, _), (p10, _, p12), (_, p21, p22) = kern.p.tolist()
     t = p00 * p22 - p01 * p21
     d = p00 * p12 * p21 + p01 * p10 * p22
     s2 = 0.5 * (abs(t) + math.sqrt(t * t + 4.0 * d))
     lam2 = -s2 if t < 0.0 else s2
-    return SpectrumReport(eigenvalues=(1.0, lam2, -d / lam2), s2=s2)
+    return s2, lam2, -d / lam2
+
+
+def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
+    """Spectrum of a wand kernel from the path-graph identities."""
+    s2, lam2, lam3 = path_spectrum(*_entries(kern))
+    return SpectrumReport(eigenvalues=(1.0, lam2, lam3), s2=s2)
 
 
 def stationary(kern: TransitionKernel) -> np.ndarray:
@@ -111,7 +135,7 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     or an entry is zero) the chain is numerically reducible, which
     raises.
     """
-    (_, p01, _), (p10, _, p12), (_, p21, _) = kern.p.tolist()
+    _, p01, p10, p12, p21, _ = _entries(kern)
     if p01 > 0.0 and p21 > 0.0:
         mass = (p10 / p01, 1.0, p12 / p21)
         total = sum(mass)
@@ -121,10 +145,20 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     raise RuntimeError(f"non-positive stationary vector for kernel {kern.p}")
 
 
+def row_distance(
+    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float
+) -> float:
+    """kappa of a wand kernel from its six entries.
+
+    Half the largest L1 distance between two rows; the zero entries of
+    each row pair drop out of the sums as |0 - p| = |p|.
+    """
+    d01 = abs(p00 - p10) + abs(p01) + abs(p12)
+    d02 = abs(p00) + abs(p01 - p21) + abs(p22)
+    d12 = abs(p10) + abs(p21) + abs(p12 - p22)
+    return 0.5 * max(d01, d02, d12)
+
+
 def kappa_of(kern: TransitionKernel) -> float:
     """Half the maximum L1 distance between any two rows of the kernel."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = kern.p.tolist()
-    d01 = abs(a0 - b0) + abs(a1 - b1) + abs(a2 - b2)
-    d02 = abs(a0 - c0) + abs(a1 - c1) + abs(a2 - c2)
-    d12 = abs(b0 - c0) + abs(b1 - c1) + abs(b2 - c2)
-    return 0.5 * max(d01, d02, d12)
+    return row_distance(*_entries(kern))

@@ -5,8 +5,12 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-All computations are pure, so sweep grid points are independent of one
-another; records are emitted in grid order.
+A sweep solves its whole theta grid in one pass: both branches' roots
+for all grid points in lockstep (``enumerate_solution_grid``), then one
+record per point, emitted in grid order.  Every number equals what a
+lone call at that point gives, so sweep, tisgm and classify agree bit
+for bit.  If any point fails, the sweep is redone point by point, so the
+first failing point raises exactly as a lone call there does.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .tisgm import (
     BoundaryLaw,
     NumericalDomainError,
     SolutionSet,
+    enumerate_solution_grid,
     enumerate_solutions,
     iterate_boundary_law,
     theta_cr,
@@ -86,17 +91,10 @@ class PhaseRecord:
         return any(r.verdict == "Critical" for r in self.rows)
 
 
-def build_phase_record(k: int, theta: float) -> PhaseRecord:
-    """Enumerate and classify every measure at one grid point.
-
-    Grid points within the critical guard of theta_cr(k) carry the
-    symmetric solution with verdict "Critical" instead of a
-    classification (the asymmetric pair is not separable there).
-    """
-    sset = enumerate_solutions(k, theta)
+def _phase_record(sset: SolutionSet) -> PhaseRecord:
     rows = []
     for sol in sset.solutions:
-        v = classify_solution(k, theta, sol)
+        v = classify_solution(sset.k, sset.theta, sol)
         verdict = "Critical" if sset.critical else v.verdict.value
         rows.append(
             SolutionRow(
@@ -110,36 +108,55 @@ def build_phase_record(k: int, theta: float) -> PhaseRecord:
                 verdict=verdict,
             )
         )
-    return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))
+    return PhaseRecord(sset.k, sset.theta, sset.theta_critical, tuple(rows))
+
+
+def build_phase_record(k: int, theta: float) -> PhaseRecord:
+    """Enumerate and classify every measure at one grid point.
+
+    Grid points within the critical guard of theta_cr(k) carry the
+    symmetric solution with verdict "Critical" instead of a
+    classification (the asymmetric pair is not separable there).
+    """
+    return _phase_record(enumerate_solutions(k, theta))
 
 
 def sweep_records(
     k: int, theta_min: float, theta_max: float, steps: int
 ) -> list[PhaseRecord]:
+    """``build_phase_record`` at every point of the theta grid, bit for bit."""
     grid = np.linspace(theta_min, theta_max, steps)
-    return [build_phase_record(k, float(t)) for t in grid]
+    try:
+        return [_phase_record(sset) for sset in enumerate_solution_grid(k, grid)]
+    except (ValueError, ArithmeticError, RuntimeError):
+        # point by point, so the first failing point raises as a lone call
+        return [build_phase_record(k, float(t)) for t in grid]
 
 
 def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """Write one CSV line per solution, as ``csv.writer`` would, in one write.
+
+    Numbers are written as their repr, which csv never quotes; each text
+    field is quoted by ``csv.writer`` itself, once per distinct text.
+    """
+    cells: dict[str, str] = {}
+
+    def text(value: str) -> str:
+        if value not in cells:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([value, ""])
+            cells[value] = line.getvalue()[: -len(",\n")]
+        return cells[value]
+
+    lines = [",".join(map(text, CSV_HEADER))]
     for rec in records:
-        for row in rec.rows:
-            writer.writerow(
-                [
-                    repr(rec.k),
-                    repr(rec.theta),
-                    repr(rec.theta_critical),
-                    row.branch,
-                    repr(row.x),
-                    repr(row.y),
-                    repr(row.s2),
-                    repr(row.kappa),
-                    repr(row.ks_value),
-                    repr(row.msw_value),
-                    row.verdict,
-                ]
-            )
+        point = f"{rec.k!r},{rec.theta!r},{rec.theta_critical!r}"
+        lines.extend(
+            f"{point},{text(row.branch)},{row.x!r},{row.y!r},{row.s2!r},"
+            f"{row.kappa!r},{row.ks_value!r},{row.msw_value!r},{text(row.verdict)}"
+            for row in rec.rows
+        )
+    stream.write("\n".join(lines) + "\n")
 
 
 def read_phase_csv(stream: io.TextIOBase) -> list[PhaseRecord]:

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import kappa_of, kernel_of, spectrum_numeric
+from .chain import kernel_entries, path_spectrum, row_distance
 from .model import Branch, TisgmSolution
 from .rootfind import Bracket, find_root
 from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
@@ -105,12 +105,13 @@ def classify_solution(
     Asymmetric at k = 2: Extreme iff 2 kappa^2 < 1 - boundary_tol,
     otherwise Undetermined.  Asymmetric at k >= 3: NonExtreme iff the
     Kesten-Stigum value exceeds 1 + boundary_tol, otherwise
-    Undetermined.  Every branch and k takes s2 from the one spectrum
-    formula of the chain module.
+    Undetermined.  Every branch and k takes s2 and kappa from the
+    formulas ``spectrum_numeric`` and ``kappa_of`` use, applied to the
+    six kernel entries as plain floats.
     """
-    kern = kernel_of(sol, k, theta)
-    kappa = kappa_of(kern)
-    s2 = spectrum_numeric(kern).s2
+    entries = kernel_entries(sol.x, sol.y, k, theta)
+    kappa = row_distance(*entries)
+    s2 = path_spectrum(*entries)[0]
     ks = k * s2**2
     msw = k * kappa * kappa
 

@@ -13,6 +13,18 @@ an absolute floor of the smallest subnormal so that a root at 0 still
 ends.  The stop rule is relative, so a root of any magnitude, 1e-300
 included, keeps full relative precision.
 
+There are two entry points with the same bits.  ``find_root`` solves one
+equation.  ``_find_roots`` solves many at once, one lane per equation:
+it runs the same Brent steps on every live lane with numpy and drops a
+lane as soon as it meets the stop rule, so each lane returns exactly the
+float that ``find_root`` returns for it.  Every step is an IEEE
+operation that numpy rounds as Python does; only the equations' own
+powers go lane by lane through Python's ``**``, which the callers
+handle.  The lockstep form pays a fixed numpy cost per step, about
+1 ms for a whole solve however many lanes it has, against tens of
+microseconds for one ``find_root`` call, so a single equation stays on
+``find_root`` and only a grid of them (a sweep) takes ``_find_roots``.
+
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.
 """
@@ -22,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 _EPS = math.ulp(1.0)
 # Floor of the stop rule: a root at 0 ends once the bracket is subnormal.
@@ -178,4 +192,119 @@ def expand_bracket_decreasing(
         hi *= 2.0
     raise UnboundedBracketError(
         f"f stayed above target {target} out to x = {hi}; no bracket found"
+    )
+
+
+def _expand_brackets_decreasing(
+    f: Callable[[float], float], lo: float, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``expand_bracket_decreasing`` for one f and many targets.
+
+    The values of f at lo, 2 lo, 4 lo, ... do not depend on the target,
+    so each is computed once, and only as far up as the last lane needs.
+    Returns the lanes' brackets as arrays (lo, hi, f_lo, f_hi), each
+    lane equal to the scalar routine's ``Bracket`` for its target.
+    """
+    if lo < 0.0:
+        raise BracketError(f"expansion by doubling needs lo >= 0, got {lo}")
+    g_lo = f(lo) - targets
+    if not (g_lo > 0.0).all():
+        raise BracketError("f(lo) <= target on some lane; no expansion starts")
+    hi = np.empty_like(targets)
+    g_hi = np.empty_like(targets)
+    open_ = np.ones(targets.shape, dtype=bool)
+    step = 2.0 * lo if lo > 0 else 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        g = f(step) - targets
+        crossed = open_ & (g <= 0.0)
+        hi[crossed], g_hi[crossed] = step, g[crossed]
+        open_ &= ~crossed
+        if not open_.any():
+            return np.full_like(targets, lo), hi, g_lo, g_hi
+        step *= 2.0
+    raise UnboundedBracketError(
+        f"f stayed above target {targets[open_][0]} out to x = {step}; "
+        "no bracket found"
+    )
+
+
+def _zero_sign(v: np.ndarray) -> np.ndarray:
+    # lanes where _sign(v) == 0: zero, or NaN, as find_root reads them
+    return ~((v > 0.0) | (v < 0.0))
+
+
+def _find_roots(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+) -> np.ndarray:
+    """``find_root`` on every lane of certified brackets, in lockstep.
+
+    Lane i returns the float ``find_root`` returns for the bracket
+    ``Bracket(lo[i], hi[i], f_lo[i], f_hi[i])``.  ``f(lanes, x)`` gives
+    the values at the points ``x`` of the lanes whose indices are
+    ``lanes``, each as the scalar function of that lane would.  Raises
+    ConvergenceError if some lane does not stop within _MAX_ITER steps.
+    """
+    # a zero at an end is the root, lo first, as in find_root
+    lo_zero = _zero_sign(f_lo)
+    root = np.where(lo_zero, lo, hi)
+    lanes = np.flatnonzero(~lo_zero & ~_zero_sign(f_hi))
+    if not lanes.size:
+        return root
+    a, fa = lo[lanes], f_lo[lanes]
+    x, fx = hi[lanes], f_hi[lanes]
+    c, fc = a, fa
+    d = e = x - a
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            swap = abs(fc) < abs(fx)
+            a, fa = np.where(swap, x, a), np.where(swap, fx, fa)
+            x, fx = np.where(swap, c, x), np.where(swap, fc, fx)
+            c, fc = np.where(swap, a, c), np.where(swap, fa, fc)
+            tol = 2.0 * _EPS * abs(x) + _TINY
+            m = 0.5 * (c - x)
+            stop = (abs(m) <= tol) | (fx == 0.0)
+            if stop.any():
+                root[lanes[stop]] = x[stop]
+                go = ~stop
+                lanes, a, fa, x, fx, c, fc = (
+                    v[go] for v in (lanes, a, fa, x, fx, c, fc)
+                )
+                d, e, tol, m = d[go], e[go], tol[go], m[go]
+                if not lanes.size:
+                    return root
+            # both interpolations on every lane; np.where keeps the one
+            # find_root takes (a == c: secant, else inverse quadratic)
+            s = fx / fa
+            q, r = fa / fc, fx / fc
+            secant = a == c
+            p = np.where(
+                secant, 2.0 * m * s, s * (2.0 * m * q * (q - r) - (x - a) * (r - 1.0))
+            )
+            q = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            flip = p > 0.0
+            q = np.where(flip, -q, q)
+            p = np.where(flip, p, -p)
+            # Python's min(u, v) is v if v < u else u
+            u, v = 3.0 * m * q - abs(tol * q), abs(e * q)
+            interpolate = (abs(e) >= tol) & (abs(fa) > abs(fx))
+            take = interpolate & (2.0 * p < np.where(v < u, v, u))
+            e, d = np.where(take, d, m), np.where(take, p / q, m)
+            a, fa = x, fx
+            x = x + np.where(abs(d) > tol, d, np.copysign(tol, m))
+            fx = f(lanes, x)
+            cross = ((fx > 0.0) & (fc > 0.0)) | ((fx < 0.0) & (fc < 0.0))
+            c, fc = np.where(cross, a, c), np.where(cross, fa, fc)
+            d, e = np.where(cross, x - a, d), np.where(cross, x - a, e)
+    # report the first unfinished lane as find_root would
+    ends = sorted([(float(x[0]), float(fx[0])), (float(c[0]), float(fc[0]))])
+    (lo0, f_lo0), (hi0, f_hi0) = ends
+    raise ConvergenceError(
+        f"{lanes.size} lane(s) did not converge after {_MAX_ITER} steps; "
+        f"lane {lanes[0]} has bracket [{lo0}, {hi0}]",
+        best=float(x[0]) if abs(fx[0]) <= abs(fc[0]) else float(c[0]),
+        bracket=Bracket(lo0, hi0, f_lo0, f_hi0),
     )

@@ -31,6 +31,7 @@ full boundary-law map (exploratory: no count claims are made there).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,14 @@ from .model import (
     activity_matrix,
     check_params,
 )
-from .rootfind import Bracket, expand_bracket_decreasing, find_root
+from .rootfind import (
+    Bracket,
+    BracketError,
+    _expand_brackets_decreasing,
+    _find_roots,
+    expand_bracket_decreasing,
+    find_root,
+)
 
 # theta within this distance of theta_cr(k): the asymmetric pair has
 # merged into x = 1 beyond root-finder resolution.
@@ -62,11 +70,24 @@ class NumericalDomainError(ArithmeticError):
 
 
 def _power_sum(x: float, n: int) -> float:
-    """1 + x + ... + x^(n-1) by Horner accumulation (no (x^n-1)/(x-1))."""
+    """1 + x + ... + x^(n-1) by Horner accumulation (no (x^n-1)/(x-1)).
+
+    Also takes an array of x: plain multiply-adds round per lane as they
+    do on floats.
+    """
     acc = 0.0
     for _ in range(n):
         acc = acc * x + 1.0
     return acc
+
+
+def _powers(base: np.ndarray, n: float) -> np.ndarray:
+    """base ** n lane by lane through Python's float power.
+
+    ``np.power`` may round differently in the last bit, so the lockstep
+    routes raise to powers here to keep the bits of the scalar ones.
+    """
+    return np.array([b**n for b in base.tolist()])
 
 
 def theta_cr(k: int) -> float:
@@ -95,9 +116,24 @@ def eta(x: float, k: int) -> float:
         value = math.inf
     if math.isfinite(value):
         return value
+    if x == 1.0:
+        # the peak (k-1) k^k / 2^k itself (k >= 170): 1/x is no way out
+        raise OverflowError(f"eta(1, k) = (k-1) k^k / 2^k overflows at k = {k}")
     # the direct evaluation overflowed (x beyond ~1e300/k); the value is
     # unchanged under x -> 1/x, and the reciprocal argument is safe
     return eta(1.0 / x, k)
+
+
+def _eta_lanes(x: np.ndarray, k: int) -> np.ndarray:
+    """``eta`` on every lane of x, bit for bit."""
+    with contextlib.suppress(OverflowError):
+        s = x * _power_sum(x, k - 1)
+        t = _power_sum(x, k)
+        value = s * _powers(t / (_powers(x, k) + 1.0), k)
+        if np.isfinite(value).all():
+            return value
+    # a lane left the double range: take eta's own way out, lane by lane
+    return np.array([eta(v, k) for v in x.tolist()])
 
 
 def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
@@ -107,9 +143,16 @@ def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
     maximum of the two is returned.  At order-one scales this coincides
     with the plain absolute residual.
     """
-    w = theta * y**k
-    rhs1 = (x**k + w) / (1.0 + w)
-    rhs2 = theta * (x**k + 1.0) / (1.0 + w)
+    try:
+        xk = x**k
+        w = theta * y**k
+    except OverflowError:
+        raise OverflowError(
+            f"the boundary law leaves the double range at k = {k}, x = {x!r}: "
+            "x^k or theta y^k exceeds the largest float"
+        ) from None
+    rhs1 = (xk + w) / (1.0 + w)
+    rhs2 = theta * (xk + 1.0) / (1.0 + w)
     r1 = abs(x - rhs1) / max(1.0, abs(x), abs(rhs1))
     r2 = abs(y - rhs2) / max(1.0, abs(y), abs(rhs2))
     return max(r1, r2)
@@ -161,13 +204,14 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
     bracket = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
-
-    def recover_y(x: float) -> float:
-        return (x * _power_sum(x, k - 1) / theta) ** (1.0 / k)
-
-    upper = _checked(k, theta, x1, recover_y(x1), Branch.UPPER)
-    lower = _checked(k, theta, x2, recover_y(x2), Branch.LOWER)
+    upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
+    lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)
     return [upper, lower]
+
+
+def _recover_y(k: int, theta: float, x: float, power=pow) -> float:
+    # theta y^k = x + ... + x^(k-1); _powers as ``power`` for arrays
+    return power(x * _power_sum(x, k - 1) / theta, 1.0 / k)
 
 
 @dataclass(frozen=True)
@@ -197,6 +241,72 @@ def enumerate_solutions(k: int, theta: float) -> SolutionSet:
         return SolutionSet(k, theta, tc, (sym,), critical=True)
     sols = (sym, *solve_asymmetric(k, theta))
     return SolutionSet(k, theta, tc, sols)
+
+
+def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
+    """``enumerate_solutions`` at every theta of a grid, bit for bit.
+
+    Both branches are solved for all grid points at once: each root by
+    the lockstep form of ``find_root``, the asymmetric brackets from one
+    shared doubling ladder of eta, whose values depend on k only.  The
+    residual contract is checked per solution as in the scalar solvers.
+    Raises ValueError, ArithmeticError or RuntimeError if any point
+    fails, not necessarily with the message of the first failing point;
+    ``enumerate_solutions`` at each point in turn gives that one.
+    """
+    check_params(k, float(thetas.min()))
+    check_params(theta=float(thetas.max()))
+    tc = theta_cr(k)
+    critical = abs(thetas - tc) < CRITICAL_TOL
+    # solve_asymmetric's own early exits: theta >= theta_cr, then the
+    # pair merged with x = 1 beyond float resolution
+    lanes = np.flatnonzero(~critical & (thetas < tc))
+    target = _powers(thetas[lanes], k + 1)
+    split = target < eta(1.0, k)
+    lanes, target = lanes[split], target[split]
+    pairs = {}
+    # float arithmetic overflows to inf silently; so does it here
+    with np.errstate(all="ignore"):
+        y0 = _symmetric_roots(k, thetas)
+        if lanes.size:
+            lo, hi, g_lo, g_hi = _expand_brackets_decreasing(
+                lambda x: eta(x, k), 1.0, target
+            )
+            x1 = _find_roots(
+                lambda i, x: _eta_lanes(x, k) - target[i], lo, hi, g_lo, g_hi
+            )
+            x2 = 1.0 / x1
+            th = thetas[lanes]
+            y1, y2 = (_recover_y(k, th, x, _powers).tolist() for x in (x1, x2))
+            pairs = dict(zip(lanes.tolist(), zip(x1.tolist(), x2.tolist(), y1, y2)))
+    sets = []
+    points = zip(thetas.tolist(), y0.tolist(), critical.tolist())
+    for i, (theta, y, at_tc) in enumerate(points):
+        sols = (_checked(k, theta, 1.0, y, Branch.SYMMETRIC),)
+        if i in pairs:
+            x1, x2, y1, y2 = pairs[i]
+            sols += (
+                _checked(k, theta, x1, y1, Branch.UPPER),
+                _checked(k, theta, x2, y2, Branch.LOWER),
+            )
+        sets.append(SolutionSet(k, theta, tc, sols, critical=at_tc))
+    return sets
+
+
+def _symmetric_roots(k: int, thetas: np.ndarray) -> np.ndarray:
+    # solve_symmetric's y on every lane
+    def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
+        theta = thetas[i]
+        return theta * _powers(y, k + 1) + y - 2.0 * theta
+
+    every = np.arange(thetas.size)
+    lo = np.zeros(thetas.size)
+    hi = np.full(thetas.size, 2.0 ** (1.0 / (k + 1)))
+    f_lo, f_hi = f(every, lo), f(every, hi)
+    # f(0) = -2 theta < 0, so a lane certifies unless f(hi) < 0
+    if (f_hi < 0.0).any():
+        raise BracketError("no sign change on the symmetric bracket of some theta")
+    return _find_roots(f, lo, hi, f_lo, f_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hcsos.chain import (
     spectrum_numeric,
     stationary,
 )
+from hcsos.extremality import classify_solution
 from hcsos.model import Branch, TisgmSolution
 from hcsos.rootfind import UnboundedBracketError
 from hcsos.tisgm import (
@@ -245,6 +246,38 @@ class TestRowDistances:
         rng = np.random.default_rng(99)
         for kern in _sample_kernels(rng, 200):
             assert abs(kappa_of(kern) - gamma_of(kern)) <= 1e-12
+
+
+def _kappa_3x3(kern) -> float:
+    # the nine-entry row distance kappa_of used before the six-entry form
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = kern.p.tolist()
+    d01 = abs(a0 - b0) + abs(a1 - b1) + abs(a2 - b2)
+    d02 = abs(a0 - c0) + abs(a1 - c1) + abs(a2 - c2)
+    d12 = abs(b0 - c0) + abs(b1 - c1) + abs(b2 - c2)
+    return 0.5 * max(d01, d02, d12)
+
+
+class TestSixEntryFormulas:
+    def test_kappa_equals_nine_entry_form_bitwise(self):
+        rng = np.random.default_rng(7)
+        for kern in _sample_kernels(rng, 300):
+            assert kappa_of(kern) == _kappa_3x3(kern)
+
+    def test_signed_zero_pattern(self):
+        # the zero pattern may hold -0.0; |0 - p| = |p| either way
+        p = np.array([[0.3, 0.7, -0.0], [0.6, -0.0, 0.4], [-0.0, 0.2, 0.8]])
+        sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
+        kern = TransitionKernel(p=p, source=sol, k=2, theta=1.0)
+        assert kappa_of(kern) == _kappa_3x3(kern)
+
+    def test_classifier_witnesses_equal_kernel_routes(self):
+        # classify_solution reads the same six floats kernel_of stores
+        rng = np.random.default_rng(11)
+        for kern in _sample_kernels(rng, 200):
+            v = classify_solution(kern.k, kern.theta, kern.source)
+            assert v.s2 == spectrum_numeric(kern).s2
+            assert v.kappa == kappa_of(kern)
+            assert v.ks_value == kern.k * spectrum_numeric(kern).s2 ** 2
 
 
 class TestClosedNumericAgreementGrids:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from hcsos import cli, sampler
 from hcsos.cli import (
     CSV_HEADER,
+    PhaseRecord,
+    SolutionRow,
     build_phase_record,
     main,
     read_phase_csv,
@@ -74,6 +77,15 @@ class TestClassifyCommand:
     def test_missing_measure_is_a_domain_failure(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "1.2", "--measure", "mu1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_boundary_law_overflow_message(self, capsys):
+        # the upper root is ~2.8e16 here, so x^20 leaves the double range
+        argv = ["classify", "--k", "20", "--theta", "0.1647", "--measure", "mu1"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the boundary law leaves the double range")
+        assert "k = 20" in err and "x = 2.81" in err
+        assert "(34," not in err
 
     def test_tiny_s2_matches_oracle(self, capsys):
         # s2 ~ 4.2e-17 here; a deflated characteristic quadratic printed 7.9e-99
@@ -171,6 +183,29 @@ class TestSweepCommand:
         parsed = read_phase_csv(buffer)
         assert parsed == records
 
+    def test_csv_bytes_equal_csv_writer(self):
+        # text fields that need quoting are quoted as csv.writer quotes them
+        texts = ["Upper", "a,b", 'q"t', "", "x\ny", "r\rs", " sp", "Critical"]
+        records = [
+            PhaseRecord(2 + i % 3, 0.1 * i, float("inf"), tuple(
+                SolutionRow(texts[(i + j) % 8], 1.0 / (i + 1), -0.0, 1e-300,
+                            float("nan"), 2.0**i, 0.5, texts[(3 * i + j) % 8])
+                for j in range(1 + i % 3)))
+            for i in range(24)
+        ]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rec in records:
+            for row in rec.rows:
+                writer.writerow([repr(rec.k), repr(rec.theta), repr(rec.theta_critical),
+                                 row.branch, repr(row.x), repr(row.y), repr(row.s2),
+                                 repr(row.kappa), repr(row.ks_value),
+                                 repr(row.msw_value), row.verdict])
+        got = io.StringIO()
+        write_phase_csv(records, got)
+        assert got.getvalue() == want.getvalue()
+
     def test_header_schema(self):
         assert CSV_HEADER == [
             "k", "theta", "theta_cr", "branch", "x", "y",
@@ -224,6 +259,86 @@ class TestSweepCommand:
             run(["sweep", "--k", "2", "--theta-min", "0.5", "--theta-max", "0.6",
                  "--steps", "1"])
         assert err.value.code == 2
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sweep(k, lo, hi, steps, *extra):
+    return ["sweep", "--k", str(k), "--theta-min", repr(lo), "--theta-max", repr(hi),
+            "--steps", str(steps), *extra]
+
+
+class TestSweepSolvesGridInLockstep:
+    # digests of the point-by-point sweep before the lockstep solver
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (_sweep(2, 0.1, 2.5, 250),
+             "d29b060368fb17b06e53b5b1f62e2cf2e258ede0649f11394ee7549fd24f19ba"),
+            (_sweep(3, 0.1, 2.5, 250),
+             "63b7f94853ad44dd87fc617ed2fd02cdec9c3595e3f4781b12a68d81c6abd405"),
+            (_sweep(8, 0.1, 2.5, 250),
+             "1193e2732a3d0cbe03443dd3a91179280360adf824e54bbdc1d3eb9383b957cb"),
+            (_sweep(3, 0.05, 3.0, 200, "--format", "json"),
+             "5057af4c5680b20fa9f67127158e4ba2d58bb56619f5626123c0e4bb22038fa9"),
+        ],
+    )
+    def test_pinned_output(self, argv, digest):
+        code, out, err = _cli(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_ks_value_keeps_python_square(self):
+        # s2**2 and s2*s2 differ in the last bit at this row; ks_value is
+        # k * s2**2 as classify computes it
+        code, out, _ = _cli(_sweep(2, 0.3, 3.0, 600))
+        assert code == 0
+        (row,) = [r for r in read_phase_csv(io.StringIO(out))
+                  if r.theta == 1.801001669449082]
+        (sym,) = row.rows
+        assert sym.ks_value == 0.9543912848898282
+        assert sym.ks_value == 2 * sym.s2**2 != 2 * (sym.s2 * sym.s2)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (_sweep(20, 0.05, 3.0, 1500),
+             "error: f stayed above target 4.768371582031256e-28 out to "
+             "x = 2.305843009213694e+18; no bracket found\n"),
+            (_sweep(8, 0.001, 0.05, 200),
+             "error: f stayed above target 1.0000000000000002e-27 out to "
+             "x = 2.305843009213694e+18; no bracket found\n"),
+            (_sweep(144, 0.1, 2.5, 50),
+             "error: (34, 'Numerical result out of range')\n"),
+            # the lockstep pass meets the last point's symmetric bracket
+            # failure first; the first point fails in the doubling search
+            (_sweep(3, 1e-6, 1e18, 3),
+             "error: f stayed above target 9.999999999999997e-25 out to "
+             "x = 2.305843009213694e+18; no bracket found\n"),
+        ],
+    )
+    def test_failing_sweep_reports_first_failing_point(self, argv, message):
+        # as the point-by-point route: exit 1, the first failing point's error
+        assert _cli(argv) == (1, "", message)
+        k, lo, hi, steps = int(argv[2]), float(argv[4]), float(argv[6]), int(argv[8])
+        with pytest.raises(Exception) as first:
+            for theta in np.linspace(lo, hi, steps).tolist():
+                build_phase_record(k, theta)
+        assert message == f"error: {first.value}\n"
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("lo,hi", [(0.1, 2.5), (0.1037, 2.4951), (0.11, 2.49)])
+    def test_benchmark_grids_skip_the_fallback(self, k, lo, hi, monkeypatch):
+        def never(*args):
+            raise AssertionError("the point-by-point fallback was taken")
+
+        monkeypatch.setattr(cli, "build_phase_record", never)
+        assert _cli(_sweep(k, lo, hi, 250))[0] == 0
 
 
 class TestThresholdsCommand:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from hcsos.rootfind import (
     BracketError,
     ConvergenceError,
     UnboundedBracketError,
+    _expand_brackets_decreasing,
+    _find_roots,
     expand_bracket_decreasing,
     find_root,
 )
@@ -130,3 +133,83 @@ class TestExpandBracket:
     def test_unbounded_failure(self):
         with pytest.raises(UnboundedBracketError):
             expand_bracket_decreasing(lambda x: 1.0 + 1.0 / (1.0 + x), 1.0, 0.5)
+
+
+# Lane i of the lockstep tests solves (t - c) (q t^2 + b) = 0: a cubic
+# for q = 1, the line t - c for q = 0, b = 1.
+lane = st.tuples(
+    st.floats(-4.0, 4.0),  # c, the root
+    st.sampled_from([0.0, 2.0**-40, 0.125, 0.7, 1.0, 3.3]),  # c - lo
+    st.sampled_from([0.0, 2.0**-40, 0.125, 0.7, 1.0, 3.3]),  # hi - c
+    st.sampled_from([0.0, 1.0]),  # q
+    st.sampled_from([1.0, 1e-3, 7.0]),  # b
+)
+
+
+def _lanes(params):
+    c, lo, hi, q, b = (np.array(v) for v in zip(*params))
+    lo, hi = c - lo, c + hi
+
+    def f(i, t):
+        return (t - c[i]) * (q[i] * t * t + b[i])
+
+    every = np.arange(c.size)
+    return f, lo, hi, f(every, lo), f(every, hi)
+
+
+class TestLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.lists(lane, min_size=1, max_size=40))
+    def test_equals_find_root_lane_by_lane(self, params):
+        # a lane whose root is a bracket end returns that end; a line on a
+        # bracket centred at its root bisects onto it and stops on f = 0
+        params = [p for p in params if p[1] + p[2] > 0.0 and p[0] - p[1] < p[0] + p[2]]
+        if not params:
+            return
+        f, lo, hi, f_lo, f_hi = _lanes(params)
+        got = _find_roots(f, lo, hi, f_lo, f_hi)
+        for i, (c, _, _, q, b) in enumerate(params):
+            g = lambda t: (t - c) * (q * t * t + b)
+            want = find_root(g, Bracket(float(lo[i]), float(hi[i]), float(f_lo[i]), float(f_hi[i])))
+            assert got[i] == want, (i, params[i])
+
+    def test_exercises_every_stop(self):
+        # roots at both bracket ends, an exact hit of f = 0 and ordinary
+        # Brent stops side by side, against the scalar routine
+        params = [(0.5, 0.0, 1.0, 1.0, 1.0), (0.5, 1.0, 0.0, 1.0, 1.0),
+                  (0.75, 0.125, 0.125, 0.0, 1.0), (0.3, 1.0, 3.3, 1.0, 1e-3),
+                  (-2.0, 0.7, 1.0, 1.0, 7.0)]
+        f, lo, hi, f_lo, f_hi = _lanes(params)
+        got = _find_roots(f, lo, hi, f_lo, f_hi)
+        assert got[:3].tolist() == [0.5, 0.5, 0.75]
+        assert f(np.array([2]), got[2:3])[0] == 0.0
+        for i, (c, _, _, q, b) in enumerate(params):
+            g = lambda t: (t - c) * (q * t * t + b)
+            assert got[i] == find_root(g, Bracket.certify(g, float(lo[i]), float(hi[i])))
+
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
+        f, lo, hi, f_lo, f_hi = _lanes([(0.3, 1.3, 1.7, 1.0, 1.0)])
+        with pytest.raises(ConvergenceError) as err:
+            _find_roots(f, lo, hi, f_lo, f_hi)
+        final = err.value.bracket
+        assert lo[0] <= final.lo <= err.value.best <= final.hi <= hi[0]
+
+    def test_shared_ladder_equals_expansion(self):
+        k = 3
+        # eta(4) itself: the ladder's value at 4 meets the target exactly
+        targets = np.array([1.5**4, 0.3**4, 1e-9, 6.0, eta(4.0, k)])
+        lo, hi, g_lo, g_hi = _expand_brackets_decreasing(
+            lambda x: eta(x, k), 1.0, targets
+        )
+        for i, target in enumerate(targets.tolist()):
+            b = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
+            assert (lo[i], hi[i], g_lo[i], g_hi[i]) == (b.lo, b.hi, b.f_lo, b.f_hi)
+
+    def test_shared_ladder_failures(self):
+        with pytest.raises(BracketError):
+            _expand_brackets_decreasing(lambda x: 1.0 / x, 1.0, np.array([0.5, 2.0]))
+        with pytest.raises(UnboundedBracketError):
+            _expand_brackets_decreasing(
+                lambda x: 1.0 + 1.0 / (1.0 + x), 1.0, np.array([1.2, 0.5])
+            )

@@ -13,6 +13,7 @@ from hcsos.tisgm import (
     NumericalDomainError,
     boundary_law_residual,
     compatibility_residual,
+    enumerate_solution_grid,
     enumerate_solutions,
     eta,
     iterate_boundary_law,
@@ -96,6 +97,21 @@ class TestEta:
         assert math.isfinite(value) and value > 0.0
         assert value == eta(1.0 / 1.3e22, 16)
 
+    @pytest.mark.parametrize("k", [170, 400])
+    def test_peak_overflow_raises(self, k):
+        # (k-1) k^k / 2^k leaves the double range; 1/x = x gives no way out
+        with pytest.raises(OverflowError, match=f"k = {k}"):
+            eta(1.0, k)
+
+    def test_peak_finite_below_overflow(self):
+        assert math.isfinite(eta(1.0, 150))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_lanes_equal_scalar(self, k):
+        # including lanes past the double range, which take the reciprocal
+        x = np.concatenate([np.linspace(1.0, 40.0, 101), [2.0**40, 1.3e22, 1e300]])
+        assert tisgm._eta_lanes(x, k).tolist() == [eta(v, k) for v in x.tolist()]
+
 
 class TestSymmetric:
     def test_theta_one_root_is_one(self):
@@ -124,6 +140,18 @@ class TestSymmetric:
             for theta in (0.2, 0.9, 1.7):
                 sol = solve_symmetric(k, theta)
                 assert compatibility_residual(k, theta, sol.x, sol.y) < 1e-10
+
+    def test_residual_overflow_names_the_point(self):
+        # the upper root at k = 20, theta = 0.1647 is ~2.8e16, so x^20
+        # overflows; the OverflowError is raised in compatibility_residual
+        with pytest.raises(OverflowError) as err:
+            solve_asymmetric(20, 0.1647)
+        text = str(err.value)
+        assert "k = 20" in text and "x = 2.81" in text and "double range" in text
+        tb = err.value.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_name == "compatibility_residual"
 
 
 class TestAsymmetric:
@@ -208,6 +236,36 @@ def test_root_evaluation_budget_on_sweep_grids(monkeypatch):
     assert len(evals) == 1251
     assert sum(evals) / len(evals) <= 8.33
     assert max(evals) <= 14
+
+
+class TestSolutionGrid:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("lo,hi", [(0.02, 3.0), (0.9, 1.1), (1e-3, 0.2)])
+    def test_equals_enumerate_solutions(self, k, lo, hi):
+        # bit for bit, both branches, at every point enumerate_solutions
+        # solves (60 doublings do not reach the upper root at small theta
+        # for k >= 3); theta = 1 is critical for k = 2
+        want = []
+        for theta in np.linspace(lo, hi, 301).tolist():
+            try:
+                want.append(enumerate_solutions(k, theta))
+            except ValueError:
+                pass
+        assert len(want) > 150
+        grid = np.array([sset.theta for sset in want])
+        assert enumerate_solution_grid(k, grid) == want
+
+    def test_critical_point(self):
+        (sset,) = enumerate_solution_grid(2, np.array([1.0]))
+        assert sset == enumerate_solutions(2, 1.0) and sset.critical
+
+    @pytest.mark.parametrize(
+        "k,grid",
+        [(8, [0.001, 0.5]), (20, [0.1647, 1.0]), (144, [0.5, 1.0]), (3, [1e18, 1.0])],
+    )
+    def test_failing_point_raises(self, k, grid):
+        with pytest.raises((ValueError, ArithmeticError, RuntimeError)):
+            enumerate_solution_grid(k, np.array(grid))
 
 
 class TestClosedFormK2:
