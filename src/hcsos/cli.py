@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-A sweep solves its whole theta grid in one pass: both branches' roots
-for all grid points in lockstep (``enumerate_solution_grid``), then one
-record per point, emitted in grid order.  Every number equals what a
-lone call at that point gives, so sweep, tisgm and classify agree bit
-for bit.  If any point fails, the sweep is redone point by point, so the
+A sweep of at least 64 points solves its whole theta grid in one pass:
+both branches' roots for all grid points in lockstep
+(``enumerate_solution_grid``), then one record per point, emitted in
+grid order.  A shorter sweep is solved point by point, which is faster
+there.  Either way every number equals what a lone call at that point
+gives, so sweep, tisgm and classify agree bit for bit.  If a point
+leaves the model's domain, the sweep is redone point by point, so the
 first failing point raises exactly as a lone call there does.
 """
 
@@ -36,8 +38,10 @@ from .extremality import (
 )
 from .model import ModelParams
 from .sampler import TreeConfig, estimate_marginals
+from .rootfind import BracketError, ConvergenceError
 from .tisgm import (
     BoundaryLaw,
+    ConsistencyError,
     NumericalDomainError,
     SolutionSet,
     enumerate_solution_grid,
@@ -121,16 +125,31 @@ def build_phase_record(k: int, theta: float) -> PhaseRecord:
     return _phase_record(enumerate_solutions(k, theta))
 
 
+# Shorter grids are solved point by point.  A lockstep Brent step costs
+# tens of microseconds of numpy calls however few lanes it has, so the
+# lockstep route breaks even at about 48 points (k = 8) to 96 (k = 2).
+_LOCKSTEP_MIN_STEPS = 64
+
+# What a grid point raises on either route when the model leaves its domain.
+_DOMAIN_ERRORS = (BracketError, ConvergenceError, ConsistencyError, ArithmeticError)
+
+
 def sweep_records(
     k: int, theta_min: float, theta_max: float, steps: int
 ) -> list[PhaseRecord]:
     """``build_phase_record`` at every point of the theta grid, bit for bit."""
     grid = np.linspace(theta_min, theta_max, steps)
+    if steps < _LOCKSTEP_MIN_STEPS:
+        return [build_phase_record(k, theta) for theta in grid.tolist()]
     try:
         return [_phase_record(sset) for sset in enumerate_solution_grid(k, grid)]
-    except (ValueError, ArithmeticError, RuntimeError):
+    except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
-        return [build_phase_record(k, float(t)) for t in grid]
+        for theta in grid.tolist():
+            build_phase_record(k, theta)
+        raise AssertionError(
+            "the lockstep sweep failed, but every grid point solves alone"
+        ) from exc
 
 
 def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:

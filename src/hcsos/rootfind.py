@@ -23,7 +23,8 @@ powers go lane by lane through Python's ``**``, which the callers
 handle.  The lockstep form pays a fixed numpy cost per step, about
 1 ms for a whole solve however many lanes it has, against tens of
 microseconds for one ``find_root`` call, so a single equation stays on
-``find_root`` and only a grid of them (a sweep) takes ``_find_roots``.
+``find_root`` and only a long grid of them (a sweep of 64 points or
+more) takes ``_find_roots``.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.
@@ -196,31 +197,29 @@ def expand_bracket_decreasing(
 
 
 def _expand_brackets_decreasing(
-    f: Callable[[float], float], lo: float, targets: np.ndarray
+    f: Callable[[float], float], targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``expand_bracket_decreasing`` for one f and many targets.
+    """``expand_bracket_decreasing(f, 1.0, target)`` for many targets.
 
-    The values of f at lo, 2 lo, 4 lo, ... do not depend on the target,
-    so each is computed once, and only as far up as the last lane needs.
+    The values of f at 1, 2, 4, ... do not depend on the target, so each
+    is computed once, and only as far up as the last lane needs.
     Returns the lanes' brackets as arrays (lo, hi, f_lo, f_hi), each
     lane equal to the scalar routine's ``Bracket`` for its target.
     """
-    if lo < 0.0:
-        raise BracketError(f"expansion by doubling needs lo >= 0, got {lo}")
-    g_lo = f(lo) - targets
+    g_lo = f(1.0) - targets
     if not (g_lo > 0.0).all():
-        raise BracketError("f(lo) <= target on some lane; no expansion starts")
+        raise BracketError("f(1) <= target on some lane; no expansion starts")
     hi = np.empty_like(targets)
     g_hi = np.empty_like(targets)
     open_ = np.ones(targets.shape, dtype=bool)
-    step = 2.0 * lo if lo > 0 else 1.0
+    step = 2.0
     for _ in range(_MAX_DOUBLINGS):
         g = f(step) - targets
         crossed = open_ & (g <= 0.0)
         hi[crossed], g_hi[crossed] = step, g[crossed]
         open_ &= ~crossed
         if not open_.any():
-            return np.full_like(targets, lo), hi, g_lo, g_hi
+            return np.ones_like(targets), hi, g_lo, g_hi
         step *= 2.0
     raise UnboundedBracketError(
         f"f stayed above target {targets[open_][0]} out to x = {step}; "

@@ -108,10 +108,7 @@ def eta(x: float, k: int) -> float:
     if not x > 0:
         raise ValueError(f"eta requires x > 0, got {x}")
     try:
-        s = x * _power_sum(x, k - 1)  # x + x^2 + ... + x^(k-1)
-        t = _power_sum(x, k)  # 1 + x + ... + x^(k-1)
-        # group as s * (t / (x^k + 1))^k so large x cannot overflow t**k
-        value = s * (t / (x**k + 1.0)) ** k
+        value = _eta_value(x, k)
     except OverflowError:
         value = math.inf
     if math.isfinite(value):
@@ -124,12 +121,18 @@ def eta(x: float, k: int) -> float:
     return eta(1.0 / x, k)
 
 
+def _eta_value(x: float, k: int, power=pow) -> float:
+    # eta's formula, with no overflow handling; _powers as ``power`` for arrays
+    s = x * _power_sum(x, k - 1)  # x + x^2 + ... + x^(k-1)
+    t = _power_sum(x, k)  # 1 + x + ... + x^(k-1)
+    # group as s * (t / (x^k + 1))^k so large x cannot overflow t**k
+    return s * power(t / (power(x, k) + 1.0), k)
+
+
 def _eta_lanes(x: np.ndarray, k: int) -> np.ndarray:
     """``eta`` on every lane of x, bit for bit."""
     with contextlib.suppress(OverflowError):
-        s = x * _power_sum(x, k - 1)
-        t = _power_sum(x, k)
-        value = s * _powers(t / (_powers(x, k) + 1.0), k)
+        value = _eta_value(x, k, _powers)
         if np.isfinite(value).all():
             return value
     # a lane left the double range: take eta's own way out, lane by lane
@@ -178,7 +181,7 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
     check_params(k, theta)
 
     def f(y: float) -> float:
-        return theta * y ** (k + 1) + y - 2.0 * theta
+        return _symmetric_f(k, theta, y)
 
     hi = 2.0 ** (1.0 / (k + 1))
     y = find_root(f, Bracket.certify(f, 0.0, hi))
@@ -207,6 +210,11 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
     lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)
     return [upper, lower]
+
+
+def _symmetric_f(k: int, theta: float, y: float, power=pow) -> float:
+    # the symmetric equation's f; _powers as ``power`` for arrays
+    return theta * power(y, k + 1) + y - 2.0 * theta
 
 
 def _recover_y(k: int, theta: float, x: float, power=pow) -> float:
@@ -270,7 +278,7 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
         y0 = _symmetric_roots(k, thetas)
         if lanes.size:
             lo, hi, g_lo, g_hi = _expand_brackets_decreasing(
-                lambda x: eta(x, k), 1.0, target
+                lambda x: eta(x, k), target
             )
             x1 = _find_roots(
                 lambda i, x: _eta_lanes(x, k) - target[i], lo, hi, g_lo, g_hi
@@ -296,8 +304,7 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
 def _symmetric_roots(k: int, thetas: np.ndarray) -> np.ndarray:
     # solve_symmetric's y on every lane
     def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
-        theta = thetas[i]
-        return theta * _powers(y, k + 1) + y - 2.0 * theta
+        return _symmetric_f(k, thetas[i], y, _powers)
 
     every = np.arange(thetas.size)
     lo = np.zeros(thetas.size)

@@ -22,8 +22,9 @@ from hcsos.cli import (
     write_phase_csv,
 )
 from hcsos.extremality import thresholds
+from hcsos.rootfind import BracketError
 from hcsos.sampler import TreeConfig, estimate_marginals
-from hcsos.tisgm import solve_asymmetric, solve_symmetric
+from hcsos.tisgm import enumerate_solution_grid, solve_asymmetric, solve_symmetric
 from reference import s2_mp, stationary_mp
 
 
@@ -313,19 +314,29 @@ class TestSweepSolvesGridInLockstep:
             (_sweep(8, 0.001, 0.05, 200),
              "error: f stayed above target 1.0000000000000002e-27 out to "
              "x = 2.305843009213694e+18; no bracket found\n"),
-            (_sweep(144, 0.1, 2.5, 50),
+            (_sweep(144, 0.1, 2.5, 64),
              "error: (34, 'Numerical result out of range')\n"),
-            # the lockstep pass meets the last point's symmetric bracket
+            # the lockstep pass meets a later point's symmetric bracket
             # failure first; the first point fails in the doubling search
-            (_sweep(3, 1e-6, 1e18, 3),
+            (_sweep(3, 1e-6, 1e18, 64),
              "error: f stayed above target 9.999999999999997e-25 out to "
              "x = 2.305843009213694e+18; no bracket found\n"),
         ],
     )
-    def test_failing_sweep_reports_first_failing_point(self, argv, message):
+    def test_failing_sweep_reports_first_failing_point(
+        self, argv, message, monkeypatch
+    ):
         # as the point-by-point route: exit 1, the first failing point's error
-        assert _cli(argv) == (1, "", message)
         k, lo, hi, steps = int(argv[2]), float(argv[4]), float(argv[6]), int(argv[8])
+        tried = []
+
+        def grid(k, thetas):
+            tried.append(thetas.size)
+            return enumerate_solution_grid(k, thetas)
+
+        monkeypatch.setattr(cli, "enumerate_solution_grid", grid)
+        assert _cli(argv) == (1, "", message)
+        assert tried == [steps]
         with pytest.raises(Exception) as first:
             for theta in np.linspace(lo, hi, steps).tolist():
                 build_phase_record(k, theta)
@@ -339,6 +350,42 @@ class TestSweepSolvesGridInLockstep:
 
         monkeypatch.setattr(cli, "build_phase_record", never)
         assert _cli(_sweep(k, lo, hi, 250))[0] == 0
+
+    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("steps", [2, 5, 63, 64])
+    def test_short_grids_equal_either_route(self, k, steps, monkeypatch):
+        default = sweep_records(k, 0.1, 2.5, steps)
+        monkeypatch.setattr(cli, "_LOCKSTEP_MIN_STEPS", 2)
+        assert sweep_records(k, 0.1, 2.5, steps) == default
+
+    def test_short_grids_solve_point_by_point(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the lockstep route was taken")
+
+        monkeypatch.setattr(cli, "enumerate_solution_grid", never)
+        for steps in (2, 10, cli._LOCKSTEP_MIN_STEPS - 1):
+            assert _cli(_sweep(8, 0.1, 2.5, steps))[0] == 0
+
+    def test_lockstep_failure_that_no_point_shares_is_loud(self, monkeypatch):
+        def fails(k, thetas):
+            raise BracketError("no sign change")
+
+        monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
+        with pytest.raises(AssertionError, match="every grid point solves alone"):
+            sweep_records(2, 0.1, 2.5, 100)
+
+    def test_lockstep_bug_is_not_taken_for_a_domain_error(self, monkeypatch):
+        # a numpy ValueError (shape, broadcast) is no reason to fall back
+        def fails(k, thetas):
+            raise ValueError("operands could not be broadcast together")
+
+        def never(*args):
+            raise AssertionError("the point-by-point fallback was taken")
+
+        monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
+        monkeypatch.setattr(cli, "build_phase_record", never)
+        with pytest.raises(ValueError, match="broadcast"):
+            sweep_records(2, 0.1, 2.5, 100)
 
 
 class TestThresholdsCommand:

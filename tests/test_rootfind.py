@@ -199,17 +199,15 @@ class TestLockstep:
         k = 3
         # eta(4) itself: the ladder's value at 4 meets the target exactly
         targets = np.array([1.5**4, 0.3**4, 1e-9, 6.0, eta(4.0, k)])
-        lo, hi, g_lo, g_hi = _expand_brackets_decreasing(
-            lambda x: eta(x, k), 1.0, targets
-        )
+        lo, hi, g_lo, g_hi = _expand_brackets_decreasing(lambda x: eta(x, k), targets)
         for i, target in enumerate(targets.tolist()):
             b = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
             assert (lo[i], hi[i], g_lo[i], g_hi[i]) == (b.lo, b.hi, b.f_lo, b.f_hi)
 
     def test_shared_ladder_failures(self):
         with pytest.raises(BracketError):
-            _expand_brackets_decreasing(lambda x: 1.0 / x, 1.0, np.array([0.5, 2.0]))
+            _expand_brackets_decreasing(lambda x: 1.0 / x, np.array([0.5, 2.0]))
         with pytest.raises(UnboundedBracketError):
             _expand_brackets_decreasing(
-                lambda x: 1.0 + 1.0 / (1.0 + x), 1.0, np.array([1.2, 0.5])
+                lambda x: 1.0 + 1.0 / (1.0 + x), np.array([1.2, 0.5])
             )
