@@ -37,8 +37,8 @@ from .extremality import (
     thresholds,
 )
 from .model import ModelParams
-from .sampler import TreeConfig, estimate_marginals
 from .rootfind import BracketError, ConvergenceError
+from .sampler import TreeConfig, estimate_marginals
 from .tisgm import (
     BoundaryLaw,
     ConsistencyError,
