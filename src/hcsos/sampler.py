@@ -12,13 +12,30 @@ and every child spin from its parent's row, independently across
 children.  Uniform variates come from one counter-based Philox stream
 keyed by the seed, laid out as one column per vertex (and one row per
 sample), so the draw consumed by a vertex is fixed by (seed, sample,
-vertex id) alone: regeneration order cannot change the result.  The
-stream is drawn in chunks of about ``_CHUNK`` vertex-samples (whole
-sample rows); successive draws continue the stream, so the spins equal
-those of one draw of every row at once, while memory stays O(chunk·V)
-for V vertices whatever the number of samples.  One sample row is capped
-at ``MAX_VERTICES`` vertices, checked by ``TreeConfig`` before anything
-is allocated.
+vertex id) alone: regeneration order cannot change the result.
+
+The samples are split into chunks of about ``_CHUNK`` vertex-samples
+(whole sample rows), and each chunk is an independent task with its own
+generator.  The uniform of sample s at vertex i is draw s·V + i of the
+stream, and one Philox counter step yields four 64-bit draws, so a chunk
+that starts at sample s advances the counter by (s·V) // 4 steps and
+discards (s·V) % 4 draws.  Its spins therefore equal, bit for bit, those
+of one draw of every row at once, whichever thread draws the chunk and
+when.  A chunk draws its uniforms ``_BLOCK`` at a time into one buffer
+and keeps only their packed comparisons (below), one byte per
+vertex-sample, stored vertex-major so that the children of one parent
+are consecutive rows.
+
+Chunks run on a thread pool with one thread per CPU the process may use
+(``os.sched_getaffinity``); numpy releases the interpreter lock while it
+fills the uniforms and runs the element-wise operations.  At most one
+chunk per thread is in flight and results are consumed in chunk order,
+so memory stays O(threads · chunk) whatever the number of samples: per
+thread the 512 KiB uniform buffer and a few bytes per vertex-sample of
+the chunk.  A tree of more than ``_CHUNK`` vertices keeps one row in
+flight, and it or a request of a single chunk runs the same task on the
+calling thread.  One sample row is capped at ``MAX_VERTICES`` vertices,
+checked by ``TreeConfig`` before anything is allocated.
 
 Spins are read off by inverse CDF over the exact row probabilities, with
 one live comparison per child.  The cumulative rows are snapped to 1
@@ -42,7 +59,10 @@ children per parent: [[m0-n0, n0, 0], [m1-n1, 0, n1], [0, m2-n2, n2]].
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -50,9 +70,12 @@ import numpy as np
 
 from .chain import TransitionKernel, stationary
 
-# Vertex-samples per draw from the stream.
+# Vertex-samples per chunk: the work of one task.
 _CHUNK = 1 << 17
-# Largest vertex count of one sample row; a row of uniforms is 8 B a vertex.
+# Uniforms drawn at once within a chunk (512 KiB of float64).
+_BLOCK = 1 << 16
+# Largest vertex count of one sample row; a row in flight holds a few int8
+# arrays of its size.
 MAX_VERTICES = 1 << 26
 
 
@@ -141,53 +164,124 @@ def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw(
-    kern: TransitionKernel, cfg: TreeConfig, n: int
-) -> Iterator[list[tuple[np.ndarray, list[int]]]]:
-    """Spins of n samples, one chunk of rows at a time.
+def _workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Each chunk is a list with one (spins, counts) pair per level.  spins
-    is an int8 array of shape (rows, level size); row r of every array
-    belongs to the same sample.  The root's counts are its spin counts;
-    a lower level's are n_0, n_1, n_2, the children with bit b set per
-    parent state.
+
+def _packed_bits(
+    seed: int, first: int, rows: int, v: int, cum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """bits of rows whole sample rows from stream index ``first`` on,
+    vertex-major (v, rows), and the root uniform of each row."""
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(first // 4)  # one counter step yields four 64-bit draws
+    bitgen.random_raw(first % 4)
+    stream = np.random.Generator(bitgen)
+    size = rows * v
+    bits = np.empty(size, dtype=np.int8)
+    root_u = np.empty(rows)
+    u = np.empty(min(size, _BLOCK))
+    ge = np.empty(u.size, dtype=bool)
+    for lo in range(0, size, _BLOCK):
+        part = u[: min(_BLOCK, size - lo)]
+        stream.random(out=part)
+        row = -(-lo // v)  # first row whose root uniform is in this block
+        roots = part[row * v - lo :: v]
+        root_u[row : row + roots.size] = roots
+        packed = bits[lo : lo + part.size]
+        np.greater_equal(part, cum[2, 1], out=packed.view(bool))
+        for c in (cum[1, 0], cum[0, 0]):
+            packed += packed
+            packed |= np.greater_equal(part, c, out=ge[: part.size]).view(np.int8)
+    return np.ascontiguousarray(bits.reshape(rows, v).T), root_u
+
+
+def _draw_rows(
+    cfg: TreeConfig,
+    pi_cum: np.ndarray,
+    cum: np.ndarray,
+    keep_spins: bool,
+    start: int,
+    rows: int,
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Counts of sample rows start .. start + rows - 1, and their spins if
+    keep_spins, from the stream's own draws for those rows.
+
+    Runs on a worker thread, so it calls numpy only.  counts has one
+    entry per level: the root's spin counts, then n_0, n_1, n_2, the
+    children with bit b set per parent state.  spins has one int8 array
+    of shape (level size, rows) per level.
+    """
+    v = cfg.vertex_count
+    bits, root_u = _packed_bits(cfg.seed, start * v, rows, v, cum)
+    # u < 1 never reaches the last cumulative entry of pi
+    parent = (root_u >= pi_cum[0]).view(np.int8) + (root_u >= pi_cum[1])
+    parent = parent.reshape(1, rows)
+    counts = [np.bincount(parent.ravel(), minlength=3).tolist()]
+    spins = [parent] if keep_spins else []
+    offsets = cfg.level_offsets
+    for level in range(1, cfg.depth + 1):
+        block = bits[offsets[level] : offsets[level + 1]]
+        # vertex-major rows: a parent's children are consecutive rows
+        ps = np.repeat(parent, block.shape[0] // parent.shape[0], axis=0)
+        b = block & np.left_shift(np.int8(1), ps)
+        b = np.not_equal(b, 0, out=b.view(bool)).view(np.int8)  # bit a
+        low = b & ps  # b where the parent is 1
+        high = (ps == 2).view(np.int8)
+        child = b + low
+        child += high
+        high &= b  # b where the parent is 2
+        nb, n1, n2 = (np.count_nonzero(x.view(bool)) for x in (b, low, high))
+        counts.append([nb - n1 - n2, n1, n2])
+        parent = child
+        if keep_spins:
+            spins.append(parent)
+    return counts, spins
+
+
+def _draw(
+    kern: TransitionKernel, cfg: TreeConfig, n: int, keep_spins: bool = False
+) -> Iterator[tuple[list[list[int]], list[np.ndarray]]]:
+    """``_draw_rows`` of n samples, one chunk of rows at a time, in order.
+
+    Up to one chunk per CPU is drawn at once, each on its own thread; a
+    tree of more than ``_CHUNK`` vertices draws one row at a time.
     """
     v = cfg.vertex_count
     rows = max(1, _CHUNK // v)
-    stream = np.random.Generator(np.random.Philox(key=cfg.seed))
-    pi_cum = np.cumsum(stationary(kern))
-    cum = _snapped_cumulative(kern.p)
-    offsets = cfg.level_offsets
-    for start in range(0, n, rows):
-        u = stream.random((min(rows, n - start), v))
-        # u < 1 never reaches the last cumulative entry of pi
-        root = (u[:, :1] >= pi_cum[0]).view(np.int8) + (u[:, :1] >= pi_cum[1])
-        levels = [(root, np.bincount(root.ravel(), minlength=3).tolist())]
-        bits = (u >= cum[2, 1]).view(np.int8)
-        bits <<= 1
-        bits |= u >= cum[1, 0]
-        bits <<= 1
-        bits |= u >= cum[0, 0]
-        for level in range(1, cfg.depth + 1):
-            block = bits[:, offsets[level] : offsets[level + 1]]
-            parent = levels[-1][0]
-            ps = np.repeat(parent, block.shape[1] // parent.shape[1], axis=1)
-            b = block >> ps
-            b &= 1
-            low = b & ps  # b where the parent is 1
-            high = ps >> 1  # 1 where the parent is 2
-            child = b + low
-            child += high
-            high &= b
-            nb, n1, n2 = (np.count_nonzero(x.view(bool)) for x in (b, low, high))
-            levels.append((child, [nb - n1 - n2, n1, n2]))
-        yield levels
+    task = functools.partial(
+        _draw_rows,
+        cfg,
+        np.cumsum(stationary(kern)),
+        _snapped_cumulative(kern.p),
+        keep_spins,
+    )
+    starts = range(0, n, rows)
+    workers = min(_workers(), len(starts)) if v <= _CHUNK else 1
+    if workers == 1:
+        for start in starts:
+            yield task(start, min(rows, n - start))
+        return
+    # imported here: at module level it adds milliseconds to every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending: deque = deque()
+        for start in starts:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, start, min(rows, n - start)))
+        while pending:
+            yield pending.popleft().result()
 
 
 def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
     """One admissible configuration, deterministic in cfg.seed."""
-    (levels,) = _draw(kern, cfg, 1)
-    spins = np.concatenate([s for s, _ in levels], axis=1)[0]
+    ((_, levels),) = _draw(kern, cfg, 1, keep_spins=True)
+    spins = np.concatenate([s[:, 0] for s in levels])
     return Configuration(spins=spins, tree=cfg)
 
 
@@ -199,10 +293,9 @@ def estimate_marginals(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     level_counts = np.zeros((cfg.depth + 1, 3), dtype=np.int64)
     pair_counts = np.zeros((3, 3), dtype=np.int64)
-    for levels in _draw(kern, cfg, n_samples):
-        (_, above), *below = levels
+    for (above, *below), _ in _draw(kern, cfg, n_samples):
         level_counts[0] += above
-        for level, (_, (n0, n1, n2)) in enumerate(below, 1):
+        for level, (n0, n1, n2) in enumerate(below, 1):
             # children per parent: k + 1 under the root, k below
             m0, m1, m2 = (c * (cfg.k + (level == 1)) for c in above)
             pairs = np.array(
