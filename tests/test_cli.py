@@ -542,6 +542,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == "error: not enough memory for this request\n"
 
+    def test_memory_error_in_a_worker_thread(self, capsys, monkeypatch):
+        packed_bits = sampler._packed_bits
+
+        def out_of_memory_later(seed, first, rows, v, cum):
+            if first > 0:
+                raise MemoryError("Unable to allocate 1.00 MiB for an array")
+            return packed_bits(seed, first, rows, v, cum)
+
+        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        monkeypatch.setattr(sampler, "_packed_bits", out_of_memory_later)
+        argv = ["simulate", "--k", "3", "--theta", "0.5", "--depth", "4",
+                "--samples", "5000", "--out", "-"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: not enough memory for this request\n"
+        assert captured.out == ""
+
 
 class TestSimulateFuzz:
     @settings(max_examples=150, deadline=None)

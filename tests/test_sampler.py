@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,160 @@ class TestStreamingMatchesOneShotDraw:
         assert checked >= 500
 
 
+class TestParallelDraw:
+    """Chunks drawn on worker threads, each from its own stream offset."""
+
+    @staticmethod
+    def _stats(kern, cfg, n, workers, chunk, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_workers", lambda: workers)
+            mp.setattr(sampler, "_CHUNK", chunk)
+            mp.setattr(sampler, "_BLOCK", block)
+            return estimate_marginals(kern, cfg, n)
+
+    @staticmethod
+    def _assert_equal_oracle(stats, kern, cfg, n):
+        levels, pairs = spin_counts(draw_spins(kern, cfg, n), cfg)
+        assert np.array_equal(stats.pair_counts, pairs)
+        for got, want in zip(stats.level_frequencies, levels, strict=True):
+            assert np.array_equal(got, want / want.sum())
+
+    def test_chunk_offsets_cover_every_residue(self):
+        # V = 53 and 2473 rows a chunk: rows * V is odd, so the chunk
+        # starts sit at (start * V) % 4 = 0, 1, 2, 3, and the last chunk
+        # holds 7 rows
+        cfg = TreeConfig(k=3, depth=3, seed=99)
+        rows = sampler._CHUNK // cfg.vertex_count
+        assert {(j * rows * cfg.vertex_count) % 4 for j in range(4)} == {0, 1, 2, 3}
+        kern = _kernel(3)
+        n = 3 * rows + 7
+        one = self._stats(kern, cfg, n, 1, sampler._CHUNK, sampler._BLOCK)
+        two = self._stats(kern, cfg, n, 2, sampler._CHUNK, sampler._BLOCK)
+        assert np.array_equal(one.pair_counts, two.pair_counts)
+        self._assert_equal_oracle(two, kern, cfg, n)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("chunk,block", [(64, 7), (200, 40), (200, 1 << 16)])
+    def test_small_chunks_and_blocks_equal_oracle(self, workers, chunk, block):
+        # blocks shorter than a row, blocks splitting rows, and many chunks
+        kern = _kernel(2)
+        for cfg, n in [
+            (TreeConfig(k=2, depth=0, seed=1), 70),
+            (TreeConfig(k=2, depth=3, seed=2), 41),
+            (TreeConfig(k=3, depth=2, seed=2**64 - 1), 33),
+            (TreeConfig(k=2, depth=5, seed=3), 5),  # V = 94 > 64
+        ]:
+            stats = self._stats(kern, cfg, n, workers, chunk, block)
+            self._assert_equal_oracle(stats, kern, cfg, n)
+
+    def test_sample_equals_oracle_with_two_workers(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        kern = _kernel(3)
+        for depth in (0, 1, 4, 11):
+            cfg = TreeConfig(k=3, depth=depth, seed=depth)
+            got = sample(kern, cfg).spins
+            want = draw_spins(kern, cfg, 1)[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([2, 3, 5]),
+        depth=st.integers(0, 4),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+        chunk=st.integers(1, 300),
+        block=st.integers(1, 300),
+    )
+    def test_threaded_equals_oracle(self, k, depth, n, seed, chunk, block):
+        kern = _kernel(k)
+        cfg = TreeConfig(k=k, depth=depth, seed=seed)
+        stats = self._stats(kern, cfg, n, 2, chunk, block)
+        self._assert_equal_oracle(stats, kern, cfg, n)
+
+    def test_chunks_run_on_worker_threads(self, monkeypatch):
+        seen = set()
+        packed_bits = sampler._packed_bits
+        # the first two chunks wait for each other, so they must be in
+        # flight at once, on two threads
+        barrier = threading.Barrier(2, timeout=30)
+
+        def record(seed, first, rows, v, cum):
+            if first < 2 * rows * v:
+                barrier.wait()
+            seen.add(threading.get_ident())
+            return packed_bits(seed, first, rows, v, cum)
+
+        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        monkeypatch.setattr(sampler, "_packed_bits", record)
+        cfg = TreeConfig(k=3, depth=4, seed=0)
+        estimate_marginals(_kernel(3), cfg, 5 * (sampler._CHUNK // cfg.vertex_count))
+        assert threading.get_ident() not in seen and len(seen) == 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_chunk_per_worker_in_flight(self, monkeypatch, workers):
+        started = []
+        packed_bits = sampler._packed_bits
+
+        def record(seed, first, rows, v, cum):
+            started.append(first)
+            return packed_bits(seed, first, rows, v, cum)
+
+        monkeypatch.setattr(sampler, "_workers", lambda: workers)
+        monkeypatch.setattr(sampler, "_packed_bits", record)
+        cfg = TreeConfig(k=3, depth=4, seed=0)
+        rows = sampler._CHUNK // cfg.vertex_count
+        for i, _ in enumerate(sampler._draw(_kernel(3), cfg, 9 * rows)):
+            assert len(started) <= i + workers
+        assert sorted(started) == [j * rows * cfg.vertex_count for j in range(9)]
+
+
+class TestThreadHygiene:
+    CFG = TreeConfig(k=3, depth=4, seed=0)
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        self.baseline = threading.active_count()
+        self.n = 6 * (sampler._CHUNK // self.CFG.vertex_count)
+
+    def test_pool_ends_with_estimate(self):
+        estimate_marginals(_kernel(3), self.CFG, self.n)
+        assert threading.active_count() == self.baseline
+
+    def test_pool_ends_when_draw_is_closed_early(self):
+        draw = sampler._draw(_kernel(3), self.CFG, self.n)
+        next(draw)
+        assert threading.active_count() > self.baseline
+        draw.close()
+        assert threading.active_count() == self.baseline
+
+    def test_sample_runs_on_calling_thread(self, monkeypatch):
+        threads = set()
+        draw_rows = sampler._draw_rows
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return draw_rows(*args)
+
+        monkeypatch.setattr(sampler, "_draw_rows", record)
+        sample(_kernel(3), self.CFG)
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == self.baseline
+
+    def test_pool_ends_after_error_in_a_chunk(self, monkeypatch):
+        packed_bits = sampler._packed_bits
+
+        def fail_third_chunk(seed, first, rows, v, cum):
+            if first == 2 * rows * v:
+                raise RuntimeError("chunk failed")
+            return packed_bits(seed, first, rows, v, cum)
+
+        monkeypatch.setattr(sampler, "_packed_bits", fail_third_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            estimate_marginals(_kernel(3), self.CFG, self.n)
+        assert threading.active_count() == self.baseline
+
+
 class TestMemoryBound:
     def test_peak_independent_of_samples(self):
         # k = 3, depth 4: 161 vertices; 40000 samples hold 6.4e6 vertex-samples,
@@ -297,6 +452,31 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_large_tree_row_not_held_as_uniforms(self, monkeypatch):
+        # V = 393214 > _CHUNK: one row in flight, drawn on the calling
+        # thread whatever the CPU count, its uniforms drawn in blocks, so
+        # the peak stays below one row of float64 uniforms
+        threads = set()
+        draw_rows = sampler._draw_rows
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return draw_rows(*args)
+
+        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        monkeypatch.setattr(sampler, "_draw_rows", record)
+        kern = _kernel(2)
+        cfg = TreeConfig(k=2, depth=17, seed=5)
+        assert cfg.vertex_count > sampler._CHUNK
+        tracemalloc.start()
+        try:
+            estimate_marginals(kern, cfg, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert threads == {threading.get_ident()}
+        assert peak < 8 * cfg.vertex_count
 
 
 class TestSizeLimit:
