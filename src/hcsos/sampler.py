@@ -71,7 +71,7 @@ import numpy as np
 from .chain import TransitionKernel, stationary
 
 # Vertex-samples per chunk: the work of one task.
-_CHUNK = 1 << 17
+_CHUNK = 1 << 18
 # Uniforms drawn at once within a chunk (512 KiB of float64).
 _BLOCK = 1 << 16
 # Largest vertex count of one sample row; a row in flight holds a few int8
@@ -210,7 +210,7 @@ def _draw_rows(
     """Counts of sample rows start .. start + rows - 1, and their spins if
     keep_spins, from the stream's own draws for those rows.
 
-    Runs on a worker thread, so it calls numpy only.  counts has one
+    It may run on a worker thread, so it calls numpy only.  counts has one
     entry per level: the root's spin counts, then n_0, n_1, n_2, the
     children with bit b set per parent state.  spins has one int8 array
     of shape (level size, rows) per level.
@@ -227,8 +227,9 @@ def _draw_rows(
         block = bits[offsets[level] : offsets[level + 1]]
         # vertex-major rows: a parent's children are consecutive rows
         ps = np.repeat(parent, block.shape[0] // parent.shape[0], axis=0)
-        b = block & np.left_shift(np.int8(1), ps)
-        b = np.not_equal(b, 0, out=b.view(bool)).view(np.int8)  # bit a
+        # bit a of each child, in place of its packed comparisons
+        np.bitwise_and(block, np.left_shift(np.int8(1), ps), out=block)
+        b = np.not_equal(block, 0, out=block.view(bool)).view(np.int8)
         low = b & ps  # b where the parent is 1
         high = (ps == 2).view(np.int8)
         child = b + low

@@ -304,13 +304,19 @@ class TestParallelDraw:
             assert np.array_equal(got, want / want.sum())
 
     def test_chunk_offsets_cover_every_residue(self):
-        # V = 53 and 2473 rows a chunk: rows * V is odd, so the chunk
-        # starts sit at (start * V) % 4 = 0, 1, 2, 3, and the last chunk
-        # holds 7 rows
-        cfg = TreeConfig(k=3, depth=3, seed=99)
+        # with rows * V odd, the chunk starts sit at (start * V) % 4 = 0,
+        # 1, 2 and 3; the last chunk holds 7 rows
+        cfg = next(
+            TreeConfig(k=k, depth=d, seed=99)
+            for k in (3, 5, 7)
+            for d in (2, 3, 4)
+            if (sampler._CHUNK // TreeConfig(k, d).vertex_count)
+            * TreeConfig(k, d).vertex_count
+            % 2
+        )
         rows = sampler._CHUNK // cfg.vertex_count
         assert {(j * rows * cfg.vertex_count) % 4 for j in range(4)} == {0, 1, 2, 3}
-        kern = _kernel(3)
+        kern = _kernel(cfg.k)
         n = 3 * rows + 7
         one = self._stats(kern, cfg, n, 1, sampler._CHUNK, sampler._BLOCK)
         two = self._stats(kern, cfg, n, 2, sampler._CHUNK, sampler._BLOCK)
