@@ -210,9 +210,9 @@ def _draw_rows(
     """Counts of sample rows start .. start + rows - 1, and their spins if
     keep_spins, from the stream's own draws for those rows.
 
-    It may run on a worker thread, so it calls numpy only.  counts has one
-    entry per level: the root's spin counts, then n_0, n_1, n_2, the
-    children with bit b set per parent state.  spins has one int8 array
+    It may run on a worker thread, so it calls only numpy and the tree's
+    geometry.  counts has one entry per level: the root's spin counts,
+    then n_0, n_1, n_2, the children with bit b set per parent state.  spins has one int8 array
     of shape (level size, rows) per level.
     """
     v = cfg.vertex_count

@@ -285,6 +285,19 @@ class TestStreamingMatchesOneShotDraw:
         assert checked >= 500
 
 
+def _record_threads(monkeypatch):
+    """The set of threads that run each chunk task from now on."""
+    threads = set()
+    draw_rows = sampler._draw_rows
+
+    def record(*args):
+        threads.add(threading.get_ident())
+        return draw_rows(*args)
+
+    monkeypatch.setattr(sampler, "_draw_rows", record)
+    return threads
+
+
 class TestParallelDraw:
     """Chunks drawn on worker threads, each from its own stream offset."""
 
@@ -419,14 +432,7 @@ class TestThreadHygiene:
         assert threading.active_count() == self.baseline
 
     def test_sample_runs_on_calling_thread(self, monkeypatch):
-        threads = set()
-        draw_rows = sampler._draw_rows
-
-        def record(*args):
-            threads.add(threading.get_ident())
-            return draw_rows(*args)
-
-        monkeypatch.setattr(sampler, "_draw_rows", record)
+        threads = _record_threads(monkeypatch)
         sample(_kernel(3), self.CFG)
         assert threads == {threading.get_ident()}
         assert threading.active_count() == self.baseline
@@ -463,15 +469,8 @@ class TestMemoryBound:
         # V = 393214 > _CHUNK: one row in flight, drawn on the calling
         # thread whatever the CPU count, its uniforms drawn in blocks, so
         # the peak stays below one row of float64 uniforms
-        threads = set()
-        draw_rows = sampler._draw_rows
-
-        def record(*args):
-            threads.add(threading.get_ident())
-            return draw_rows(*args)
-
+        threads = _record_threads(monkeypatch)
         monkeypatch.setattr(sampler, "_workers", lambda: 2)
-        monkeypatch.setattr(sampler, "_draw_rows", record)
         kern = _kernel(2)
         cfg = TreeConfig(k=2, depth=17, seed=5)
         assert cfg.vertex_count > sampler._CHUNK
