@@ -9,74 +9,59 @@ ever allocated.
 
 The root spin is drawn from the stationary distribution of the kernel
 and every child spin from its parent's row, independently across
-children.  Uniform variates come from one counter-based Philox stream
-keyed by the seed, laid out as one column per vertex (and one row per
-sample), so the draw consumed by a vertex is fixed by (seed, sample,
-vertex id) alone: regeneration order cannot change the result.
+children.
 
-The samples are split into chunks of about ``_CHUNK`` vertex-samples
-(whole sample rows), and each chunk is an independent task with its own
-generator.  The uniform of sample s at vertex i is draw s·V + i of the
-stream, and one Philox counter step yields four 64-bit draws, so a chunk
-that starts at sample s advances the counter by (s·V) // 4 steps and
-discards (s·V) % 4 draws.  Its spins therefore equal, bit for bit, those
-of one draw of every row at once, whichever thread draws the chunk and
-when.  A chunk draws its uniforms ``_BLOCK`` at a time into one buffer
-and keeps only their packed comparisons (below), one byte per
-vertex-sample, stored vertex-major so that the children of one parent
-are consecutive rows.
-
-Chunks run on a thread pool with one thread per CPU the process may use
-(``os.sched_getaffinity``); numpy releases the interpreter lock while it
-fills the uniforms and runs the element-wise operations.  At most one
-chunk per thread is in flight and results are consumed in chunk order,
-so memory stays O(threads · chunk) whatever the number of samples: per
-thread the 512 KiB uniform buffer and a few bytes per vertex-sample of
-the chunk.  A tree of more than ``_CHUNK`` vertices keeps one row in
-flight, and it or a request of a single chunk runs the same task on the
-calling thread.  One sample row is capped at ``MAX_VERTICES`` vertices,
+``sample`` draws one configuration vertex by vertex.  Its uniforms come
+from one counter-based Philox stream keyed by the seed, the uniform of
+vertex i being draw i of the stream, so the draw consumed by a vertex is
+fixed by (seed, vertex id) alone.  Spins are read off by inverse CDF
+over the exact row probabilities, whose cumulative rows are snapped to 1
+where the remaining row mass is exactly zero, so zero-probability
+(inadmissible) transitions can never fire.  It draws the uniforms of a
+level ``_UNIFORMS_AT_ONCE`` at a time, so it holds little more than one
+int8 spin per vertex; one sample is capped at ``MAX_VERTICES`` vertices,
 checked by ``TreeConfig`` before anything is allocated.
 
-Spins are read off by inverse CDF over the exact row probabilities, with
-one live comparison per child.  The cumulative rows are snapped to 1
-where the remaining row mass is exactly zero, so zero-probability
-(inadmissible) transitions can never fire, and the wand zero pattern
-P02 = P11 = P20 = 0 then leaves one comparison of each row constant:
-c01 = 1, which u < 1 never reaches; c11 = c10 + 0 exactly; and c20 = 0,
-which every u reaches.  So the two-comparison rule (u >= c_a0) +
-(u >= c_a1) reduces, bit for bit, to [u >= c00], 2 [u >= c10] and
-1 + [u >= c21] for a parent in state a = 0, 1, 2.  The three comparisons
-of each uniform are packed once per chunk into bits = [u >= c00] +
-2 [u >= c10] + 4 [u >= c21]; a child of a parent in state a takes
-b = bit a of it and the state b + (b & a) + (a >> 1).
-
-``sample`` and ``estimate_marginals`` share this one draw; the latter
-keeps only integer counts.  The number n_a of children whose parent is
-in state a and whose bit b is set fixes the level's pair table, because
-those children number m_a, the parent level's count of a times the
-children per parent: [[m0-n0, n0, 0], [m1-n1, 0, n1], [0, m2-n2, n2]].
+``estimate_marginals`` keeps only the per-level spin counts and the
+pair table summed over n samples, and draws those from their exact law
+with O(depth) binomial variates and O(depth) memory, never touching a
+vertex.  The root spins of n samples are Multinomial(n, pi), drawn as
+n0 ~ Bin(n, pi0) and n1 ~ Bin(n - n0, pi1 / (pi1 + pi2)).  At a level
+whose parent level counts N_a spins in state a, m_a = c N_a children
+have a parent in state a, with c = k + 1 under the root and k below it.
+By the wand zero pattern P02 = P11 = P20 = 0 each such child has two
+possible states and takes the larger with probability q_a = P01, P12
+or P22, independently, so the number n_a that do is Bin(m_a, q_a) (a
+sum of independent binomials with one p is binomial), and the level's
+pair table is [[m0-n0, n0, 0], [m1-n1, 0, n1], [0, m2-n2, n2]].  This is
+the multitype branching-process reduction (Athreya and Ney, *Branching
+Processes*, 1972): the counts have exactly the law they have under n
+independent vertex-by-vertex samples, and forbidden pairs are zero by
+construction.  The variates come from one ``random.Random`` seeded with
+the tree's seed, through ``_binomial``, so the counts are fixed by the
+seed and the request on every supported Python.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from collections import deque
+import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .chain import TransitionKernel, stationary
 
-# Vertex-samples per chunk: the work of one task.
-_CHUNK = 1 << 18
-# Uniforms drawn at once within a chunk (512 KiB of float64).
-_BLOCK = 1 << 16
-# Largest vertex count of one sample row; a row in flight holds a few int8
-# arrays of its size.
+# Largest vertex count of one sample; ``sample`` holds one int8 spin per
+# vertex.
 MAX_VERTICES = 1 << 26
+# Uniforms that ``sample`` draws at once (512 KiB of float64).
+_UNIFORMS_AT_ONCE = 1 << 16
+# Largest n_samples * V that ``estimate_marginals`` counts, which bounds the
+# n of every binomial it draws.  ``_binomial``'s rejection test subtracts
+# lgamma values of size n log n, whose rounding (ulp 0.004 at 2^40, 0.25 at
+# 2^46) visibly skews the law above about 2^45.
+MAX_VERTEX_SAMPLES = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -164,154 +149,147 @@ def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _workers() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """Binomial(n, p) variate from the uniforms of rng.
 
-
-def _packed_bits(
-    seed: int, first: int, rows: int, v: int, cum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """bits of rows whole sample rows from stream index ``first`` on,
-    vertex-major (v, rows), and the root uniform of each row."""
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(first // 4)  # one counter step yields four 64-bit draws
-    bitgen.random_raw(first % 4)
-    stream = np.random.Generator(bitgen)
-    size = rows * v
-    bits = np.empty(size, dtype=np.int8)
-    root_u = np.empty(rows)
-    u = np.empty(min(size, _BLOCK))
-    ge = np.empty(u.size, dtype=bool)
-    for lo in range(0, size, _BLOCK):
-        part = u[: min(_BLOCK, size - lo)]
-        stream.random(out=part)
-        row = -(-lo // v)  # first row whose root uniform is in this block
-        roots = part[row * v - lo :: v]
-        root_u[row : row + roots.size] = roots
-        packed = bits[lo : lo + part.size]
-        np.greater_equal(part, cum[2, 1], out=packed.view(bool))
-        for c in (cum[1, 0], cum[0, 0]):
-            packed += packed
-            packed |= np.greater_equal(part, c, out=ge[: part.size]).view(np.int8)
-    return np.ascontiguousarray(bits.reshape(rows, v).T), root_u
-
-
-def _draw_rows(
-    cfg: TreeConfig,
-    pi_cum: np.ndarray,
-    cum: np.ndarray,
-    keep_spins: bool,
-    start: int,
-    rows: int,
-) -> tuple[list[list[int]], list[np.ndarray]]:
-    """Counts of sample rows start .. start + rows - 1, and their spins if
-    keep_spins, from the stream's own draws for those rows.
-
-    It may run on a worker thread, so it calls only numpy and the tree's
-    geometry.  counts has one entry per level: the root's spin counts,
-    then n_0, n_1, n_2, the children with bit b set per parent state.  spins has one int8 array
-    of shape (level size, rows) per level.
+    A port of ``random.Random.binomialvariate`` from CPython 3.12's
+    Lib/random.py (Python Software Foundation licence), so that every
+    supported Python takes the same draws: Devroye's geometric method
+    when n p < 10, Hoermann's transformed rejection with squeeze (BTRS)
+    otherwise, after reflecting p > 0.5 to 1 - p.
     """
-    v = cfg.vertex_count
-    bits, root_u = _packed_bits(cfg.seed, start * v, rows, v, cum)
-    # u < 1 never reaches the last cumulative entry of pi
-    parent = (root_u >= pi_cum[0]).view(np.int8) + (root_u >= pi_cum[1])
-    parent = parent.reshape(1, rows)
-    counts = [np.bincount(parent.ravel(), minlength=3).tolist()]
-    spins = [parent] if keep_spins else []
-    offsets = cfg.level_offsets
-    for level in range(1, cfg.depth + 1):
-        block = bits[offsets[level] : offsets[level + 1]]
-        # vertex-major rows: a parent's children are consecutive rows
-        ps = np.repeat(parent, block.shape[0] // parent.shape[0], axis=0)
-        # bit a of each child, in place of its packed comparisons
-        np.bitwise_and(block, np.left_shift(np.int8(1), ps), out=block)
-        b = np.not_equal(block, 0, out=block.view(bool)).view(np.int8)
-        low = b & ps  # b where the parent is 1
-        high = (ps == 2).view(np.int8)
-        child = b + low
-        child += high
-        high &= b  # b where the parent is 2
-        nb, n1, n2 = (np.count_nonzero(x.view(bool)) for x in (b, low, high))
-        counts.append([nb - n1 - n2, n1, n2])
-        parent = child
-        if keep_spins:
-            spins.append(parent)
-    return counts, spins
+    if p <= 0.0 or p >= 1.0:
+        if p == 0.0:
+            return 0
+        if p == 1.0:
+            return n
+        raise ValueError("p must be in the range 0.0 <= p <= 1.0")
 
+    uniform = rng.random
 
-def _draw(
-    kern: TransitionKernel, cfg: TreeConfig, n: int, keep_spins: bool = False
-) -> Iterator[tuple[list[list[int]], list[np.ndarray]]]:
-    """``_draw_rows`` of n samples, one chunk of rows at a time, in order.
+    if n == 1:
+        return int(uniform() < p)
 
-    Up to one chunk per CPU is drawn at once, each on its own thread; a
-    tree of more than ``_CHUNK`` vertices draws one row at a time.
-    """
-    v = cfg.vertex_count
-    rows = max(1, _CHUNK // v)
-    task = functools.partial(
-        _draw_rows,
-        cfg,
-        np.cumsum(stationary(kern)),
-        _snapped_cumulative(kern.p),
-        keep_spins,
-    )
-    starts = range(0, n, rows)
-    workers = min(_workers(), len(starts)) if v <= _CHUNK else 1
-    if workers == 1:
-        for start in starts:
-            yield task(start, min(rows, n - start))
-        return
-    # imported here: at module level it adds milliseconds to every CLI start
-    from concurrent.futures import ThreadPoolExecutor
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
 
-    with ThreadPoolExecutor(workers) as pool:
-        pending: deque = deque()
-        for start in starts:
-            if len(pending) == workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, start, min(rows, n - start)))
-        while pending:
-            yield pending.popleft().result()
+    if n * p < 10.0:
+        # Geometric method (Devroye): O(n p) uniforms, one per success.
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += math.floor(math.log2(uniform()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    # BTRS (Hoermann): transformed rejection with a squeeze.
+    setup_complete = False
+    spq = math.sqrt(n * p * (1.0 - p))  # standard deviation
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+
+    while True:
+        u = uniform()
+        u -= 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+
+        # the squeeze accepts most draws without the log-pmf test
+        v = uniform()
+        if us >= 0.07 and v <= vr:
+            return k
+
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)  # mode
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= (
+            h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+        ):
+            return k
 
 
 def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
-    """One admissible configuration, deterministic in cfg.seed."""
-    ((_, levels),) = _draw(kern, cfg, 1, keep_spins=True)
-    spins = np.concatenate([s[:, 0] for s in levels])
+    """One admissible configuration, deterministic in cfg.seed: vertex i
+    takes draw i of the seed's Philox stream."""
+    stream = np.random.Generator(np.random.Philox(key=cfg.seed))
+    spins = np.empty(cfg.vertex_count, dtype=np.int8)
+    # u < 1 never reaches the last entry of a cumulative row, so two
+    # comparisons read off a spin
+    u = stream.random()
+    pi_cum = np.cumsum(stationary(kern))
+    spins[0] = int(u >= pi_cum[0]) + int(u >= pi_cum[1])
+    cum = _snapped_cumulative(kern.p)
+    offsets = cfg.level_offsets
+    for level in range(1, cfg.depth + 1):
+        per_parent = cfg.k + (level == 1)
+        step = -(-_UNIFORMS_AT_ONCE // per_parent)  # parents per block
+        for lo in range(offsets[level - 1], offsets[level], step):
+            rows = cum[spins[lo : min(lo + step, offsets[level])]]
+            # a parent's children are consecutive: one row of u per parent
+            u = stream.random((len(rows), per_parent))
+            first = offsets[level] + (lo - offsets[level - 1]) * per_parent
+            block = spins[first : first + u.size].reshape(u.shape)
+            block[...] = u >= rows[:, :1]
+            block += u >= rows[:, 1:2]
     return Configuration(spins=spins, tree=cfg)
 
 
 def estimate_marginals(
     kern: TransitionKernel, cfg: TreeConfig, n_samples: int
 ) -> EmpiricalStats:
-    """Empirical per-level spin distributions over independent samples."""
+    """Empirical per-level spin distributions over independent samples,
+    drawn from the exact law of the counts (see the module docstring)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    level_counts = np.zeros((cfg.depth + 1, 3), dtype=np.int64)
-    pair_counts = np.zeros((3, 3), dtype=np.int64)
-    for (above, *below), _ in _draw(kern, cfg, n_samples):
-        level_counts[0] += above
-        for level, (n0, n1, n2) in enumerate(below, 1):
-            # children per parent: k + 1 under the root, k below
-            m0, m1, m2 = (c * (cfg.k + (level == 1)) for c in above)
-            pairs = np.array(
-                [[m0 - n0, n0, 0], [m1 - n1, 0, n1], [0, m2 - n2, n2]], dtype=np.int64
-            )
-            pair_counts += pairs
-            # each child has one parent: its level's spin counts are column sums
-            above = pairs.sum(axis=0).tolist()
-            level_counts[level] += above
+    if n_samples * cfg.vertex_count > MAX_VERTEX_SAMPLES:
+        raise ValueError(
+            f"too many vertex-samples to count: {n_samples} samples of "
+            f"V = {cfg.vertex_count} vertices exceed the limit of 2^40"
+        )
+    rng = random.Random(cfg.seed)
+    pi0, pi1, pi2 = stationary(kern).tolist()
+    n0 = _binomial(rng, n_samples, pi0)
+    n1 = _binomial(rng, n_samples - n0, pi1 / (pi1 + pi2))
+    above = [n0, n1, n_samples - n0 - n1]
+    level_counts = [above]
+    p = kern.p.tolist()
+    # per parent state, the probability of the larger of a child's two states
+    q = (p[0][1], p[1][2], p[2][2])
+    m_sum, n_sum = [0, 0, 0], [0, 0, 0]
+    for level in range(1, cfg.depth + 1):
+        # children per parent: k + 1 under the root, k below
+        m = [c * (cfg.k + (level == 1)) for c in above]
+        n = [_binomial(rng, ma, qa) for ma, qa in zip(m, q)]
+        # each child has one parent: its level's spin counts are the column
+        # sums of the level's pair table
+        above = [m[0] - n[0] + m[1] - n[1], n[0] + m[2] - n[2], n[1] + n[2]]
+        level_counts.append(above)
+        m_sum = [s + x for s, x in zip(m_sum, m)]
+        n_sum = [s + x for s, x in zip(n_sum, n)]
+    # the levels' pair tables, summed
+    (m0, m1, m2), (n0, n1, n2) = m_sum, n_sum
+    pair_counts = np.array(
+        [[m0 - n0, n0, 0], [m1 - n1, 0, n1], [0, m2 - n2, n2]], dtype=np.int64
+    )
 
     pair_freq = pair_counts.astype(float)
     if cfg.depth >= 1:
         pair_freq /= pair_counts.sum()
     return EmpiricalStats(
-        level_frequencies=tuple(c / c.sum() for c in level_counts),
+        level_frequencies=tuple(
+            c / c.sum() for c in np.array(level_counts, dtype=np.int64)
+        ),
         pair_frequencies=pair_freq,
         n_samples=n_samples,
         pair_counts=pair_counts,

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcsos import cli, sampler
@@ -493,16 +493,16 @@ class TestSimulateCommand:
         "argv,digest",
         [
             ("--k 2 --theta 1.0 --measure mu0 --depth 4 --samples 2000 --seed 5",
-             "0548a4ef74821bf5da1f1f8a859933fc7595fd5d39a1eb90ba8c62f7db877459"),
+             "6d95f8b3aa5658911e1b5ba5a2e0cd973d6b981e8ac3923464cbed7d6b421d76"),
             ("--k 3 --theta 0.5 --measure mu1 --depth 4 --samples 5000 --seed 0",
-             "2651229abe7eacb62a397df003ba3e5ec4c9a947516e68d68fc653bb51cc951e"),
+             "fd2a26624a866f0dd5ed03f915f34c112c05ff01b56eb2cd3d6e5f67c6f6262a"),
             ("--k 5 --theta 0.3 --measure mu2 --depth 3 --samples 777 "
              "--seed 20240810",
-             "7f452e28647a7b7ec41ac6222e23b75a61fb2bb2161303a17e35df2e1154e4d9"),
+             "409c24812f9f47a4d6bd776a8e09c14d88252226cd6927f3b7aa64c2f46407ce"),
         ],
     )
     def test_pinned_output(self, capsys, argv, digest):
-        # digests of the output of the one-shot sampler, before chunked draws
+        # digests of the output of the aggregate-count draw
         assert run(["simulate", *argv.split()]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -542,22 +542,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == "error: not enough memory for this request\n"
 
-    def test_memory_error_in_a_worker_thread(self, capsys, monkeypatch):
-        packed_bits = sampler._packed_bits
-
-        def out_of_memory_later(seed, first, rows, v, cum):
-            if first > 0:
-                raise MemoryError("Unable to allocate 1.00 MiB for an array")
-            return packed_bits(seed, first, rows, v, cum)
-
-        monkeypatch.setattr(sampler, "_workers", lambda: 2)
-        monkeypatch.setattr(sampler, "_packed_bits", out_of_memory_later)
-        argv = ["simulate", "--k", "3", "--theta", "0.5", "--depth", "4",
-                "--samples", "5000", "--out", "-"]
+    @pytest.mark.parametrize("samples", [str(2**40 // 46 + 1), str(10**30)])
+    def test_too_many_vertex_samples_refused(self, capsys, samples):
+        # the counts are drawn in O(depth), so a request this large would
+        # return at once; the limit keeps the binomial draws exact
+        argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "4",
+                "--samples", samples]
         assert run(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: not enough memory for this request\n"
         assert captured.out == ""
+        assert captured.err == (
+            f"error: too many vertex-samples to count: {samples} samples of "
+            "V = 46 vertices exceed the limit of 2^40\n"
+        )
+
+    def test_largest_vertex_sample_count(self, capsys):
+        argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "4",
+                "--samples", str(2**40 // 46)]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["inadmissible_edges"] == 0
+        assert abs(sum(map(sum, payload["pair_frequencies"])) - 1.0) < 1e-12
 
 
 class TestSimulateFuzz:
@@ -567,25 +572,29 @@ class TestSimulateFuzz:
         depth=st.integers(0, 80),
         theta=st.sampled_from(["0.05", "0.5", "1.0", "3.0"]),
         measure=st.sampled_from(["mu0", "mu1", "mu2"]),
+        samples=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
     )
-    def test_exit_code_and_messages(self, k, depth, theta, measure):
+    def test_exit_code_and_messages(self, k, depth, theta, measure, samples):
+        # the counts are drawn in O(depth) whatever the tree and the sample
+        # count; refused trees allocate nothing
         v = 1 + (k + 1) * (k**depth - 1) // (k - 1)
-        # sample only small trees; refused ones allocate nothing
-        assume(v <= 100_000 or v > sampler.MAX_VERTICES)
-        if v <= 100_000:
+        if v <= sampler.MAX_VERTICES:
             assert TreeConfig(k=k, depth=depth).vertex_count == v
         out, err = io.StringIO(), io.StringIO()
         argv = ["simulate", "--k", str(k), "--theta", theta, "--measure", measure,
-                "--depth", str(depth), "--samples", "1"]
+                "--depth", str(depth), "--samples", str(samples)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
         text = err.getvalue()
         assert rc in (0, 1)
         assert "Traceback" not in text
-        for numpy_text in ("array is too big", "Unable to allocate", "numpy"):
+        for numpy_text in ("array is too big", "Unable to allocate", "numpy",
+                           "int too large"):
             assert numpy_text not in text
         if v > sampler.MAX_VERTICES:
             assert rc == 1 and "tree too large to sample" in text
+        elif samples * v > sampler.MAX_VERTEX_SAMPLES:
+            assert rc == 1
 
 
 class TestIterateCommand:

@@ -6,15 +6,12 @@ import sys
 import hcsos
 
 
-def _modules_after_fresh_import(*tops):
-    """Modules under the top-level names ``tops`` that importing hcsos and
-    every submodule in a fresh interpreter loads, and the submodule count."""
-    names = [f"hcsos.{m.name}" for m in pkgutil.iter_modules(hcsos.__path__)]
-    code = (
-        "import importlib, sys\n"
-        f"for name in {['hcsos', *names]!r}:\n"
-        "    importlib.import_module(name)\n"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))\n"
+def _modules_in_fresh_process(code, *tops):
+    """Modules under the names ``tops`` (a top-level package or a dotted
+    subpackage) loaded after running ``code`` in a fresh interpreter."""
+    code += (
+        "import sys\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({tops!r})))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -24,20 +21,42 @@ def _modules_after_fresh_import(*tops):
         env={**os.environ, "PYTHONPATH": os.path.dirname(hcsos.__path__[0])},
         timeout=60,
     )
-    return out.stdout.strip(), len(names)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _import_everything():
+    """Code that imports hcsos and every submodule."""
+    names = [f"hcsos.{m.name}" for m in pkgutil.iter_modules(hcsos.__path__)]
+    assert len(names) >= 7
+    return (
+        "import importlib\n"
+        f"for name in {['hcsos', *names]!r}:\n"
+        "    importlib.import_module(name)\n"
+    )
 
 
 def test_runtime_imports_neither_scipy_nor_mpmath():
     # scipy and mpmath are installed for the tests only; importing the
     # package and every submodule in a fresh interpreter must not pull
     # either in
-    loaded, submodules = _modules_after_fresh_import("scipy", "mpmath")
-    assert submodules >= 7
-    assert loaded == "[]"
+    assert _modules_in_fresh_process(_import_everything(), "scipy", "mpmath") == "[]"
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # the sampler imports concurrent.futures only when it starts a pool;
-    # loading it at import time would add milliseconds to every CLI start
-    loaded, _ = _modules_after_fresh_import("concurrent")
+    # loading concurrent.futures at import time would add milliseconds to
+    # every CLI start
+    assert _modules_in_fresh_process(_import_everything(), "concurrent") == "[]"
+
+
+def test_simulate_leaves_thread_pool_and_numpy_random_unloaded():
+    # the counts are drawn with the standard library's random; numpy.random
+    # alone adds megabytes of RSS to every simulate call
+    code = (
+        "import os\n"
+        "from hcsos.cli import main\n"
+        "argv = ['simulate', '--k', '3', '--theta', '0.5', '--measure', 'mu1',\n"
+        "        '--depth', '4', '--samples', '40000', '--out', os.devnull]\n"
+        "assert main(argv) == 0\n"
+    )
+    loaded = _modules_in_fresh_process(code, "concurrent", "numpy.random")
     assert loaded == "[]"

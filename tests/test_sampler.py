@@ -1,6 +1,11 @@
-import threading
+import dataclasses
+import itertools
+import math
+import random
 import tracemalloc
+from collections import defaultdict
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +15,12 @@ from hcsos import sampler
 from hcsos.chain import TransitionKernel, kernel_of, stationary
 from hcsos.model import Branch, TisgmSolution, branch_of
 from hcsos.sampler import Configuration, TreeConfig, estimate_marginals, sample
-from hcsos.tisgm import enumerate_solutions, solve_asymmetric, solve_symmetric
+from hcsos.tisgm import (
+    enumerate_solutions,
+    solve_asymmetric,
+    solve_symmetric,
+    theta_cr,
+)
 import reference
 from reference import count_inadmissible_edges, draw_spins, parents, spin_counts
 
@@ -152,49 +162,96 @@ def _kernel(k, theta=0.5):
     return kernel_of(solve_symmetric(k, theta), k, theta)
 
 
-class TestStreamingMatchesOneShotDraw:
-    """The chunked draw against the one-shot sampler kept in reference.py."""
+def _level_counts(stats, cfg):
+    """Per-level spin counts (depth + 1, 3) behind ``level_frequencies``."""
+    sizes = np.array(cfg.level_sizes)[:, None] * stats.n_samples
+    return np.rint(np.array(stats.level_frequencies) * sizes).astype(np.int64)
 
-    @staticmethod
-    def _cases(k):
-        shallow = TreeConfig(k=k, depth=3, seed=7)
-        rows = max(1, sampler._CHUNK // shallow.vertex_count)
-        # the shallowest tree with more vertices than one chunk holds: rows = 1
-        depth = next(
-            d for d in range(30)
-            if TreeConfig(k=k, depth=d).vertex_count > sampler._CHUNK
-        )
+
+def _assert_counts_valid(stats, cfg, n):
+    """What every draw of the counts satisfies, whatever the seed."""
+    pc = stats.pair_counts
+    assert pc.dtype == np.int64 and pc[0, 2] == pc[1, 1] == pc[2, 0] == 0
+    assert (pc >= 0).all() and pc.sum() == n * (cfg.vertex_count - 1)
+    levels = _level_counts(stats, cfg)
+    assert (levels >= 0).all()
+    assert (levels.sum(axis=1) == n * np.array(cfg.level_sizes)).all()
+    # every child has one parent, every parent k + 1 (root) or k children
+    assert (pc.sum(axis=0) == levels[1:].sum(axis=0)).all()
+    per_parent = np.array([cfg.k + (level == 0) for level in range(cfg.depth)])
+    assert (pc.sum(axis=1) == (per_parent[:, None] * levels[:-1]).sum(axis=0)).all()
+
+
+def _oracle_stats(kern, cfg, n):
+    """Level counts and pair counts of n vertex-by-vertex samples of the
+    reference sampler, as one vector."""
+    levels, pairs = spin_counts(draw_spins(kern, cfg, n), cfg)
+    return np.concatenate([levels.ravel(), pairs.ravel()])
+
+
+def _route_stats(kern, cfg, n):
+    stats = estimate_marginals(kern, cfg, n)
+    return np.concatenate([_level_counts(stats, cfg).ravel(), stats.pair_counts.ravel()])
+
+
+def _assert_same_law(kern, cfg, n, reps=400):
+    """Two-sample test over seeds 0 .. reps - 1 of each side, count by count
+    of (level counts, pair counts).
+
+    Means: Welch z within 5.  Variances, where both sides average at least
+    1: for near-normal counts the log of the ratio of two sample variances
+    has standard deviation about 2 / sqrt(reps) = 0.1, and 0.6 also covers
+    the heavier tails of counts that expect a few.  A count
+    that is constant on both sides must be the same constant."""
+    a, b = (
+        np.array([draw(kern, dataclasses.replace(cfg, seed=s), n) for s in range(reps)])
+        for draw in (_route_stats, _oracle_stats)
+    )
+    mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
+    var_a, var_b = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
+    const = (var_a == 0) & (var_b == 0)
+    assert np.array_equal(mean_a[const], mean_b[const])
+    z = (mean_a - mean_b)[~const] / np.sqrt((var_a + var_b)[~const] / reps)
+    assert np.max(np.abs(z), initial=0.0) <= 5.0
+    filled = (np.minimum(mean_a, mean_b) >= 1.0) & ~const
+    assert np.max(np.abs(np.log(var_a[filled] / var_b[filled])), initial=0.0) <= 0.6
+
+
+class TestStreamingMatchesOneShotDraw:
+    """``sample`` against the one-shot sampler kept in reference.py, bit for
+    bit, and the counts of ``estimate_marginals`` against its law."""
+
+    # the shallowest tree with more than 2^18 vertices, per k
+    DEEP = {2: 17, 3: 11, 5: 8}
+
+    @classmethod
+    def _cases(cls, k):
         return [
             (TreeConfig(k=k, depth=0, seed=3), 5),
             (TreeConfig(k=k, depth=2, seed=11), 1),
-            (shallow, 2 * rows + 7),
-            (TreeConfig(k=k, depth=depth, seed=20240810), 3),
+            (TreeConfig(k=k, depth=3, seed=7), 37),
+            (TreeConfig(k=k, depth=cls.DEEP[k], seed=20240810), 3),
         ]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_counts_equal_oracle_bitwise(self, k):
-        kern = _kernel(k)
-        for cfg, n in self._cases(k):
-            levels, pairs = spin_counts(draw_spins(kern, cfg, n), cfg)
-            stats = estimate_marginals(kern, cfg, n)
-            assert stats.pair_counts.dtype == np.int64
-            assert np.array_equal(stats.pair_counts, pairs)
-            for got, want in zip(stats.level_frequencies, levels, strict=True):
-                assert np.array_equal(got, want / want.sum())
-            want_pf = pairs.astype(float)
-            if cfg.depth >= 1:
-                want_pf /= pairs.sum()
-            assert np.array_equal(stats.pair_frequencies, want_pf)
+    def test_counts_follow_oracle_law(self, k):
+        assert TreeConfig(k=k, depth=self.DEEP[k]).vertex_count > 1 << 18
+        theta = 0.9 * theta_cr(k)
+        kernels = [_kernel(k), kernel_of(solve_asymmetric(k, theta)[0], k, theta)]
+        for kern in kernels:
+            for cfg, n in self._cases(k)[:3]:
+                _assert_same_law(kern, cfg, n)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_sample_equals_oracle_row(self, k):
         kern = _kernel(k)
-        for cfg, _ in self._cases(k):
+        for cfg, n in self._cases(k):
             want = draw_spins(kern, cfg, 1)[0]
             got = sample(kern, cfg).spins
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
 
-    # Hand-built wand kernels for the edges of the one-comparison rule.
+    # Hand-built wand kernels for the edges of the inverse-CDF rule.
     EDGE_KERNELS = {
         "p00 zero": [[0.0, 1.0, 0.0], [0.4, 0.0, 0.6], [0.0, 0.3, 0.7]],
         "row 0 one ulp short": [
@@ -223,14 +280,13 @@ class TestStreamingMatchesOneShotDraw:
 
     @staticmethod
     def _assert_matches_oracle(kern, cfg, n):
-        spins = draw_spins(kern, cfg, n)
-        levels, pairs = spin_counts(spins, cfg)
-        stats = estimate_marginals(kern, cfg, n)
-        assert np.array_equal(stats.pair_counts, pairs)
-        for got, want in zip(stats.level_frequencies, levels, strict=True):
-            assert np.array_equal(got, want / want.sum())
+        """``sample`` is the oracle's first row bit for bit; the counts of n
+        samples are consistent (their law is checked by the two-sample and
+        exact-law tests)."""
+        want = draw_spins(kern, cfg, 1)[0]
         got = sample(kern, cfg).spins
-        assert got.dtype == spins.dtype and np.array_equal(got, spins[0])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
 
     @pytest.mark.usefixtures("uniform_root")
     @pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
@@ -241,6 +297,7 @@ class TestStreamingMatchesOneShotDraw:
             assert kern.p[0, 0] + kern.p[0, 1] == np.nextafter(1.0, 0.0)
         for cfg, n in self._cases(k):
             self._assert_matches_oracle(kern, cfg, n)
+        _assert_same_law(kern, TreeConfig(k=k, depth=3), 20, reps=200)
 
     @pytest.mark.usefixtures("uniform_root")
     def test_edge_kernels_force_their_rows(self):
@@ -268,7 +325,9 @@ class TestStreamingMatchesOneShotDraw:
         self._assert_matches_oracle(kern, TreeConfig(k, depth, seed), n)
 
     def test_zero_pattern_fixes_one_comparison_per_row(self):
-        # the rule assumes c01 = 1, c11 = c10 and c20 = 0 in the snapped rows
+        # each row has two live states (P02 = P11 = P20 = 0), which the
+        # aggregate law relies on: in the snapped rows c01 = 1, c11 = c10
+        # and c20 = 0
         checked = 0
         for k in (2, 3, 5, 8, 50):
             for theta in np.geomspace(1e-3, 1e3, 61):
@@ -277,7 +336,9 @@ class TestStreamingMatchesOneShotDraw:
                 except (ValueError, ArithmeticError):
                     continue  # known solver defects at extreme theta
                 for sol in sols:
-                    cum = sampler._snapped_cumulative(kernel_of(sol, k, theta).p)
+                    p = kernel_of(sol, k, theta).p
+                    assert p[0, 2] == p[1, 1] == p[2, 0] == 0.0
+                    cum = sampler._snapped_cumulative(p)
                     assert cum[0, 1] == 1.0
                     assert cum[1, 1] == cum[1, 0]
                     assert cum[2, 0] == 0.0
@@ -285,170 +346,240 @@ class TestStreamingMatchesOneShotDraw:
         assert checked >= 500
 
 
-def _record_threads(monkeypatch):
-    """The set of threads that run each chunk task from now on."""
-    threads = set()
-    draw_rows = sampler._draw_rows
-
-    def record(*args):
-        threads.add(threading.get_ident())
-        return draw_rows(*args)
-
-    monkeypatch.setattr(sampler, "_draw_rows", record)
-    return threads
+def _measure_kernels():
+    """(name, kernel) of mu0, mu1 and mu2 at k = 2, theta = 0.7."""
+    k, theta = 2, 0.7
+    mu1, mu2 = solve_asymmetric(k, theta)
+    sols = {"mu0": solve_symmetric(k, theta), "mu1": mu1, "mu2": mu2}
+    return {name: kernel_of(sol, k, theta) for name, sol in sols.items()}
 
 
-class TestParallelDraw:
-    """Chunks drawn on worker threads, each from its own stream offset."""
+class TestAggregateLaw:
+    """The law of the counts that ``estimate_marginals`` draws."""
+
+    CFG = TreeConfig(k=2, depth=2)  # V = 10: 3^10 configurations
 
     @staticmethod
-    def _stats(kern, cfg, n, workers, chunk, block):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "_workers", lambda: workers)
-            mp.setattr(sampler, "_CHUNK", chunk)
-            mp.setattr(sampler, "_BLOCK", block)
-            return estimate_marginals(kern, cfg, n)
-
-    @staticmethod
-    def _assert_equal_oracle(stats, kern, cfg, n):
-        levels, pairs = spin_counts(draw_spins(kern, cfg, n), cfg)
-        assert np.array_equal(stats.pair_counts, pairs)
-        for got, want in zip(stats.level_frequencies, levels, strict=True):
-            assert np.array_equal(got, want / want.sum())
-
-    def test_chunk_offsets_cover_every_residue(self):
-        # with rows * V odd, the chunk starts sit at (start * V) % 4 = 0,
-        # 1, 2 and 3; the last chunk holds 7 rows
-        cfg = next(
-            TreeConfig(k=k, depth=d, seed=99)
-            for k in (3, 5, 7)
-            for d in (2, 3, 4)
-            if (sampler._CHUNK // TreeConfig(k, d).vertex_count)
-            * TreeConfig(k, d).vertex_count
-            % 2
+    def _enumerated_law(kern, cfg, n):
+        """pmf of (level counts, pair table) of n independent samples, from
+        the probability of every configuration under the chain."""
+        v = cfg.vertex_count
+        spins = np.array(list(itertools.product(range(3), repeat=v)))
+        child = np.arange(1, v)
+        parent = parents(cfg)[child]
+        prob = stationary(kern)[spins[:, 0]] * np.prod(
+            kern.p[spins[:, parent], spins[:, child]], axis=1
         )
-        rows = sampler._CHUNK // cfg.vertex_count
-        assert {(j * rows * cfg.vertex_count) % 4 for j in range(4)} == {0, 1, 2, 3}
-        kern = _kernel(cfg.k)
-        n = 3 * rows + 7
-        one = self._stats(kern, cfg, n, 1, sampler._CHUNK, sampler._BLOCK)
-        two = self._stats(kern, cfg, n, 2, sampler._CHUNK, sampler._BLOCK)
-        assert np.array_equal(one.pair_counts, two.pair_counts)
-        self._assert_equal_oracle(two, kern, cfg, n)
+        offsets = cfg.level_offsets
+        levels = [
+            (spins[:, offsets[lv] : offsets[lv + 1], None] == np.arange(3)).sum(axis=1)
+            for lv in range(cfg.depth + 1)
+        ]
+        pair_index = 3 * spins[:, parent] + spins[:, child]
+        pairs = (pair_index[:, :, None] == np.arange(9)).sum(axis=1)
+        stats = np.hstack([*levels, pairs])
+        # a count vector packed one byte per count (every count here is
+        # below 256), so adding packed vectors adds the counts
+        one = defaultdict(float)
+        for row, pr in zip(stats[prob > 0].tolist(), prob[prob > 0].tolist()):
+            one[int.from_bytes(bytes(row), "little")] += pr
+        law = {0: 1.0}
+        for _ in range(n):
+            law_n = defaultdict(float)
+            for key_a, pr_a in law.items():
+                for key_b, pr_b in one.items():
+                    law_n[key_a + key_b] += pr_a * pr_b
+            law = law_n
+        return {tuple(key.to_bytes(stats.shape[1], "little")): pr for key, pr in law.items()}
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    @pytest.mark.parametrize("chunk,block", [(64, 7), (200, 40), (200, 1 << 16)])
-    def test_small_chunks_and_blocks_equal_oracle(self, workers, chunk, block):
-        # blocks shorter than a row, blocks splitting rows, and many chunks
-        kern = _kernel(2)
-        for cfg, n in [
-            (TreeConfig(k=2, depth=0, seed=1), 70),
-            (TreeConfig(k=2, depth=3, seed=2), 41),
-            (TreeConfig(k=3, depth=2, seed=2**64 - 1), 33),
-            (TreeConfig(k=2, depth=5, seed=3), 5),  # V = 94 > 64
-        ]:
-            stats = self._stats(kern, cfg, n, workers, chunk, block)
-            self._assert_equal_oracle(stats, kern, cfg, n)
+    @staticmethod
+    def _route_law(kern, cfg, n):
+        """pmf of the same counts under the aggregate route: Multinomial(n, pi)
+        at the root, then per level and parent state a, n_a ~ Bin(m_a, q_a)
+        children in the larger of their two states."""
+        pi = stationary(kern).tolist()
+        p = kern.p.tolist()
+        q = (p[0][1], p[1][2], p[2][2])
 
-    def test_sample_equals_oracle_with_two_workers(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+        def binom(m, x, r):
+            return math.comb(m, x) * r**x * (1.0 - r) ** (m - x)
+
+        # (level counts so far, pair table so far) -> probability
+        law = defaultdict(float)
+        for n0, n1 in itertools.product(range(n + 1), repeat=2):
+            n2 = n - n0 - n1
+            if n2 >= 0:
+                ways = math.factorial(n) // math.prod(map(math.factorial, (n0, n1, n2)))
+                pr = ways * pi[0] ** n0 * pi[1] ** n1 * pi[2] ** n2
+                law[((n0, n1, n2),), (0,) * 9] += pr
+        for level in range(1, cfg.depth + 1):
+            law_l = defaultdict(float)
+            for (levels, pairs), pr in law.items():
+                m0, m1, m2 = (c * (cfg.k + (level == 1)) for c in levels[-1])
+                for x0, x1, x2 in itertools.product(
+                    range(m0 + 1), range(m1 + 1), range(m2 + 1)
+                ):
+                    table = (m0 - x0, x0, 0, m1 - x1, 0, x1, 0, m2 - x2, x2)
+                    below = (table[0] + table[3], table[1] + table[7], table[5] + table[8])
+                    w = pr * binom(m0, x0, q[0]) * binom(m1, x1, q[1]) * binom(m2, x2, q[2])
+                    law_l[levels + (below,), tuple(map(sum, zip(pairs, table)))] += w
+            law = law_l
+        return {sum(levels, ()) + pairs: pr for (levels, pairs), pr in law.items()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("measure", ["mu0", "mu1", "mu2"])
+    def test_exact_law_matches_enumeration(self, measure, n):
+        kern = _measure_kernels()[measure]
+        want = self._enumerated_law(kern, self.CFG, n)
+        got = self._route_law(kern, self.CFG, n)
+        assert abs(sum(want.values()) - 1.0) <= 1e-12
+        for key in set(want) | set(got):
+            assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-12, key
+        # every outcome the route can draw is a reachable one
+        assert {key for key, pr in got.items() if pr > 0} <= set(want)
+
+    def test_route_draws_these_binomials(self, monkeypatch):
+        calls, nested = [], []
+        binomial = sampler._binomial
+
+        def record(rng, m, p):
+            # the reflection p > 0.5 calls _binomial again: keep the outer call
+            nested.append(None)
+            try:
+                x = binomial(rng, m, p)
+            finally:
+                nested.pop()
+            if not nested:
+                calls.append((m, p, x))
+            return x
+
+        monkeypatch.setattr(sampler, "_binomial", record)
+        cases = [(TreeConfig(k=2, depth=0, seed=1), 9), (self.CFG, 3)]
+        cases += [(TreeConfig(k=k, depth=5, seed=k), 1000) for k in (2, 3, 7)]
+        for name, kern in _measure_kernels().items():
+            for cfg, n in cases:
+                calls.clear()
+                stats = estimate_marginals(kern, cfg, n)
+                assert len(calls) == 2 + 3 * cfg.depth
+                pi = stationary(kern)
+                (m, p, n0), (m1, p1, n1) = calls[:2]
+                assert (m, p) == (n, pi[0])
+                assert (m1, p1) == (n - n0, pi[1] / (pi[1] + pi[2]))
+                above = np.array([n0, n1, n - n0 - n1])
+                want_levels, pairs = [above], np.zeros((3, 3), dtype=np.int64)
+                for level in range(1, cfg.depth + 1):
+                    (m0, q0, x0), (m1, q1, x1), (m2, q2, x2) = calls[3 * level - 1 : 3 * level + 2]
+                    assert [m0, m1, m2] == ((cfg.k + (level == 1)) * above).tolist()
+                    assert (q0, q1, q2) == (kern.p[0, 1], kern.p[1, 2], kern.p[2, 2])
+                    table = np.array([[m0 - x0, x0, 0], [m1 - x1, 0, x1], [0, m2 - x2, x2]])
+                    pairs += table
+                    above = table.sum(axis=0)
+                    want_levels.append(above)
+                assert np.array_equal(stats.pair_counts, pairs), name
+                assert np.array_equal(_level_counts(stats, cfg), np.array(want_levels))
+
+    def test_seed_determinism(self):
         kern = _kernel(3)
-        for depth in (0, 1, 4, 11):
-            cfg = TreeConfig(k=3, depth=depth, seed=depth)
-            got = sample(kern, cfg).spins
-            want = draw_spins(kern, cfg, 1)[0]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        cfg = TreeConfig(k=3, depth=4, seed=2**64 - 1)
+        a, b = (estimate_marginals(kern, cfg, 5000) for _ in range(2))
+        assert np.array_equal(a.pair_counts, b.pair_counts)
+        c = estimate_marginals(kern, dataclasses.replace(cfg, seed=0), 5000)
+        assert not np.array_equal(a.pair_counts, c.pair_counts)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        k=st.sampled_from([2, 3, 5]),
-        depth=st.integers(0, 4),
-        n=st.integers(1, 60),
-        seed=st.integers(0, 2**64 - 1),
-        chunk=st.integers(1, 300),
-        block=st.integers(1, 300),
+
+def _binomial_pmf(n, p):
+    """Binomial(n, p) pmf from math.comb, in log space (exact integers)."""
+    return [
+        math.exp(math.log(math.comb(n, x)) + x * math.log(p) + (n - x) * math.log1p(-p))
+        for x in range(n + 1)
+    ]
+
+
+class TestBinomial:
+    """``sampler._binomial``, the variate behind the aggregate draw."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize(
+        "n,p",
+        [
+            (1, 0.3),  # n = 1: one uniform
+            (30, 0.1),  # geometric method, n p = 3
+            (2000, 0.002),  # geometric method, n p = 4
+            (60, 0.5),  # BTRS at p = 0.5, not reflected
+            (1000, 0.3),  # BTRS
+            (40, 0.95),  # reflected to p = 0.05, geometric
+            (1000, 0.8),  # reflected to p = 0.2, BTRS
+        ],
     )
-    def test_threaded_equals_oracle(self, k, depth, n, seed, chunk, block):
-        kern = _kernel(k)
-        cfg = TreeConfig(k=k, depth=depth, seed=seed)
-        stats = self._stats(kern, cfg, n, 2, chunk, block)
-        self._assert_equal_oracle(stats, kern, cfg, n)
+    def test_chi_square_against_pmf(self, n, p):
+        rng = random.Random(n)
+        counts = np.bincount(
+            [sampler._binomial(rng, n, p) for _ in range(self.DRAWS)], minlength=n + 1
+        )
+        expected = self.DRAWS * np.array(_binomial_pmf(n, p))
+        # pool neighbouring outcomes until each cell expects at least 5
+        cells, obs, exp = [], 0, 0.0
+        for o, e in zip(counts.tolist(), expected.tolist()):
+            obs, exp = obs + o, exp + e
+            if exp >= 5.0:
+                cells.append((obs, exp))
+                obs, exp = 0, 0.0
+        last_obs, last_exp = cells.pop()
+        cells.append((last_obs + obs, last_exp + exp))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        assert df >= 1
+        p_value = mp.gammainc(df / 2, chi2 / 2, mp.inf, regularized=True)
+        assert p_value > 1e-6, (chi2, df)
 
-    def test_chunks_run_on_worker_threads(self, monkeypatch):
-        seen = set()
-        packed_bits = sampler._packed_bits
-        # the first two chunks wait for each other, so they must be in
-        # flight at once, on two threads
-        barrier = threading.Barrier(2, timeout=30)
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_moments_at_the_largest_count(self, p):
+        # math.comb is out of reach at n = 2^40, so check the mean and the
+        # variance of the standardised draws (standard errors 0.007 and
+        # 0.01); the same test at n = 2^49 reads a variance of 1.16
+        n = sampler.MAX_VERTEX_SAMPLES
+        rng = random.Random(3)
+        z = np.array([sampler._binomial(rng, n, p) for _ in range(self.DRAWS)])
+        z = (z - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z.mean()) < 0.04 and abs(z.var() - 1.0) < 0.05
 
-        def record(seed, first, rows, v, cum):
-            if first < 2 * rows * v:
-                barrier.wait()
-            seen.add(threading.get_ident())
-            return packed_bits(seed, first, rows, v, cum)
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 2**60])
+    def test_edges(self, n):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert sampler._binomial(rng, n, 0.0) == 0
+        assert sampler._binomial(rng, n, 1.0) == n
+        assert rng.getstate() == state  # no uniform is drawn
+        if n == 0:
+            for p in (1e-300, 0.3, 0.5, 0.7, 1.0 - 1e-16):
+                assert sampler._binomial(rng, 0, p) == 0
+        if n == 1:
+            assert {sampler._binomial(rng, 1, 0.5) for _ in range(100)} == {0, 1}
+        with pytest.raises(ValueError):
+            sampler._binomial(rng, n, 1.5)
 
-        monkeypatch.setattr(sampler, "_workers", lambda: 2)
-        monkeypatch.setattr(sampler, "_packed_bits", record)
-        cfg = TreeConfig(k=3, depth=4, seed=0)
-        estimate_marginals(_kernel(3), cfg, 5 * (sampler._CHUNK // cfg.vertex_count))
-        assert threading.get_ident() not in seen and len(seen) == 2
+    def test_equal_seeds_give_equal_counts(self):
+        shapes = [(1, 0.3), (30, 0.1), (1000, 0.3), (1000, 0.8), (10**12, 0.4)]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_one_chunk_per_worker_in_flight(self, monkeypatch, workers):
-        started = []
-        packed_bits = sampler._packed_bits
+        def draws(seed):
+            rng = random.Random(seed)
+            return [sampler._binomial(rng, n, p) for n, p in shapes * 20]
 
-        def record(seed, first, rows, v, cum):
-            started.append(first)
-            return packed_bits(seed, first, rows, v, cum)
+        assert draws(2**64 - 1) == draws(2**64 - 1)
+        assert draws(1) != draws(2)
 
-        monkeypatch.setattr(sampler, "_workers", lambda: workers)
-        monkeypatch.setattr(sampler, "_packed_bits", record)
-        cfg = TreeConfig(k=3, depth=4, seed=0)
-        rows = sampler._CHUNK // cfg.vertex_count
-        for i, _ in enumerate(sampler._draw(_kernel(3), cfg, 9 * rows)):
-            assert len(started) <= i + workers
-        assert sorted(started) == [j * rows * cfg.vertex_count for j in range(9)]
-
-
-class TestThreadHygiene:
-    CFG = TreeConfig(k=3, depth=4, seed=0)
-
-    @pytest.fixture(autouse=True)
-    def two_workers(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_workers", lambda: 2)
-        self.baseline = threading.active_count()
-        self.n = 6 * (sampler._CHUNK // self.CFG.vertex_count)
-
-    def test_pool_ends_with_estimate(self):
-        estimate_marginals(_kernel(3), self.CFG, self.n)
-        assert threading.active_count() == self.baseline
-
-    def test_pool_ends_when_draw_is_closed_early(self):
-        draw = sampler._draw(_kernel(3), self.CFG, self.n)
-        next(draw)
-        assert threading.active_count() > self.baseline
-        draw.close()
-        assert threading.active_count() == self.baseline
-
-    def test_sample_runs_on_calling_thread(self, monkeypatch):
-        threads = _record_threads(monkeypatch)
-        sample(_kernel(3), self.CFG)
-        assert threads == {threading.get_ident()}
-        assert threading.active_count() == self.baseline
-
-    def test_pool_ends_after_error_in_a_chunk(self, monkeypatch):
-        packed_bits = sampler._packed_bits
-
-        def fail_third_chunk(seed, first, rows, v, cum):
-            if first == 2 * rows * v:
-                raise RuntimeError("chunk failed")
-            return packed_bits(seed, first, rows, v, cum)
-
-        monkeypatch.setattr(sampler, "_packed_bits", fail_third_chunk)
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            estimate_marginals(_kernel(3), self.CFG, self.n)
-        assert threading.active_count() == self.baseline
+    @pytest.mark.skipif(
+        not hasattr(random.Random, "binomialvariate"),
+        reason="Random.binomialvariate is new in Python 3.12",
+    )
+    def test_equals_binomialvariate(self):
+        shapes = [(1, 0.3), (0, 0.4), (30, 0.1), (60, 0.5), (1000, 0.3), (40, 0.95),
+                  (1000, 0.8), (10**12, 0.4)]
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n, p in shapes:
+                assert sampler._binomial(ours, n, p) == theirs.binomialvariate(n, p)
 
 
 class TestMemoryBound:
@@ -465,23 +596,25 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_large_tree_row_not_held_as_uniforms(self, monkeypatch):
-        # V = 393214 > _CHUNK: one row in flight, drawn on the calling
-        # thread whatever the CPU count, its uniforms drawn in blocks, so
-        # the peak stays below one row of float64 uniforms
-        threads = _record_threads(monkeypatch)
-        monkeypatch.setattr(sampler, "_workers", lambda: 2)
+    def test_large_tree_row_not_held_as_uniforms(self):
+        # the counts of the largest tree hold O(depth) numbers, no row;
+        # sample holds its int8 spins and one block of uniforms (V = 3145726:
+        # one level of float64 uniforms would be 12.6 MB)
         kern = _kernel(2)
-        cfg = TreeConfig(k=2, depth=17, seed=5)
-        assert cfg.vertex_count > sampler._CHUNK
-        tracemalloc.start()
-        try:
-            estimate_marginals(kern, cfg, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert threads == {threading.get_ident()}
-        assert peak < 8 * cfg.vertex_count
+        cfg = TreeConfig(k=2, depth=20, seed=5)
+        largest = TreeConfig(k=2, depth=24)
+        n = sampler.MAX_VERTEX_SAMPLES // largest.vertex_count
+        for draw, bound in [
+            (lambda: estimate_marginals(kern, largest, n), 2**16),
+            (lambda: sample(kern, cfg), cfg.vertex_count + 2**22),
+        ]:
+            tracemalloc.start()
+            try:
+                draw()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestSizeLimit:
@@ -504,3 +637,24 @@ class TestSizeLimit:
             TreeConfig(k=k, depth=depth)
         msg = str(err.value)
         assert f"k={k}, depth={depth}" in msg and f"V = {size} vertices" in msg
+
+    def test_refuses_too_many_vertex_samples(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a count was drawn")
+
+        monkeypatch.setattr(sampler, "_binomial", never)
+        cfg = TreeConfig(k=2, depth=4)  # V = 46
+        for n in (sampler.MAX_VERTEX_SAMPLES // 46 + 1, 10**30):
+            with pytest.raises(ValueError) as err:
+                estimate_marginals(_kernel(2), cfg, n)
+            assert str(err.value) == (
+                f"too many vertex-samples to count: {n} samples of V = 46 "
+                "vertices exceed the limit of 2^40"
+            )
+
+    @pytest.mark.parametrize("k,depth", [(2, 0), (2, 1), (3, 4)])
+    def test_largest_vertex_sample_count(self, k, depth):
+        cfg = TreeConfig(k=k, depth=depth, seed=9)
+        n = sampler.MAX_VERTEX_SAMPLES // cfg.vertex_count
+        stats = estimate_marginals(_kernel(k), cfg, n)
+        _assert_counts_valid(stats, cfg, n)
