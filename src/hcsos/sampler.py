@@ -39,7 +39,8 @@ Processes*, 1972): the counts have exactly the law they have under n
 independent vertex-by-vertex samples, and forbidden pairs are zero by
 construction.  The variates come from one ``random.Random`` seeded with
 the tree's seed, through ``_binomial``, so the counts are fixed by the
-seed and the request on every supported Python.
+seed and the request on every supported Python.  A request of more than
+``MAX_VERTEX_SAMPLES`` vertex-samples is refused before drawing.
 """
 
 from __future__ import annotations

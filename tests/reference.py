@@ -3,11 +3,12 @@
 None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
 kappa, root-finds the k = 3 thresholds, takes every spectrum and
-stationary law from the path-graph identities of the chain module and
-samples in chunks of rows with one live comparison per vertex and
-counts pairs without visiting edges.  The closed forms, 50-digit
-evaluations, the one-shot sampler and the edge-by-edge admissibility
-count here reach the same quantities another way.
+stationary law from the path-graph identities of the chain module,
+samples one configuration in blocks of uniforms, and draws the counts
+of many samples from their aggregate law without visiting a vertex.
+The closed forms, 50-digit evaluations, the one-shot vertex-by-vertex
+sampler and the edge-by-edge admissibility count here reach the same
+quantities another way.
 """
 
 import math
@@ -187,9 +188,10 @@ def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
 def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     """(n, vertex_count) spin matrix; row s is the s-th independent sample.
 
-    The sampler as it was before chunked draws: every uniform at once,
-    parent spins gathered by index and a three-way comparison against
-    the gathered cumulative rows.
+    Every uniform at once, parent spins gathered by index and a
+    three-way comparison against the gathered cumulative rows: the
+    library's ``sample`` equals row 0 bit for bit, and the counts of
+    ``estimate_marginals`` follow the law of these rows' counts.
     """
     v = cfg.vertex_count
     uniforms = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, v))

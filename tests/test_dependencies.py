@@ -21,36 +21,28 @@ def _modules_in_fresh_process(code, *tops):
         env={**os.environ, "PYTHONPATH": os.path.dirname(hcsos.__path__[0])},
         timeout=60,
     )
-    return out.stdout.strip().splitlines()[-1]
-
-
-def _import_everything():
-    """Code that imports hcsos and every submodule."""
-    names = [f"hcsos.{m.name}" for m in pkgutil.iter_modules(hcsos.__path__)]
-    assert len(names) >= 7
-    return (
-        "import importlib\n"
-        f"for name in {['hcsos', *names]!r}:\n"
-        "    importlib.import_module(name)\n"
-    )
+    return out.stdout.strip()
 
 
 def test_runtime_imports_neither_scipy_nor_mpmath():
     # scipy and mpmath are installed for the tests only; importing the
     # package and every submodule in a fresh interpreter must not pull
     # either in
-    assert _modules_in_fresh_process(_import_everything(), "scipy", "mpmath") == "[]"
-
-
-def test_import_leaves_thread_pool_unloaded():
-    # loading concurrent.futures at import time would add milliseconds to
-    # every CLI start
-    assert _modules_in_fresh_process(_import_everything(), "concurrent") == "[]"
+    names = [f"hcsos.{m.name}" for m in pkgutil.iter_modules(hcsos.__path__)]
+    assert len(names) >= 7
+    code = (
+        "import importlib\n"
+        f"for name in {['hcsos', *names]!r}:\n"
+        "    importlib.import_module(name)\n"
+    )
+    assert _modules_in_fresh_process(code, "scipy", "mpmath") == "[]"
 
 
 def test_simulate_leaves_thread_pool_and_numpy_random_unloaded():
-    # the counts are drawn with the standard library's random; numpy.random
-    # alone adds megabytes of RSS to every simulate call
+    # importing hcsos.cli imports every submodule; concurrent.futures would
+    # add milliseconds to every CLI start, and numpy.random megabytes of RSS
+    # to every simulate call, whose counts come from the standard library's
+    # random
     code = (
         "import os\n"
         "from hcsos.cli import main\n"

@@ -201,8 +201,8 @@ def _assert_same_law(kern, cfg, n, reps=400):
     Means: Welch z within 5.  Variances, where both sides average at least
     1: for near-normal counts the log of the ratio of two sample variances
     has standard deviation about 2 / sqrt(reps) = 0.1, and 0.6 also covers
-    the heavier tails of counts that expect a few.  A count
-    that is constant on both sides must be the same constant."""
+    the heavier tails of counts that expect a few.  A count that is
+    constant on both sides must be the same constant."""
     a, b = (
         np.array([draw(kern, dataclasses.replace(cfg, seed=s), n) for s in range(reps)])
         for draw in (_route_stats, _oracle_stats)
@@ -221,7 +221,7 @@ class TestStreamingMatchesOneShotDraw:
     """``sample`` against the one-shot sampler kept in reference.py, bit for
     bit, and the counts of ``estimate_marginals`` against its law."""
 
-    # the shallowest tree with more than 2^18 vertices, per k
+    # per k, a depth whose last level spans several of sample's blocks
     DEEP = {2: 17, 3: 11, 5: 8}
 
     @classmethod
@@ -235,7 +235,6 @@ class TestStreamingMatchesOneShotDraw:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_counts_follow_oracle_law(self, k):
-        assert TreeConfig(k=k, depth=self.DEEP[k]).vertex_count > 1 << 18
         theta = 0.9 * theta_cr(k)
         kernels = [_kernel(k), kernel_of(solve_asymmetric(k, theta)[0], k, theta)]
         for kern in kernels:
@@ -243,13 +242,22 @@ class TestStreamingMatchesOneShotDraw:
                 _assert_same_law(kern, cfg, n)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_sample_equals_oracle_row(self, k):
+    def test_sample_equals_oracle_row(self, k, monkeypatch):
+        deep = TreeConfig(k=k, depth=self.DEEP[k])
+        assert deep.level_sizes[-1] > 2 * sampler._UNIFORMS_AT_ONCE
         kern = _kernel(k)
         for cfg, n in self._cases(k):
             want = draw_spins(kern, cfg, 1)[0]
             got = sample(kern, cfg).spins
             assert got.dtype == want.dtype and np.array_equal(got, want)
             _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
+        # blocks of one parent's children and blocks that end inside a level
+        for block in (1, 5, 64):
+            monkeypatch.setattr(sampler, "_UNIFORMS_AT_ONCE", block)
+            for depth in range(5):
+                cfg = TreeConfig(k=k, depth=depth, seed=depth)
+                want = draw_spins(kern, cfg, 1)[0]
+                assert np.array_equal(sample(kern, cfg).spins, want)
 
     # Hand-built wand kernels for the edges of the inverse-CDF rule.
     EDGE_KERNELS = {
