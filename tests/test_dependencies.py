@@ -24,18 +24,31 @@ def _modules_in_fresh_process(code, *tops):
     return out.stdout.strip()
 
 
-def test_runtime_imports_neither_scipy_nor_mpmath():
-    # scipy and mpmath are installed for the tests only; importing the
-    # package and every submodule in a fresh interpreter must not pull
-    # either in
+def _import_every_submodule():
+    """Code that imports hcsos and every submodule, and the submodule count."""
     names = [f"hcsos.{m.name}" for m in pkgutil.iter_modules(hcsos.__path__)]
-    assert len(names) >= 7
     code = (
         "import importlib\n"
         f"for name in {['hcsos', *names]!r}:\n"
         "    importlib.import_module(name)\n"
     )
+    return code, len(names)
+
+
+def test_runtime_imports_neither_scipy_nor_mpmath():
+    # scipy and mpmath are installed for the tests only; importing the
+    # package and every submodule in a fresh interpreter must not pull
+    # either in
+    code, submodules = _import_every_submodule()
+    assert submodules >= 7
     assert _modules_in_fresh_process(code, "scipy", "mpmath") == "[]"
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # nothing in the package starts a thread pool; loading concurrent.futures
+    # at import time would add milliseconds to every CLI start
+    code, _ = _import_every_submodule()
+    assert _modules_in_fresh_process(code, "concurrent") == "[]"
 
 
 def test_simulate_leaves_thread_pool_and_numpy_random_unloaded():

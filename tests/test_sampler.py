@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from collections import defaultdict
 
@@ -588,6 +590,135 @@ class TestBinomial:
             ours, theirs = random.Random(seed), random.Random(seed)
             for n, p in shapes:
                 assert sampler._binomial(ours, n, p) == theirs.binomialvariate(n, p)
+
+
+def _on_threads(calls):
+    """Results of the zero-argument ``calls``, each run on a thread of its
+    own, all released together."""
+    results, errors = [None] * len(calls), []
+    barrier = threading.Barrier(len(calls), timeout=30)
+
+    def run(i):
+        try:
+            barrier.wait()
+            results[i] = calls[i]()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestParallelDraw:
+    """Calls made on several threads at once.  Neither function keeps state
+    between calls, so every thread gets what a lone call gets: ``sample``
+    the oracle's row, ``estimate_marginals`` the same counts."""
+
+    @pytest.fixture(autouse=True)
+    def frequent_switches(self):
+        # hand the interpreter lock over every microsecond, so that the
+        # threads' draws interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("n,block", [(64, 7), (200, 40), (200, 1 << 16)])
+    def test_small_chunks_and_blocks_equal_oracle(self, monkeypatch, workers, n, block):
+        # each thread counts n samples and draws one sample in blocks of
+        # `block` uniforms: a few parents' rows, blocks ending inside a
+        # level, a whole level
+        monkeypatch.setattr(sampler, "_UNIFORMS_AT_ONCE", block)
+        for cfg in [
+            TreeConfig(k=2, depth=0, seed=1),
+            TreeConfig(k=2, depth=3, seed=2),
+            TreeConfig(k=3, depth=2, seed=2**64 - workers),
+            TreeConfig(k=2, depth=5, seed=3),  # V = 94
+        ]:
+            kern = _kernel(cfg.k)
+            cfgs = [dataclasses.replace(cfg, seed=cfg.seed + i) for i in range(workers)]
+            got = _on_threads(
+                [lambda c=c: (sample(kern, c), estimate_marginals(kern, c, n)) for c in cfgs]
+            )
+            for c, (config, stats) in zip(cfgs, got, strict=True):
+                want = draw_spins(kern, c, 1)[0]
+                assert np.array_equal(config.spins, want)
+                alone = estimate_marginals(kern, c, n)
+                assert np.array_equal(stats.pair_counts, alone.pair_counts)
+                for a, b in zip(
+                    stats.level_frequencies, alone.level_frequencies, strict=True
+                ):
+                    assert np.array_equal(a, b)
+                _assert_counts_valid(stats, c, n)
+
+    def test_sample_equals_oracle_with_two_workers(self):
+        kern = _kernel(3)
+        for depth in (0, 1, 4, 11):
+            cfgs = [TreeConfig(k=3, depth=depth, seed=depth + i) for i in range(2)]
+            got = _on_threads([lambda c=c: sample(kern, c) for c in cfgs])
+            for c, config in zip(cfgs, got, strict=True):
+                want = draw_spins(kern, c, 1)[0]
+                assert config.spins.dtype == want.dtype
+                assert np.array_equal(config.spins, want)
+
+
+class TestThreadHygiene:
+    """Both functions draw on the calling thread and leave no thread behind."""
+
+    CFG = TreeConfig(k=3, depth=4, seed=0)
+
+    @pytest.fixture(autouse=True)
+    def baseline(self):
+        self.baseline = threading.active_count()
+
+    @staticmethod
+    def _record_threads(monkeypatch, name):
+        """The set of threads that call ``sampler.<name>`` from now on."""
+        threads = set()
+        original = getattr(sampler, name)
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(sampler, name, record)
+        return threads
+
+    def test_pool_ends_with_estimate(self, monkeypatch):
+        threads = self._record_threads(monkeypatch, "_binomial")
+        estimate_marginals(_kernel(3), self.CFG, 40_000)
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == self.baseline
+
+    def test_sample_runs_on_calling_thread(self, monkeypatch):
+        threads = self._record_threads(monkeypatch, "_snapped_cumulative")
+        sample(_kernel(3), self.CFG)
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == self.baseline
+
+    def test_pool_ends_after_error_in_a_chunk(self, monkeypatch):
+        calls = []
+        binomial = sampler._binomial
+
+        def fail_third_draw(rng, n, p):
+            calls.append(n)
+            if len(calls) == 3:
+                raise RuntimeError("draw failed")
+            return binomial(rng, n, p)
+
+        monkeypatch.setattr(sampler, "_binomial", fail_third_draw)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            estimate_marginals(_kernel(3), self.CFG, 40_000)
+        assert len(calls) == 3
+        assert threading.active_count() == self.baseline
 
 
 class TestMemoryBound:
