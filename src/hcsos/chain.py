@@ -78,14 +78,22 @@ def kernel_entries(
     ``kernel_of`` and the extremality classifier both start from these
     six floats, so a verdict and a kernel agree bit for bit.
     """
-    xk = x**k
-    w = theta * y**k
-    p00, p01 = xk / (xk + w), w / (xk + w)
-    p10, p12 = xk / (1.0 + xk), 1.0 / (1.0 + xk)
-    p21, p22 = w / (1.0 + w), 1.0 / (1.0 + w)
+    p00, p01, p10, p12, p21, p22 = _entries_of_powers(x**k, theta * y**k)
     # every entry is NaN or in [0, 1], so the sum is finite iff all are
     if not math.isfinite(p00 + p01 + p10 + p12 + p21 + p22):
         raise ArithmeticError(f"degenerate kernel for x={x}, y={y}")
+    return p00, p01, p10, p12, p21, p22
+
+
+def _entries_of_powers(xk, w):
+    """``kernel_entries`` from x^k and w = theta y^k, unchecked.
+
+    Plain divisions, so columns of x^k and w give the entries of every
+    lane with the bits of the scalar route.
+    """
+    p00, p01 = xk / (xk + w), w / (xk + w)
+    p10, p12 = xk / (1.0 + xk), 1.0 / (1.0 + xk)
+    p21, p22 = w / (1.0 + w), 1.0 / (1.0 + w)
     return p00, p01, p10, p12, p21, p22
 
 
@@ -111,11 +119,17 @@ def path_spectrum(
     -d divided by it.  No step subtracts nearly equal numbers on the way
     to s2, so s2 keeps full relative accuracy however small it is.
     """
-    t = p00 * p22 - p01 * p21
-    d = p00 * p12 * p21 + p01 * p10 * p22
-    s2 = 0.5 * (abs(t) + math.sqrt(t * t + 4.0 * d))
+    t, d, s2 = _path_terms(p00, p01, p10, p12, p21, p22)
     lam2 = -s2 if t < 0.0 else s2
     return s2, lam2, -d / lam2
+
+
+def _path_terms(p00, p01, p10, p12, p21, p22, sqrt=math.sqrt):
+    # t, d and s2 of path_spectrum; np.sqrt as ``sqrt`` for columns, with
+    # the same bits (IEEE square roots are correctly rounded)
+    t = p00 * p22 - p01 * p21
+    d = p00 * p12 * p21 + p01 * p10 * p22
+    return t, d, 0.5 * (abs(t) + sqrt(t * t + 4.0 * d))
 
 
 def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
@@ -146,17 +160,19 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
 
 
 def row_distance(
-    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float
+    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float,
+    largest=max,
 ) -> float:
     """kappa of a wand kernel from its six entries.
 
     Half the largest L1 distance between two rows; the zero entries of
-    each row pair drop out of the sums as |0 - p| = |p|.
+    each row pair drop out of the sums as |0 - p| = |p|.  On columns of
+    entries pass ``tisgm._lane_max`` as ``largest``.
     """
     d01 = abs(p00 - p10) + abs(p01) + abs(p12)
     d02 = abs(p00) + abs(p01 - p21) + abs(p22)
     d12 = abs(p10) + abs(p21) + abs(p12 - p22)
-    return 0.5 * max(d01, d02, d12)
+    return 0.5 * largest(d01, d02, d12)
 
 
 def kappa_of(kern: TransitionKernel) -> float:

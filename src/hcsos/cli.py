@@ -5,14 +5,21 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-A sweep of at least 64 points solves its whole theta grid in one pass:
-both branches' roots for all grid points in lockstep
-(``enumerate_solution_grid``), then one record per point, emitted in
-grid order.  A shorter sweep is solved point by point, which is faster
-there.  Either way every number equals what a lone call at that point
-gives, so sweep, tisgm and classify agree bit for bit.  If a point
-leaves the model's domain, the sweep is redone point by point, so the
-first failing point raises exactly as a lone call there does.
+A sweep of at least 40 points works on its whole theta grid as
+columns: both branches' roots for all grid points in lockstep, then
+the residual contract and the solution checks
+(``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
+two criteria and the verdicts (``classify_columns``).  x^k and
+theta y^k are computed once per solution, every power goes lane by
+lane through Python's float ``**``, and the columns become Python
+floats before any is printed.  The CSV lines are formatted from those
+columns in grid order (Symmetric, Upper, Lower at each point); JSON
+and ``sweep_records`` build their records from the same columns.  A
+shorter sweep is solved point by point, which is faster there.  Either
+way every number equals what a lone call at that point gives, so
+sweep, tisgm and classify agree bit for bit.  If a point leaves the
+model's domain, the sweep is redone point by point, so the first
+failing point raises exactly as a lone call there does.
 """
 
 from __future__ import annotations
@@ -30,16 +37,18 @@ import numpy as np
 from .chain import kernel_of, stationary
 from .extremality import (
     Measure,
+    classify_columns,
     classify_mu0,
     classify_mu12,
     classify_solution,
     solution_of,
     thresholds,
 )
-from .model import ModelParams
+from .model import Branch, ModelParams
 from .rootfind import BracketError, ConvergenceError
 from .sampler import TreeConfig, estimate_marginals
 from .tisgm import (
+    BRANCHES,
     BoundaryLaw,
     ConsistencyError,
     NumericalDomainError,
@@ -95,10 +104,17 @@ class PhaseRecord:
         return any(r.verdict == "Critical" for r in self.rows)
 
 
-def _phase_record(sset: SolutionSet) -> PhaseRecord:
+def build_phase_record(k: int, theta: float) -> PhaseRecord:
+    """Enumerate and classify every measure at one grid point.
+
+    Grid points within the critical guard of theta_cr(k) carry the
+    symmetric solution with verdict "Critical" instead of a
+    classification (the asymmetric pair is not separable there).
+    """
+    sset = enumerate_solutions(k, theta)
     rows = []
     for sol in sset.solutions:
-        v = classify_solution(sset.k, sset.theta, sol)
+        v = classify_solution(k, theta, sol)
         verdict = "Critical" if sset.critical else v.verdict.value
         rows.append(
             SolutionRow(
@@ -112,37 +128,36 @@ def _phase_record(sset: SolutionSet) -> PhaseRecord:
                 verdict=verdict,
             )
         )
-    return PhaseRecord(sset.k, sset.theta, sset.theta_critical, tuple(rows))
-
-
-def build_phase_record(k: int, theta: float) -> PhaseRecord:
-    """Enumerate and classify every measure at one grid point.
-
-    Grid points within the critical guard of theta_cr(k) carry the
-    symmetric solution with verdict "Critical" instead of a
-    classification (the asymmetric pair is not separable there).
-    """
-    return _phase_record(enumerate_solutions(k, theta))
+    return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))
 
 
 # Shorter grids are solved point by point.  A lockstep Brent step costs
 # tens of microseconds of numpy calls however few lanes it has, so the
-# lockstep route breaks even at about 48 points (k = 8) to 96 (k = 2).
-_LOCKSTEP_MIN_STEPS = 64
+# lockstep route (roots, checks and verdicts on columns) breaks even at
+# about 32 points (k = 8) to 44 (k = 2).
+_LOCKSTEP_MIN_STEPS = 40
 
 # What a grid point raises on either route when the model leaves its domain.
 _DOMAIN_ERRORS = (BracketError, ConvergenceError, ConsistencyError, ArithmeticError)
+
+_BRANCH_NAMES = np.array([branch.value for branch in BRANCHES])
 
 
 def sweep_records(
     k: int, theta_min: float, theta_max: float, steps: int
 ) -> list[PhaseRecord]:
     """``build_phase_record`` at every point of the theta grid, bit for bit."""
+    return _records(_sweep_points(k, theta_min, theta_max, steps))
+
+
+def _sweep_points(k: int, theta_min: float, theta_max: float, steps: int) -> list:
+    # the sweep as (k, theta, theta_cr, rows) per grid point, in grid order;
+    # a row holds the fields of a SolutionRow
     grid = np.linspace(theta_min, theta_max, steps)
     if steps < _LOCKSTEP_MIN_STEPS:
-        return [build_phase_record(k, theta) for theta in grid.tolist()]
+        return _points([build_phase_record(k, theta) for theta in grid.tolist()])
     try:
-        return [_phase_record(sset) for sset in enumerate_solution_grid(k, grid)]
+        return _lockstep_points(k, grid)
     except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
         for theta in grid.tolist():
@@ -152,12 +167,48 @@ def sweep_records(
         ) from exc
 
 
-def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
-    """Write one CSV line per solution, as ``csv.writer`` would, in one write.
+def _lockstep_points(k: int, grid: np.ndarray) -> list:
+    # every solution and verdict of the grid as columns, made rows once
+    sols = enumerate_solution_grid(k, grid)
+    s2, kappa, ks, msw, verdict = classify_columns(
+        k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
+    )
+    verdict = np.where(sols.critical[sols.point], "Critical", verdict)
+    columns = (_BRANCH_NAMES[sols.branch], sols.x, sols.y, s2, kappa, ks, msw, verdict)
+    rows = list(zip(*(column.tolist() for column in columns)))
+    ends = np.cumsum(np.bincount(sols.point, minlength=grid.size)).tolist()
+    tc = sols.theta_critical
+    return [
+        (k, theta, tc, rows[start:end])
+        for theta, start, end in zip(grid.tolist(), [0, *ends], ends)
+    ]
 
-    Numbers are written as their repr, which csv never quotes; each text
-    field is quoted by ``csv.writer`` itself, once per distinct text.
-    """
+
+def _points(records: list[PhaseRecord]) -> list:
+    return [
+        (rec.k, rec.theta, rec.theta_critical, [
+            (r.branch, r.x, r.y, r.s2, r.kappa, r.ks_value, r.msw_value, r.verdict)
+            for r in rec.rows
+        ])
+        for rec in records
+    ]
+
+
+def _records(points: list) -> list[PhaseRecord]:
+    return [
+        PhaseRecord(k, theta, tc, tuple(SolutionRow(*row) for row in rows))
+        for k, theta, tc, rows in points
+    ]
+
+
+def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
+    """Write one CSV line per solution, as ``csv.writer`` would, in one write."""
+    _write_csv(_points(records), stream)
+
+
+def _write_csv(points: list, stream: io.TextIOBase) -> None:
+    # Numbers are written as their repr, which csv never quotes; each text
+    # field is quoted by csv.writer itself, once per distinct text.
     cells: dict[str, str] = {}
 
     def text(value: str) -> str:
@@ -168,12 +219,12 @@ def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
         return cells[value]
 
     lines = [",".join(map(text, CSV_HEADER))]
-    for rec in records:
-        point = f"{rec.k!r},{rec.theta!r},{rec.theta_critical!r}"
+    for k, theta, tc, rows in points:
+        point = f"{k!r},{theta!r},{tc!r}"
         lines.extend(
-            f"{point},{text(row.branch)},{row.x!r},{row.y!r},{row.s2!r},"
-            f"{row.kappa!r},{row.ks_value!r},{row.msw_value!r},{text(row.verdict)}"
-            for row in rec.rows
+            f"{point},{text(branch)},{x!r},{y!r},{s2!r},"
+            f"{kappa!r},{ks!r},{msw!r},{text(verdict)}"
+            for branch, x, y, s2, kappa, ks, msw, verdict in rows
         )
     stream.write("\n".join(lines) + "\n")
 
@@ -349,7 +400,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"need theta_min < theta_max, got {args.theta_min} >= {args.theta_max}"
         )
-    records = sweep_records(args.k, args.theta_min, args.theta_max, args.steps)
+    points = _sweep_points(args.k, args.theta_min, args.theta_max, args.steps)
     if args.out == "-":
         target = sys.stdout
         close = False
@@ -358,9 +409,9 @@ def cmd_sweep(args) -> int:
         close = True
     try:
         if args.format == "json":
-            write_phase_jsonl(records, target)
+            write_phase_jsonl(_records(points), target)
         else:
-            write_phase_csv(records, target)
+            _write_csv(points, target)
     finally:
         if close:
             target.close()

@@ -49,10 +49,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import kernel_entries, path_spectrum, row_distance
+import numpy as np
+
+from .chain import (
+    _entries_of_powers,
+    _path_terms,
+    kernel_entries,
+    path_spectrum,
+    row_distance,
+)
 from .model import Branch, TisgmSolution
 from .rootfind import Bracket, find_root
-from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
+from .tisgm import _lane_max, _powers, solve_asymmetric, solve_symmetric, theta_cr
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 
@@ -132,6 +140,45 @@ def classify_solution(
         )
     measure = _MEASURE_OF_BRANCH[sol.branch]
     return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
+
+
+def classify_columns(
+    k: int, xk: np.ndarray, w: np.ndarray, symmetric: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``classify_solution`` on columns, lane by lane and bit for bit.
+
+    Each lane is one fixed point, given by x^k and w = theta y^k;
+    ``symmetric`` marks the lanes of the Symmetric branch.  Returns the
+    columns s2, kappa, ks_value, msw_value and the verdict strings, with
+    the default boundary band.  Raises ArithmeticError if some lane's
+    kernel is degenerate, where ``kernel_entries`` raises on that lane.
+    """
+    with np.errstate(all="ignore"):
+        entries = _entries_of_powers(xk, w)
+        if not np.isfinite(sum(entries)).all():
+            raise ArithmeticError("degenerate kernel at some fixed point of the grid")
+        kappa = row_distance(*entries, largest=_lane_max)
+        s2 = _path_terms(*entries, sqrt=np.sqrt)[2]
+    ks = k * _powers(s2, 2)
+    msw = k * kappa * kappa
+    return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw)
+
+
+def _verdicts(
+    k: int, symmetric: np.ndarray, ks: np.ndarray, msw: np.ndarray
+) -> np.ndarray:
+    # classify_solution's verdict rule on columns
+    ext, non, und = (
+        Verdict.EXTREME.value, Verdict.NON_EXTREME.value, Verdict.UNDETERMINED.value
+    )
+    tol = DEFAULT_BOUNDARY_TOL
+    above = ks > 1.0 + tol
+    sym = np.where(above, non, np.where(ks < 1.0 - tol, ext, und))
+    if k == 2:
+        asym = np.where(msw < 1.0 - tol, ext, und)
+    else:
+        asym = np.where(above, non, und)
+    return np.where(symmetric, sym, asym)
 
 
 def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:

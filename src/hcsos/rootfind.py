@@ -23,7 +23,7 @@ powers go lane by lane through Python's ``**``, which the callers
 handle.  The lockstep form pays a fixed numpy cost per step, about
 1 ms for a whole solve however many lanes it has, against tens of
 microseconds for one ``find_root`` call, so a single equation stays on
-``find_root`` and only a long grid of them (a sweep of 64 points or
+``find_root`` and only a long grid of them (a sweep of 40 points or
 more) takes ``_find_roots``.
 
 All routines are pure and deterministic: identical inputs produce

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    BRANCH_TOL,
     Branch,
     ModelParams,
     TisgmSolution,
@@ -88,6 +89,19 @@ def _powers(base: np.ndarray, n: float) -> np.ndarray:
     routes raise to powers here to keep the bits of the scalar ones.
     """
     return np.array([b**n for b in base.tolist()])
+
+
+def _lane_max(first, *rest):
+    """Python's ``max`` lane by lane, NaN included.
+
+    ``max`` keeps its running value unless a later argument compares
+    greater, so a NaN survives only where it comes first; np.maximum
+    would spread every NaN.
+    """
+    out = first
+    for value in rest:
+        out = np.where(value > out, value, out)
+    return out
 
 
 def theta_cr(k: int) -> float:
@@ -154,11 +168,17 @@ def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
             f"the boundary law leaves the double range at k = {k}, x = {x!r}: "
             "x^k or theta y^k exceeds the largest float"
         ) from None
+    return _residual(theta, x, y, xk, w)
+
+
+def _residual(theta, x, y, xk, w, largest=max):
+    # compatibility_residual from x^k and w = theta y^k; _lane_max as
+    # ``largest`` for columns
     rhs1 = (xk + w) / (1.0 + w)
     rhs2 = theta * (xk + 1.0) / (1.0 + w)
-    r1 = abs(x - rhs1) / max(1.0, abs(x), abs(rhs1))
-    r2 = abs(y - rhs2) / max(1.0, abs(y), abs(rhs2))
-    return max(r1, r2)
+    r1 = abs(x - rhs1) / largest(1.0, abs(x), abs(rhs1))
+    r2 = abs(y - rhs2) / largest(1.0, abs(y), abs(rhs2))
+    return largest(r1, r2)
 
 
 def _checked(k: int, theta: float, x: float, y: float, branch: Branch) -> TisgmSolution:
@@ -251,16 +271,44 @@ def enumerate_solutions(k: int, theta: float) -> SolutionSet:
     return SolutionSet(k, theta, tc, sols)
 
 
-def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
+# Branch of each code in a SolutionGrid's ``branch`` column.
+BRANCHES = (Branch.SYMMETRIC, Branch.UPPER, Branch.LOWER)
+
+
+@dataclass(frozen=True, eq=False)
+class SolutionGrid:
+    """The fixed points of every theta of a grid, as columns.
+
+    Row i is the solution of branch ``BRANCHES[branch[i]]`` at grid
+    point ``point[i]``.  Rows run in grid order and, within a point, as
+    in its SolutionSet: Symmetric, then Upper and Lower below theta_cr.
+    ``critical`` marks grid points as ``SolutionSet.critical`` does.
+    ``xk`` and ``w`` are each row's x^k and theta y^k, computed once for
+    the residual contract and kept for the kernel.
+    """
+
+    theta_critical: float
+    critical: np.ndarray
+    point: np.ndarray
+    branch: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    xk: np.ndarray
+    w: np.ndarray
+
+
+def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     """``enumerate_solutions`` at every theta of a grid, bit for bit.
 
     Both branches are solved for all grid points at once: each root by
     the lockstep form of ``find_root``, the asymmetric brackets from one
-    shared doubling ladder of eta, whose values depend on k only.  The
-    residual contract is checked per solution as in the scalar solvers.
-    Raises ValueError, ArithmeticError or RuntimeError if any point
-    fails, not necessarily with the message of the first failing point;
-    ``enumerate_solutions`` at each point in turn gives that one.
+    shared doubling ladder of eta, whose values depend on k only.  Every
+    row meets the residual contract and ``TisgmSolution``'s positivity
+    and branch checks, checked on the columns; the first row in grid
+    order that fails raises through ``_checked``, as in its scalar
+    solver.  Raises ValueError, ArithmeticError or RuntimeError if any
+    point fails, not necessarily with the message of the first failing
+    point; ``enumerate_solutions`` at each point in turn gives that one.
     """
     check_params(k, float(thetas.min()))
     check_params(theta=float(thetas.max()))
@@ -272,7 +320,7 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
     target = _powers(thetas[lanes], k + 1)
     split = target < eta(1.0, k)
     lanes, target = lanes[split], target[split]
-    pairs = {}
+    x1 = y1 = x2 = y2 = np.empty(0)
     # float arithmetic overflows to inf silently; so does it here
     with np.errstate(all="ignore"):
         y0 = _symmetric_roots(k, thetas)
@@ -284,21 +332,26 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> list[SolutionSet]:
                 lambda i, x: _eta_lanes(x, k) - target[i], lo, hi, g_lo, g_hi
             )
             x2 = 1.0 / x1
-            th = thetas[lanes]
-            y1, y2 = (_recover_y(k, th, x, _powers).tolist() for x in (x1, x2))
-            pairs = dict(zip(lanes.tolist(), zip(x1.tolist(), x2.tolist(), y1, y2)))
-    sets = []
-    points = zip(thetas.tolist(), y0.tolist(), critical.tolist())
-    for i, (theta, y, at_tc) in enumerate(points):
-        sols = (_checked(k, theta, 1.0, y, Branch.SYMMETRIC),)
-        if i in pairs:
-            x1, x2, y1, y2 = pairs[i]
-            sols += (
-                _checked(k, theta, x1, y1, Branch.UPPER),
-                _checked(k, theta, x2, y2, Branch.LOWER),
-            )
-        sets.append(SolutionSet(k, theta, tc, sols, critical=at_tc))
-    return sets
+            y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
+        # rows of each branch, then sorted by point and branch code
+        point = np.concatenate((np.arange(thetas.size), lanes, lanes))
+        branch = np.repeat([0, 1, 2], (thetas.size, lanes.size, lanes.size))
+        order = np.argsort(3 * point + branch)
+        point, branch = point[order], branch[order]
+        x = np.concatenate((np.ones(thetas.size), x1, x2))[order]
+        y = np.concatenate((y0, y1, y2))[order]
+        theta = thetas[point]
+        xk = _powers(x, k)
+        w = theta * _powers(y, k)
+        residual = _residual(theta, x, y, xk, w, _lane_max)
+        # branch_of(x) as a code
+        side = np.where(abs(x - 1.0) < BRANCH_TOL, 0, np.where(x > 1.0, 1, 2))
+    failed = (residual > RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0)) | (side != branch)
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        _checked(k, float(theta[i]), float(x[i]), float(y[i]), BRANCHES[branch[i]])
+        raise AssertionError(f"row {i} of the grid fails only on the columns")
+    return SolutionGrid(tc, critical, point, branch, x, y, xk, w)
 
 
 def _symmetric_roots(k: int, thetas: np.ndarray) -> np.ndarray:

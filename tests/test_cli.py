@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcsos import cli, sampler
@@ -20,11 +20,17 @@ from hcsos.cli import (
     read_phase_csv,
     sweep_records,
     write_phase_csv,
+    write_phase_jsonl,
 )
 from hcsos.extremality import thresholds
 from hcsos.rootfind import BracketError
 from hcsos.sampler import TreeConfig, estimate_marginals
-from hcsos.tisgm import enumerate_solution_grid, solve_asymmetric, solve_symmetric
+from hcsos.tisgm import (
+    enumerate_solution_grid,
+    solve_asymmetric,
+    solve_symmetric,
+    theta_cr,
+)
 from reference import s2_mp, stationary_mp
 
 
@@ -287,12 +293,43 @@ class TestSweepSolvesGridInLockstep:
              "1193e2732a3d0cbe03443dd3a91179280360adf824e54bbdc1d3eb9383b957cb"),
             (_sweep(3, 0.05, 3.0, 200, "--format", "json"),
              "5057af4c5680b20fa9f67127158e4ba2d58bb56619f5626123c0e4bb22038fa9"),
+            # each grid holds theta = 1.0 exactly: the Critical row of k = 2,
+            # and the k = 4 point where 4 s2^2 = 1 (Undetermined)
+            (_sweep(2, 0.5, 1.5, 1001),
+             "56cd3eff2d0881693cf77fd97ff40f60949ec087b802d802240aa07de519b37e"),
+            (_sweep(4, 0.5, 1.5, 1001),
+             "2b9860aee854733e45a39ad43cdd0cdda9d49e8f35c1c7784e455e4ae6c6413c"),
+            (_sweep(2, 0.5, 1.5, 1001, "--format", "json"),
+             "236535f528f2792039c2bd6eff1c641993e92ebd2b91ef8fc0b2fa5edb426da4"),
         ],
     )
     def test_pinned_output(self, argv, digest):
         code, out, err = _cli(argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        ends=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+        steps=st.integers(64, 400),
+        with_tc=st.booleans(),
+    )
+    def test_long_grid_equals_point_by_point(self, k, ends, steps, with_tc):
+        # every point of such a grid solves (checked on 60 of them); with
+        # with_tc, theta_cr(k) is one end of the grid, so a point is Critical
+        tc = theta_cr(k)
+        lo, hi = sorted((tc, ends[0]) if with_tc and 0.1 <= tc <= 5.0 else ends)
+        assume(lo < hi)
+        want = [build_phase_record(k, theta)
+                for theta in np.linspace(lo, hi, steps).tolist()]
+        assert sweep_records(k, lo, hi, steps) == want
+        csv_text, jsonl = io.StringIO(), io.StringIO()
+        write_phase_csv(want, csv_text)
+        write_phase_jsonl(want, jsonl)
+        assert _cli(_sweep(k, lo, hi, steps)) == (0, csv_text.getvalue(), "")
+        json_run = _cli(_sweep(k, lo, hi, steps, "--format", "json"))
+        assert json_run == (0, jsonl.getvalue(), "")
 
     def test_ks_value_keeps_python_square(self):
         # s2**2 and s2*s2 differ in the last bit at this row; ks_value is

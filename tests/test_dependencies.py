@@ -65,3 +65,18 @@ def test_simulate_leaves_thread_pool_and_numpy_random_unloaded():
     )
     loaded = _modules_in_fresh_process(code, "concurrent", "numpy.random")
     assert loaded == "[]"
+
+
+def test_sweep_leaves_hashlib_numpy_random_and_thread_pool_unloaded():
+    # a long sweep runs the lockstep route; each of these modules would add
+    # to the RSS of every sweep process (hashlib alone about 3 MB)
+    code = (
+        "import os\n"
+        "from hcsos.cli import main\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    argv = ['sweep', '--k', '3', '--theta-min', '0.1', '--theta-max',\n"
+        "            '2.5', '--steps', '250', '--format', fmt, '--out', os.devnull]\n"
+        "    assert main(argv) == 0\n"
+    )
+    loaded = _modules_in_fresh_process(code, "hashlib", "numpy.random", "concurrent")
+    assert loaded == "[]"

@@ -1,15 +1,24 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
+from hcsos import extremality, tisgm
+from hcsos.chain import row_distance
 from hcsos.extremality import (
+    DEFAULT_BOUNDARY_TOL,
     Measure,
     Verdict,
     classify_mu0,
     classify_mu12,
+    classify_solution,
     h_func,
     q_func,
     thresholds,
 )
+from hcsos.tisgm import compatibility_residual, solve_asymmetric, solve_symmetric
 from reference import spectrum_asymmetric_k2
 
 # Frozen reference values (50-digit mpmath evaluations rounded to float64).
@@ -256,3 +265,93 @@ class TestCorollaryConsistency:
             for measure in (Measure.MU1, Measure.MU2):
                 v = classify_mu12(2, theta, measure)
                 assert v.verdict is Verdict.UNDETERMINED
+
+
+def _same(a, b):
+    # equal bits up to the NaN payload: NaN matches NaN, 0.0 differs from -0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-300)
+
+
+def _boundary_ties(k, target):
+    # s2 near sqrt(target / k) whose k * s2**2 is target exactly
+    s = math.sqrt(target / k)
+    near = (s + i * math.ulp(s) for i in range(-40, 41))
+    return [c for c in near if k * c**2 == target]
+
+
+class TestColumnsEqualScalar:
+    # the columnar sweep's residual, row distance and verdict rule against
+    # the scalar functions, lane by lane, where NaN and ties make numpy's
+    # own maximum differ from Python's max
+
+    def test_lane_max_keeps_python_max_order(self):
+        cases = list(itertools.product(_SPECIAL, repeat=3))
+        cols = [np.array(c) for c in zip(*cases)]
+        got = tisgm._lane_max(*cols).tolist()
+        for case, value in zip(cases, got):
+            assert _same(value, max(case)), case
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_residual(self, k):
+        rng = random.Random(k)
+        cases = list(itertools.product(_SPECIAL, _SPECIAL, (0.5, 2.0, 1e300)))
+        cases += [tuple(rng.choice(_SPECIAL) * rng.random() for _ in range(2))
+                  + (rng.uniform(0.1, 5.0),) for _ in range(300)]
+        want, lanes = [], []
+        for x, y, theta in cases:
+            try:
+                want.append(compatibility_residual(k, theta, x, y))
+            except ArithmeticError:  # x^k overflows, or 1 + theta y^k = 0
+                continue
+            lanes.append((x, y, theta))
+        assert len(lanes) > 200
+        x, y, theta = (np.array(c) for c in zip(*lanes))
+        with np.errstate(all="ignore"):
+            xk = tisgm._powers(x, k)
+            w = theta * tisgm._powers(y, k)
+            got = tisgm._residual(theta, x, y, xk, w, tisgm._lane_max).tolist()
+        assert any(math.isnan(r) for r in want)
+        for lane, r, g in zip(lanes, want, got):
+            assert _same(g, r), lane
+
+    def test_row_distance(self):
+        rng = random.Random(6)
+        pool = _SPECIAL + (0.25, 0.75)
+        cases = [tuple(rng.choice(pool) for _ in range(6)) for _ in range(3000)]
+        cases += [(0.5,) * 6, (0.0, 1.0, 1.0, 0.0, 0.0, 1.0), (1.0, 0.0) * 3]
+        cols = [np.array(c) for c in zip(*cases)]
+        with np.errstate(all="ignore"):
+            got = row_distance(*cols, largest=tisgm._lane_max).tolist()
+        for case, g in zip(cases, got):
+            assert _same(g, row_distance(*case)), case
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    def test_verdict(self, k, monkeypatch):
+        # classify_solution with its s2 and kappa replaced by each value
+        s2s = list(_SPECIAL) + [0.3, 0.9]
+        for target in (1.0 + DEFAULT_BOUNDARY_TOL, 1.0 - DEFAULT_BOUNDARY_TOL, 1.0):
+            s2s += _boundary_ties(k, target)
+        pairs = list(itertools.product(s2s, repeat=2))
+        fake = {}
+        monkeypatch.setattr(extremality, "path_spectrum", lambda *p: (fake["s2"],) * 3)
+        monkeypatch.setattr(extremality, "row_distance", lambda *p: fake["kappa"])
+        sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]
+        want = []
+        for sol in (sym, upper):
+            for fake["s2"], fake["kappa"] in pairs:
+                want.append(classify_solution(k, 0.5, sol))
+        s2, kappa = (np.array(c * 2) for c in zip(*pairs))
+        symmetric = np.repeat([True, False], len(pairs))
+        ks = k * tisgm._powers(s2, 2)
+        with np.errstate(all="ignore"):
+            msw = k * kappa * kappa
+        got = extremality._verdicts(k, symmetric, ks, msw)
+        for v, g_ks, g_msw, g in zip(want, ks.tolist(), msw.tolist(), got.tolist()):
+            assert _same(g_ks, v.ks_value) and _same(g_msw, v.msw_value)
+            assert g == v.verdict.value, (v.measure, v.ks_value, v.msw_value)
+        assert {v.verdict for v in want} == set(Verdict)

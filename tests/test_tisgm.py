@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcsos import tisgm
-from hcsos.model import Branch, ModelParams
+from hcsos.model import Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
     BoundaryLaw,
     NumericalDomainError,
+    SolutionSet,
     boundary_law_residual,
     compatibility_residual,
     enumerate_solution_grid,
@@ -238,6 +239,18 @@ def test_root_evaluation_budget_on_sweep_grids(monkeypatch):
     assert max(evals) <= 14
 
 
+def _solution_sets(k, thetas, grid):
+    # the SolutionSets that enumerate_solution_grid(k, thetas) describes
+    sols = [[] for _ in thetas]
+    for i, b, x, y in zip(grid.point.tolist(), grid.branch.tolist(),
+                          grid.x.tolist(), grid.y.tolist()):
+        sols[i].append(TisgmSolution(x, y, tisgm.BRANCHES[b]))
+    return [
+        SolutionSet(k, theta, grid.theta_critical, tuple(s), critical)
+        for theta, s, critical in zip(thetas.tolist(), sols, grid.critical.tolist())
+    ]
+
+
 class TestSolutionGrid:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     @pytest.mark.parametrize("lo,hi", [(0.02, 3.0), (0.9, 1.1), (1e-3, 0.2)])
@@ -252,11 +265,32 @@ class TestSolutionGrid:
             except ValueError:
                 pass
         assert len(want) > 150
-        grid = np.array([sset.theta for sset in want])
-        assert enumerate_solution_grid(k, grid) == want
+        thetas = np.array([sset.theta for sset in want])
+        got = enumerate_solution_grid(k, thetas)
+        assert _solution_sets(k, thetas, got) == want
+        # x^k and theta y^k as the scalar residual and kernel compute them
+        theta = thetas[got.point].tolist()
+        assert got.xk.tolist() == [x**k for x in got.x.tolist()]
+        assert got.w.tolist() == [t * y**k for t, y in zip(theta, got.y.tolist())]
+
+    @pytest.mark.parametrize("k,tol", [(3, 0.0), (3, 1e-15), (5, 5e-16), (8, 2e-16)])
+    def test_first_row_over_the_residual_bound_raises_as_scalar(
+        self, k, tol, monkeypatch
+    ):
+        # the residual contract holds on every row; the first row in grid
+        # order that breaks it raises the scalar solver's ConsistencyError
+        monkeypatch.setattr(tisgm, "RESIDUAL_TOL", tol)
+        grid = np.linspace(0.3, 2.0, 80)
+        with pytest.raises(tisgm.ConsistencyError) as scalar:
+            for theta in grid.tolist():
+                enumerate_solutions(k, theta)
+        with pytest.raises(tisgm.ConsistencyError) as lockstep:
+            enumerate_solution_grid(k, grid)
+        assert str(lockstep.value) == str(scalar.value)
 
     def test_critical_point(self):
-        (sset,) = enumerate_solution_grid(2, np.array([1.0]))
+        thetas = np.array([1.0])
+        (sset,) = _solution_sets(2, thetas, enumerate_solution_grid(2, thetas))
         assert sset == enumerate_solutions(2, 1.0) and sset.critical
 
     @pytest.mark.parametrize(
