@@ -343,7 +343,8 @@ class TestColumnsEqualScalar:
         sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]
         want = []
         for sol in (sym, upper):
-            for fake["s2"], fake["kappa"] in pairs:
+            for s2, kappa in pairs:
+                fake.update(s2=s2, kappa=kappa)
                 want.append(classify_solution(k, 0.5, sol))
         s2, kappa = (np.array(c * 2) for c in zip(*pairs))
         symmetric = np.repeat([True, False], len(pairs))
