@@ -5,32 +5,37 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-A sweep of at least 40 points works on its whole theta grid as
-columns: both branches' roots for all grid points in lockstep, then
-the residual contract and the solution checks
+A sweep of at least 24 points works on its whole theta grid as
+columns: the roots of both branches at every grid point in one
+lockstep solve, then the residual contract and the solution checks
 (``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
 two criteria and the verdicts (``classify_columns``).  x^k and
 theta y^k are computed once per solution, every power goes lane by
 lane through Python's float ``**``, and the columns become Python
-floats before any is printed.  The CSV lines are formatted from those
-columns in grid order (Symmetric, Upper, Lower at each point); JSON
-and ``sweep_records`` build their records from the same columns.  A
-shorter sweep is solved point by point, which is faster there.  Either
-way every number equals what a lone call at that point gives, so
-sweep, tisgm and classify agree bit for bit.  If a point leaves the
-model's domain, the sweep is redone point by point, so the first
-failing point raises exactly as a lone call there does.
+floats before any is printed.  The CSV text is formatted straight from
+those columns, one ``map(repr, ...)`` per numeric field, in grid order
+(Symmetric, Upper, Lower at each point); no row tuples are built for
+it.  JSON and ``sweep_records`` build their records from the same
+columns, and ``write_phase_csv`` turns records into columns for the
+same formatter.  A shorter sweep is solved point by point, which is
+faster there.  Either way every number equals what a lone call at that
+point gives, so sweep, tisgm and classify agree bit for bit.  If a
+point leaves the model's domain, the sweep is redone point by point,
+so the first failing point raises exactly as a lone call there does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 import numpy as np
 
@@ -133,31 +138,36 @@ def build_phase_record(k: int, theta: float) -> PhaseRecord:
 
 # Shorter grids are solved point by point.  A lockstep Brent step costs
 # tens of microseconds of numpy calls however few lanes it has, so the
-# lockstep route (roots, checks and verdicts on columns) breaks even at
-# about 32 points (k = 8) to 44 (k = 2).
-_LOCKSTEP_MIN_STEPS = 40
+# lockstep route (one root solve for both branches, then checks and
+# verdicts on columns) breaks even at about 20 points (k = 8) to 24
+# (k = 2).
+_LOCKSTEP_MIN_STEPS = 24
 
 # What a grid point raises on either route when the model leaves its domain.
 _DOMAIN_ERRORS = (BracketError, ConvergenceError, ConsistencyError, ArithmeticError)
 
 _BRANCH_NAMES = np.array([branch.value for branch in BRANCHES])
 
+# CSV fields written as text; the others are numbers
+_TEXT_FIELDS = ("branch", "verdict")
+
 
 def sweep_records(
     k: int, theta_min: float, theta_max: float, steps: int
 ) -> list[PhaseRecord]:
     """``build_phase_record`` at every point of the theta grid, bit for bit."""
-    return _records(_sweep_points(k, theta_min, theta_max, steps))
+    return _records(*_sweep_columns(k, theta_min, theta_max, steps))
 
 
-def _sweep_points(k: int, theta_min: float, theta_max: float, steps: int) -> list:
-    # the sweep as (k, theta, theta_cr, rows) per grid point, in grid order;
-    # a row holds the fields of a SolutionRow
+def _sweep_columns(
+    k: int, theta_min: float, theta_max: float, steps: int
+) -> tuple[list, list[int]]:
+    # the sweep as columns: see _write_csv
     grid = np.linspace(theta_min, theta_max, steps)
     if steps < _LOCKSTEP_MIN_STEPS:
-        return _points([build_phase_record(k, theta) for theta in grid.tolist()])
+        return _record_columns([build_phase_record(k, theta) for theta in grid.tolist()])
     try:
-        return _lockstep_points(k, grid)
+        return _lockstep_columns(k, grid)
     except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
         for theta in grid.tolist():
@@ -167,93 +177,96 @@ def _sweep_points(k: int, theta_min: float, theta_max: float, steps: int) -> lis
         ) from exc
 
 
-def _lockstep_points(k: int, grid: np.ndarray) -> list:
-    # every solution and verdict of the grid as columns, made rows once
+def _lockstep_columns(k: int, grid: np.ndarray) -> tuple[list, list[int]]:
+    # every solution and verdict of the grid as columns of Python values
     sols = enumerate_solution_grid(k, grid)
     s2, kappa, ks, msw, verdict = classify_columns(
         k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
     )
     verdict = np.where(sols.critical[sols.point], "Critical", verdict)
-    columns = (_BRANCH_NAMES[sols.branch], sols.x, sols.y, s2, kappa, ks, msw, verdict)
-    rows = list(zip(*(column.tolist() for column in columns)))
+    fields = (_BRANCH_NAMES[sols.branch], sols.x, sols.y, s2, kappa, ks, msw, verdict)
+    columns = [
+        [k] * grid.size,
+        grid.tolist(),
+        [sols.theta_critical] * grid.size,
+        *(column.tolist() for column in fields),
+    ]
     ends = np.cumsum(np.bincount(sols.point, minlength=grid.size)).tolist()
-    tc = sols.theta_critical
-    return [
-        (k, theta, tc, rows[start:end])
-        for theta, start, end in zip(grid.tolist(), [0, *ends], ends)
-    ]
+    return columns, ends
 
 
-def _points(records: list[PhaseRecord]) -> list:
-    return [
-        (rec.k, rec.theta, rec.theta_critical, [
-            (r.branch, r.x, r.y, r.s2, r.kappa, r.ks_value, r.msw_value, r.verdict)
-            for r in rec.rows
-        ])
+def _record_columns(records: list[PhaseRecord]) -> tuple[list, list[int]]:
+    # the records as _write_csv's columns and ends
+    points = [(rec.k, rec.theta, rec.theta_critical) for rec in records]
+    rows = [
+        (r.branch, r.x, r.y, r.s2, r.kappa, r.ks_value, r.msw_value, r.verdict)
         for rec in records
+        for r in rec.rows
     ]
+    columns = list(zip(*points)) or [()] * 3
+    columns += list(zip(*rows)) or [()] * 8
+    return columns, list(accumulate(len(rec.rows) for rec in records))
 
 
-def _records(points: list) -> list[PhaseRecord]:
+def _records(columns: list, ends: list[int]) -> list[PhaseRecord]:
+    k, theta, tc, *fields = columns
+    rows = list(map(SolutionRow, *fields))
     return [
-        PhaseRecord(k, theta, tc, tuple(SolutionRow(*row) for row in rows))
-        for k, theta, tc, rows in points
+        PhaseRecord(*point, tuple(rows[start:end]))
+        for *point, start, end in zip(k, theta, tc, [0, *ends], ends)
     ]
 
 
 def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
     """Write one CSV line per solution, as ``csv.writer`` would, in one write."""
-    _write_csv(_points(records), stream)
+    _write_csv(*_record_columns(records), stream)
 
 
-def _write_csv(points: list, stream: io.TextIOBase) -> None:
-    # Numbers are written as their repr, which csv never quotes; each text
-    # field is quoted by csv.writer itself, once per distinct text.
-    cells: dict[str, str] = {}
-
-    def text(value: str) -> str:
-        if value not in cells:
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow([value, ""])
-            cells[value] = line.getvalue()[: -len(",\n")]
-        return cells[value]
-
-    lines = [",".join(map(text, CSV_HEADER))]
-    for k, theta, tc, rows in points:
-        point = f"{k!r},{theta!r},{tc!r}"
-        lines.extend(
-            f"{point},{text(branch)},{x!r},{y!r},{s2!r},"
-            f"{kappa!r},{ks!r},{msw!r},{text(verdict)}"
-            for branch, x, y, s2, kappa, ks, msw, verdict in rows
-        )
+def _write_csv(columns: list, ends: list[int], stream: io.TextIOBase) -> None:
+    # One sequence per CSV_HEADER field: k, theta and theta_cr hold one
+    # entry per grid point, the other fields one per solution, and
+    # ends[i] is where point i's solutions end.  Numbers are written as
+    # their repr, which csv never quotes; each text field is quoted by
+    # csv.writer itself, once per distinct text.
+    text = functools.cache(_csv_text)
+    point = map(",".join, zip(*(map(repr, column) for column in columns[:3])))
+    prefix = chain.from_iterable(map(repeat, point, map(sub, ends, [0, *ends])))
+    fields = [
+        map(text if name in _TEXT_FIELDS else repr, column)
+        for name, column in zip(CSV_HEADER[3:], columns[3:])
+    ]
+    lines = [",".join(map(text, CSV_HEADER)), *map(",".join, zip(prefix, *fields))]
     stream.write("\n".join(lines) + "\n")
 
 
+def _csv_text(value: str) -> str:
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([value, ""])
+    return line.getvalue()[: -len(",\n")]
+
+
 def read_phase_csv(stream: io.TextIOBase) -> list[PhaseRecord]:
-    """Parse a sweep CSV back into PhaseRecords (exact float round-trip)."""
+    """Parse a sweep CSV back into PhaseRecords (exact float round-trip).
+
+    Each grid point's rows start with its Symmetric row, so a record
+    starts at every Symmetric row, and wherever k or theta changes.
+    """
     reader = csv.reader(stream)
     header = next(reader)
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header}")
-    records: list[PhaseRecord] = []
+    points: list[tuple[int, float, float, list[SolutionRow]]] = []
     for line in reader:
         k, theta, tc = int(line[0]), float(line[1]), float(line[2])
-        row = SolutionRow(
-            branch=line[3],
-            x=float(line[4]),
-            y=float(line[5]),
-            s2=float(line[6]),
-            kappa=float(line[7]),
-            ks_value=float(line[8]),
-            msw_value=float(line[9]),
-            verdict=line[10],
-        )
-        if records and records[-1].k == k and records[-1].theta == theta:
-            last = records[-1]
-            records[-1] = PhaseRecord(k, theta, tc, last.rows + (row,))
-        else:
-            records.append(PhaseRecord(k, theta, tc, (row,)))
-    return records
+        row = SolutionRow(line[3], *map(float, line[4:10]), line[10])
+        if (
+            not points
+            or row.branch == Branch.SYMMETRIC.value
+            or points[-1][:2] != (k, theta)
+        ):
+            points.append((k, theta, tc, []))
+        points[-1][3].append(row)
+    return [PhaseRecord(k, theta, tc, tuple(rows)) for k, theta, tc, rows in points]
 
 
 def write_phase_jsonl(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
@@ -400,7 +413,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"need theta_min < theta_max, got {args.theta_min} >= {args.theta_max}"
         )
-    points = _sweep_points(args.k, args.theta_min, args.theta_max, args.steps)
+    columns, ends = _sweep_columns(args.k, args.theta_min, args.theta_max, args.steps)
     if args.out == "-":
         target = sys.stdout
         close = False
@@ -409,9 +422,9 @@ def cmd_sweep(args) -> int:
         close = True
     try:
         if args.format == "json":
-            write_phase_jsonl(_records(points), target)
+            write_phase_jsonl(_records(columns, ends), target)
         else:
-            _write_csv(points, target)
+            _write_csv(columns, ends, target)
     finally:
         if close:
             target.close()

@@ -20,11 +20,12 @@ lane as soon as it meets the stop rule, so each lane returns exactly the
 float that ``find_root`` returns for it.  Every step is an IEEE
 operation that numpy rounds as Python does; only the equations' own
 powers go lane by lane through Python's ``**``, which the callers
-handle.  The lockstep form pays a fixed numpy cost per step, about
-1 ms for a whole solve however many lanes it has, against tens of
-microseconds for one ``find_root`` call, so a single equation stays on
-``find_root`` and only a long grid of them (a sweep of 40 points or
-more) takes ``_find_roots``.
+handle.  The lockstep form pays a fixed numpy cost of 60-100 us per
+step however many lanes it has, about 1-1.5 ms for the 14-15 steps
+that a sweep's slowest lane takes, against tens of microseconds for one
+``find_root`` call.  So a single equation stays on ``find_root``, and a
+sweep of 24 points or more solves both branches of its whole grid in
+one ``_find_roots`` call.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.
@@ -201,26 +202,30 @@ def _expand_brackets_decreasing(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``expand_bracket_decreasing(f, 1.0, target)`` for many targets.
 
-    The values of f at 1, 2, 4, ... do not depend on the target, so each
-    is computed once, and only as far up as the last lane needs.
-    Returns the lanes' brackets as arrays (lo, hi, f_lo, f_hi), each
-    lane equal to the scalar routine's ``Bracket`` for its target.
+    The values of f at 2, 4, 8, ... do not depend on the target, so each
+    is computed once, and only as far up as the lowest target needs:
+    f(x) - t <= 0 exactly when f(x) <= t, so every lane has crossed
+    once that one has.  One lanes x rungs comparison then finds each
+    lane's first crossing.  Returns the lanes' brackets as arrays
+    (lo, hi, f_lo, f_hi), each lane equal to the scalar routine's
+    ``Bracket`` for its target.
     """
     g_lo = f(1.0) - targets
     if not (g_lo > 0.0).all():
         raise BracketError("f(1) <= target on some lane; no expansion starts")
-    hi = np.empty_like(targets)
-    g_hi = np.empty_like(targets)
-    open_ = np.ones(targets.shape, dtype=bool)
+    lowest = targets.min()
+    steps, values = [], []
     step = 2.0
     for _ in range(_MAX_DOUBLINGS):
-        g = f(step) - targets
-        crossed = open_ & (g <= 0.0)
-        hi[crossed], g_hi[crossed] = step, g[crossed]
-        open_ &= ~crossed
-        if not open_.any():
-            return np.ones_like(targets), hi, g_lo, g_hi
+        steps.append(step)
+        values.append(f(step))
+        if values[-1] - lowest <= 0.0:
+            g = np.subtract.outer(values, targets)
+            first = (g <= 0.0).argmax(axis=0)
+            g_hi = g[first, np.arange(targets.size)]
+            return np.ones_like(targets), np.array(steps)[first], g_lo, g_hi
         step *= 2.0
+    open_ = ~(np.subtract.outer(values, targets) <= 0.0).any(axis=0)
     raise UnboundedBracketError(
         f"f stayed above target {targets[open_][0]} out to x = {step}; "
         "no bracket found"
@@ -244,7 +249,9 @@ def _find_roots(
     Lane i returns the float ``find_root`` returns for the bracket
     ``Bracket(lo[i], hi[i], f_lo[i], f_hi[i])``.  ``f(lanes, x)`` gives
     the values at the points ``x`` of the lanes whose indices are
-    ``lanes``, each as the scalar function of that lane would.  Raises
+    ``lanes``, each as the scalar function of that lane would; ``lanes``
+    is always ascending, so lanes of different equations placed in
+    blocks split at one index.  Raises
     ConvergenceError if some lane does not stop within _MAX_ITER steps.
     """
     # a zero at an end is the root, lo first, as in find_root
@@ -280,9 +287,8 @@ def _find_roots(
             s = fx / fa
             q, r = fa / fc, fx / fc
             secant = a == c
-            p = np.where(
-                secant, 2.0 * m * s, s * (2.0 * m * q * (q - r) - (x - a) * (r - 1.0))
-            )
+            m2 = 2.0 * m
+            p = np.where(secant, m2 * s, s * (m2 * q * (q - r) - (x - a) * (r - 1.0)))
             q = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
             flip = p > 0.0
             q = np.where(flip, -q, q)
@@ -297,7 +303,8 @@ def _find_roots(
             fx = f(lanes, x)
             cross = ((fx > 0.0) & (fc > 0.0)) | ((fx < 0.0) & (fc < 0.0))
             c, fc = np.where(cross, a, c), np.where(cross, fa, fc)
-            d, e = np.where(cross, x - a, d), np.where(cross, x - a, e)
+            moved = x - a
+            d, e = np.where(cross, moved, d), np.where(cross, moved, e)
     # report the first unfinished lane as find_root would
     ends = sorted([(float(x[0]), float(fx[0])), (float(c[0]), float(fc[0]))])
     (lo0, f_lo0), (hi0, f_hi0) = ends

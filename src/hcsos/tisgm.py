@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def _powers(base: np.ndarray, n: float) -> np.ndarray:
     ``np.power`` may round differently in the last bit, so the lockstep
     routes raise to powers here to keep the bits of the scalar ones.
     """
-    return np.array([b**n for b in base.tolist()])
+    return np.fromiter(map(pow, base.tolist(), repeat(n)), float, base.size)
 
 
 def _lane_max(first, *rest):
@@ -138,9 +139,10 @@ def eta(x: float, k: int) -> float:
 def _eta_value(x: float, k: int, power=pow) -> float:
     # eta's formula, with no overflow handling; _powers as ``power`` for arrays
     s = x * _power_sum(x, k - 1)  # x + x^2 + ... + x^(k-1)
-    t = _power_sum(x, k)  # 1 + x + ... + x^(k-1)
-    # group as s * (t / (x^k + 1))^k so large x cannot overflow t**k
-    return s * power(t / (power(x, k) + 1.0), k)
+    # 1 + x + ... + x^(k-1) is s + 1.0 bit for bit: Horner's last step
+    # is _power_sum(x, k - 1) * x + 1.0, and IEEE products commute.
+    # Group as s * ((s + 1) / (x^k + 1))^k so large x cannot overflow.
+    return s * power((s + 1.0) / (power(x, k) + 1.0), k)
 
 
 def _eta_lanes(x: np.ndarray, k: int) -> np.ndarray:
@@ -300,18 +302,21 @@ class SolutionGrid:
 def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     """``enumerate_solutions`` at every theta of a grid, bit for bit.
 
-    Both branches are solved for all grid points at once: each root by
-    the lockstep form of ``find_root``, the asymmetric brackets from one
-    shared doubling ladder of eta, whose values depend on k only.  Every
-    row meets the residual contract and ``TisgmSolution``'s positivity
-    and branch checks, checked on the columns; the first row in grid
-    order that fails raises through ``_checked``, as in its scalar
-    solver.  Raises ValueError, ArithmeticError or RuntimeError if any
-    point fails, not necessarily with the message of the first failing
-    point; ``enumerate_solutions`` at each point in turn gives that one.
+    Both branches of every grid point are solved in one lockstep form of
+    ``find_root``: first one lane per point for the symmetric y on
+    [0, 2^(1/(k+1))], then one per asymmetric pair for its upper x, with
+    the brackets from one shared doubling ladder of eta, whose values
+    depend on k only.  Every row meets the residual contract and
+    ``TisgmSolution``'s positivity and branch checks, checked on the
+    columns; the first row in grid order that fails raises through
+    ``_checked``, as in its scalar solver.  Raises ValueError,
+    ArithmeticError or RuntimeError if any point fails, not necessarily
+    with the message of the first failing point; ``enumerate_solutions``
+    at each point in turn gives that one.
     """
     check_params(k, float(thetas.min()))
     check_params(theta=float(thetas.max()))
+    n = thetas.size
     tc = theta_cr(k)
     critical = abs(thetas - tc) < CRITICAL_TOL
     # solve_asymmetric's own early exits: theta >= theta_cr, then the
@@ -320,25 +325,37 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     target = _powers(thetas[lanes], k + 1)
     split = target < eta(1.0, k)
     lanes, target = lanes[split], target[split]
-    x1 = y1 = x2 = y2 = np.empty(0)
     # float arithmetic overflows to inf silently; so does it here
     with np.errstate(all="ignore"):
-        y0 = _symmetric_roots(k, thetas)
+        lo = np.zeros(n)
+        hi = np.full(n, 2.0 ** (1.0 / (k + 1)))
+        f_lo = _symmetric_f(k, thetas, lo, _powers)
+        f_hi = _symmetric_f(k, thetas, hi, _powers)
+        # f(0) = -2 theta < 0, so a lane certifies unless f(hi) < 0
+        if (f_hi < 0.0).any():
+            raise BracketError("no sign change on the symmetric bracket of some theta")
         if lanes.size:
-            lo, hi, g_lo, g_hi = _expand_brackets_decreasing(
-                lambda x: eta(x, k), target
-            )
-            x1 = _find_roots(
-                lambda i, x: _eta_lanes(x, k) - target[i], lo, hi, g_lo, g_hi
-            )
-            x2 = 1.0 / x1
-            y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
+            ladder = _expand_brackets_decreasing(lambda x: eta(x, k), target)
+            lo, hi, f_lo, f_hi = map(np.concatenate, zip((lo, hi, f_lo, f_hi), ladder))
+
+        def f(i: np.ndarray, x: np.ndarray) -> np.ndarray:
+            # the live lanes are sorted, so the symmetric ones come first
+            j = np.searchsorted(i, n)
+            return np.concatenate((
+                _symmetric_f(k, thetas[i[:j]], x[:j], _powers),
+                _eta_lanes(x[j:], k) - target[i[j:] - n],
+            ))
+
+        roots = _find_roots(f, lo, hi, f_lo, f_hi)
+        y0, x1 = roots[:n], roots[n:]
+        x2 = 1.0 / x1
+        y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
         # rows of each branch, then sorted by point and branch code
-        point = np.concatenate((np.arange(thetas.size), lanes, lanes))
-        branch = np.repeat([0, 1, 2], (thetas.size, lanes.size, lanes.size))
+        point = np.concatenate((np.arange(n), lanes, lanes))
+        branch = np.repeat([0, 1, 2], (n, lanes.size, lanes.size))
         order = np.argsort(3 * point + branch)
         point, branch = point[order], branch[order]
-        x = np.concatenate((np.ones(thetas.size), x1, x2))[order]
+        x = np.concatenate((np.ones(n), x1, x2))[order]
         y = np.concatenate((y0, y1, y2))[order]
         theta = thetas[point]
         xk = _powers(x, k)
@@ -352,21 +369,6 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         _checked(k, float(theta[i]), float(x[i]), float(y[i]), BRANCHES[branch[i]])
         raise AssertionError(f"row {i} of the grid fails only on the columns")
     return SolutionGrid(tc, critical, point, branch, x, y, xk, w)
-
-
-def _symmetric_roots(k: int, thetas: np.ndarray) -> np.ndarray:
-    # solve_symmetric's y on every lane
-    def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _symmetric_f(k, thetas[i], y, _powers)
-
-    every = np.arange(thetas.size)
-    lo = np.zeros(thetas.size)
-    hi = np.full(thetas.size, 2.0 ** (1.0 / (k + 1)))
-    f_lo, f_hi = f(every, lo), f(every, hi)
-    # f(0) = -2 theta < 0, so a lane certifies unless f(hi) < 0
-    if (f_hi < 0.0).any():
-        raise BracketError("no sign change on the symmetric bracket of some theta")
-    return _find_roots(f, lo, hi, f_lo, f_hi)
 
 
 # ---------------------------------------------------------------------------

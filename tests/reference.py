@@ -50,6 +50,26 @@ def solve_k2_closed_form(theta: float) -> list[TisgmSolution]:
     return pair
 
 
+def eta_two_pass(x, k: int, power=pow):
+    """eta's formula with each power sum from its own Horner pass.
+
+    The production ``tisgm._eta_value`` takes 1 + ... + x^(k-1) as
+    (x + ... + x^(k-1)) + 1, Horner's last step.  Takes floats with
+    ``pow``, or arrays with ``tisgm._powers`` as ``power``; no overflow
+    handling, so an overflowing power raises as the production one does.
+    """
+
+    def power_sum(n):
+        acc = 0.0
+        for _ in range(n):
+            acc = acc * x + 1.0
+        return acc
+
+    s = x * power_sum(k - 1)
+    t = power_sum(k)
+    return s * power(t / (power(x, k) + 1.0), k)
+
+
 def gamma_of(kern) -> float:
     """Largest of the three pairwise half-L1 row distances of a kernel.
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hcsos import cli, sampler
+from hcsos import cli, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     PhaseRecord,
@@ -23,7 +23,7 @@ from hcsos.cli import (
     write_phase_jsonl,
 )
 from hcsos.extremality import thresholds
-from hcsos.rootfind import BracketError
+from hcsos.rootfind import BracketError, _find_roots
 from hcsos.sampler import TreeConfig, estimate_marginals
 from hcsos.tisgm import (
     enumerate_solution_grid,
@@ -191,14 +191,23 @@ class TestSweepCommand:
         assert parsed == records
 
     def test_csv_bytes_equal_csv_writer(self):
-        # text fields that need quoting are quoted as csv.writer quotes them
+        # text fields that need quoting are quoted as csv.writer quotes them;
+        # numbers, signed zeros, NaN and infinities included, are their repr
         texts = ["Upper", "a,b", 'q"t', "", "x\ny", "r\rs", " sp", "Critical"]
+        numbers = [-0.0, float("nan"), float("inf"), float("-inf"), 1e16, 1e-5,
+                   0.0, 1e-300, 2.0**70, -1.5, 0.1]
+
+        def number(i):
+            return numbers[i % len(numbers)]
+
+        # every fourth record has no rows and writes no line
         records = [
-            PhaseRecord(2 + i % 3, 0.1 * i, float("inf"), tuple(
-                SolutionRow(texts[(i + j) % 8], 1.0 / (i + 1), -0.0, 1e-300,
-                            float("nan"), 2.0**i, 0.5, texts[(3 * i + j) % 8])
-                for j in range(1 + i % 3)))
-            for i in range(24)
+            PhaseRecord(2 + i % 3, number(i) if i % 2 else 0.1 * i, number(i + 5), tuple(
+                SolutionRow(texts[(i + j) % 8], 1.0 / (i + 1), number(i + j),
+                            number(2 * i + j), number(3 * i + j), 2.0**i,
+                            number(i * j + 7), texts[(3 * i + j) % 8])
+                for j in range(i % 4)))
+            for i in range(44)
         ]
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
@@ -212,6 +221,19 @@ class TestSweepCommand:
         got = io.StringIO()
         write_phase_csv(records, got)
         assert got.getvalue() == want.getvalue()
+
+    def test_repeated_theta_reads_back_point_by_point(self):
+        # the grid holds three distinct floats, each theta_cr(2) = 1 to
+        # within CRITICAL_TOL, so each of its 100 points is one Critical row
+        code, out, _ = _cli(_sweep(2, 1.0, 1.0000000000000004, 100))
+        assert code == 0
+        records = read_phase_csv(io.StringIO(out))
+        assert len(records) == 100
+        assert records == sweep_records(2, 1.0, 1.0000000000000004, 100)
+        assert all(rec.rows[0].verdict == "Critical" for rec in records)
+        again = io.StringIO()
+        write_phase_csv(records, again)
+        assert again.getvalue() == out
 
     def test_header_schema(self):
         assert CSV_HEADER == [
@@ -387,6 +409,19 @@ class TestSweepSolvesGridInLockstep:
 
         monkeypatch.setattr(cli, "build_phase_record", never)
         assert _cli(_sweep(k, lo, hi, 250))[0] == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_benchmark_grids_solve_in_one_lockstep_call(self, k, monkeypatch):
+        # the symmetric and the asymmetric lanes share one _find_roots call
+        calls = []
+
+        def find_roots(*args):
+            calls.append(args[1].size)
+            return _find_roots(*args)
+
+        monkeypatch.setattr(tisgm, "_find_roots", find_roots)
+        assert _cli(_sweep(k, 0.1, 2.5, 250))[0] == 0
+        assert len(calls) == 1 and calls[0] > 250
 
     @pytest.mark.parametrize("k", [2, 8])
     @pytest.mark.parametrize("steps", [2, 5, 63, 64])

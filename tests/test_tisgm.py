@@ -22,7 +22,12 @@ from hcsos.tisgm import (
     solve_symmetric,
     theta_cr,
 )
-from reference import asymmetric_pair_mp, solve_k2_closed_form, symmetric_y_mp
+from reference import (
+    asymmetric_pair_mp,
+    eta_two_pass,
+    solve_k2_closed_form,
+    symmetric_y_mp,
+)
 
 # Frozen high-precision reference values (50-digit mpmath evaluations of
 # the defining expressions, rounded to float64).
@@ -112,6 +117,61 @@ class TestEta:
         # including lanes past the double range, which take the reciprocal
         x = np.concatenate([np.linspace(1.0, 40.0, 101), [2.0**40, 1.3e22, 1e300]])
         assert tisgm._eta_lanes(x, k).tolist() == [eta(v, k) for v in x.tolist()]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        k=st.integers(2, 400),
+        xs=st.lists(
+            st.one_of(
+                st.floats(1e-300, 1e300),
+                st.floats(1.0 - 1e-3, 1.0 + 1e-3),
+                # x^k and the power sums overflow here for every k
+                st.floats(1e300, 1.7976931348623157e308),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_one_horner_pass_equals_two(self, k, xs):
+        # bit for bit, or the same exception, on floats and on lanes
+        for x in xs:
+            assert _outcome(tisgm._eta_value, x, k) == _outcome(eta_two_pass, x, k)
+        lanes = np.array(xs)
+        with np.errstate(all="ignore"):
+            got = _outcome(tisgm._eta_value, lanes, k, tisgm._powers)
+            want = _outcome(eta_two_pass, lanes, k, tisgm._powers)
+        assert got == want
+
+
+class TestPowers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.lists(st.floats(min_value=0.0), max_size=12),
+        n=st.one_of(st.integers(0, 400), st.integers(1, 400).map(lambda k: 1.0 / k)),
+    )
+    def test_equal_python_power(self, base, n):
+        # Python's float ** lane by lane, OverflowError and its text included
+        def listed():
+            return [b**n for b in base]
+
+        assert _outcome(tisgm._powers, np.array(base, dtype=float), n) == _outcome(
+            listed
+        )
+
+    def test_overflow_text(self):
+        with pytest.raises(OverflowError) as err:
+            tisgm._powers(np.array([2.0, 1e200, 3.0]), 2)
+        assert str(err.value) == "(34, 'Numerical result out of range')"
+
+
+def _outcome(fn, *args):
+    # ("value", bits of every float) or ("raise", exception type, text)
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raise", type(exc), str(exc)
+    values = np.atleast_1d(np.asarray(value, dtype=float))
+    return "value", values.tobytes()
 
 
 class TestSymmetric:
@@ -252,8 +312,16 @@ def _solution_sets(k, thetas, grid):
 
 
 class TestSolutionGrid:
-    @pytest.mark.parametrize("k", [2, 3, 5, 8])
-    @pytest.mark.parametrize("lo,hi", [(0.02, 3.0), (0.9, 1.1), (1e-3, 0.2)])
+    @pytest.mark.parametrize(
+        "lo,hi,k",
+        [
+            (lo, hi, k)
+            for lo, hi in [(0.02, 3.0), (0.9, 1.1), (1e-3, 0.2)]
+            for k in [2, 3, 5, 8]
+        ]
+        # above theta_cr(2) = 1: symmetric lanes only
+        + [(1.5, 2.5, 2)],
+    )
     def test_equals_enumerate_solutions(self, k, lo, hi):
         # bit for bit, both branches, at every point enumerate_solutions
         # solves (60 doublings do not reach the upper root at small theta
