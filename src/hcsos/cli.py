@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-A sweep of at least 24 points works on its whole theta grid as
+Every sweep, whatever its length, works on its whole theta grid as
 columns: the roots of both branches at every grid point in one
 lockstep solve, then the residual contract and the solution checks
 (``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
@@ -17,11 +17,11 @@ those columns, one ``map(repr, ...)`` per numeric field, in grid order
 (Symmetric, Upper, Lower at each point); no row tuples are built for
 it.  JSON and ``sweep_records`` build their records from the same
 columns, and ``write_phase_csv`` turns records into columns for the
-same formatter.  A shorter sweep is solved point by point, which is
-faster there.  Either way every number equals what a lone call at that
-point gives, so sweep, tisgm and classify agree bit for bit.  If a
-point leaves the model's domain, the sweep is redone point by point,
-so the first failing point raises exactly as a lone call there does.
+same formatter.  Every number equals what a lone call at that point
+gives, so sweep, tisgm and classify agree bit for bit.  The one
+point-by-point path is the failure fallback: if a point leaves the
+model's domain, the sweep is redone point by point, so the first
+failing point raises exactly as a lone call there does.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .tisgm import (
     BRANCHES,
     BoundaryLaw,
     ConsistencyError,
-    NumericalDomainError,
     SolutionSet,
     enumerate_solution_grid,
     enumerate_solutions,
@@ -97,7 +96,12 @@ class SolutionRow:
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """All solutions and verdicts at one (k, theta) grid point."""
+    """All solutions and verdicts at one (k, theta) grid point.
+
+    A point within the critical guard of theta_cr(k) carries only the
+    symmetric solution, with verdict "Critical" instead of a
+    classification (the asymmetric pair is not separable there).
+    """
 
     k: int
     theta: float
@@ -109,41 +113,7 @@ class PhaseRecord:
         return any(r.verdict == "Critical" for r in self.rows)
 
 
-def build_phase_record(k: int, theta: float) -> PhaseRecord:
-    """Enumerate and classify every measure at one grid point.
-
-    Grid points within the critical guard of theta_cr(k) carry the
-    symmetric solution with verdict "Critical" instead of a
-    classification (the asymmetric pair is not separable there).
-    """
-    sset = enumerate_solutions(k, theta)
-    rows = []
-    for sol in sset.solutions:
-        v = classify_solution(k, theta, sol)
-        verdict = "Critical" if sset.critical else v.verdict.value
-        rows.append(
-            SolutionRow(
-                branch=sol.branch.value,
-                x=sol.x,
-                y=sol.y,
-                s2=v.s2,
-                kappa=v.kappa,
-                ks_value=v.ks_value,
-                msw_value=v.msw_value,
-                verdict=verdict,
-            )
-        )
-    return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))
-
-
-# Shorter grids are solved point by point.  A lockstep Brent step costs
-# tens of microseconds of numpy calls however few lanes it has, so the
-# lockstep route (one root solve for both branches, then checks and
-# verdicts on columns) breaks even at about 20 points (k = 8) to 24
-# (k = 2).
-_LOCKSTEP_MIN_STEPS = 24
-
-# What a grid point raises on either route when the model leaves its domain.
+# What the lockstep sweep raises when some grid point leaves the model's domain.
 _DOMAIN_ERRORS = (BracketError, ConvergenceError, ConsistencyError, ArithmeticError)
 
 _BRANCH_NAMES = np.array([branch.value for branch in BRANCHES])
@@ -155,7 +125,11 @@ _TEXT_FIELDS = ("branch", "verdict")
 def sweep_records(
     k: int, theta_min: float, theta_max: float, steps: int
 ) -> list[PhaseRecord]:
-    """``build_phase_record`` at every point of the theta grid, bit for bit."""
+    """Every solution and verdict at each point of the theta grid.
+
+    Bit for bit what ``enumerate_solutions`` and ``classify_solution``
+    give at that point alone.
+    """
     return _records(*_sweep_columns(k, theta_min, theta_max, steps))
 
 
@@ -164,14 +138,13 @@ def _sweep_columns(
 ) -> tuple[list, list[int]]:
     # the sweep as columns: see _write_csv
     grid = np.linspace(theta_min, theta_max, steps)
-    if steps < _LOCKSTEP_MIN_STEPS:
-        return _record_columns([build_phase_record(k, theta) for theta in grid.tolist()])
     try:
         return _lockstep_columns(k, grid)
     except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
         for theta in grid.tolist():
-            build_phase_record(k, theta)
+            for sol in enumerate_solutions(k, theta).solutions:
+                classify_solution(k, theta, sol)
         raise AssertionError(
             "the lockstep sweep failed, but every grid point solves alone"
         ) from exc
@@ -619,10 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, NumericalDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

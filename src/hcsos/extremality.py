@@ -97,25 +97,20 @@ class ExtremalityVerdict:
     msw_value: float  # k * kappa * gamma; < 1 proves extremality
 
 
-def classify_solution(
-    k: int,
-    theta: float,
-    sol: TisgmSolution,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-) -> ExtremalityVerdict:
+def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    Symmetric branch: the Kesten-Stigum value decides both directions
-    (the test is sharp there), with Undetermined inside the boundary
-    band |k s2^2 - 1| <= boundary_tol.  The s2 branch switch at theta = 1
-    needs no special casing: both eigenvalue branches give s2 = 1/2
-    there, so only k = 4 lands on the band (k s2^2 = 1 exactly).
-    Asymmetric at k = 2: Extreme iff 2 kappa^2 < 1 - boundary_tol,
-    otherwise Undetermined.  Asymmetric at k >= 3: NonExtreme iff the
-    Kesten-Stigum value exceeds 1 + boundary_tol, otherwise
-    Undetermined.  Every branch and k takes s2 and kappa from the
-    formulas ``spectrum_numeric`` and ``kappa_of`` use, applied to the
-    six kernel entries as plain floats.
+    With tol = DEFAULT_BOUNDARY_TOL: on the symmetric branch the
+    Kesten-Stigum value decides both directions (the test is sharp
+    there), with Undetermined inside the boundary band
+    |k s2^2 - 1| <= tol.  The s2 branch switch at theta = 1 needs no
+    special casing: both eigenvalue branches give s2 = 1/2 there, so
+    only k = 4 lands on the band (k s2^2 = 1 exactly).  Asymmetric at
+    k = 2: Extreme iff 2 kappa^2 < 1 - tol, otherwise Undetermined.
+    Asymmetric at k >= 3: NonExtreme iff the Kesten-Stigum value
+    exceeds 1 + tol, otherwise Undetermined.  Every branch and k takes
+    s2 and kappa from the formulas ``spectrum_numeric`` and ``kappa_of``
+    use, applied to the six kernel entries as plain floats.
     """
     entries = kernel_entries(sol.x, sol.y, k, theta)
     kappa = row_distance(*entries)
@@ -123,21 +118,18 @@ def classify_solution(
     ks = k * s2**2
     msw = k * kappa * kappa
 
+    tol = DEFAULT_BOUNDARY_TOL
     if sol.branch is Branch.SYMMETRIC:
-        if ks > 1.0 + boundary_tol:
+        if ks > 1.0 + tol:
             verdict = Verdict.NON_EXTREME
-        elif ks < 1.0 - boundary_tol:
+        elif ks < 1.0 - tol:
             verdict = Verdict.EXTREME
         else:
             verdict = Verdict.UNDETERMINED
     elif k == 2:
-        verdict = (
-            Verdict.EXTREME if msw < 1.0 - boundary_tol else Verdict.UNDETERMINED
-        )
+        verdict = Verdict.EXTREME if msw < 1.0 - tol else Verdict.UNDETERMINED
     else:
-        verdict = (
-            Verdict.NON_EXTREME if ks > 1.0 + boundary_tol else Verdict.UNDETERMINED
-        )
+        verdict = Verdict.NON_EXTREME if ks > 1.0 + tol else Verdict.UNDETERMINED
     measure = _MEASURE_OF_BRANCH[sol.branch]
     return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
 
@@ -199,19 +191,14 @@ def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:
     return upper if measure is Measure.MU1 else lower
 
 
-def classify_mu0(
-    k: int, theta: float, boundary_tol: float = DEFAULT_BOUNDARY_TOL
-) -> ExtremalityVerdict:
+def classify_mu0(k: int, theta: float) -> ExtremalityVerdict:
     """Classify the symmetric measure, which exists at every (k, theta)."""
     sol = solution_of(k, theta, Measure.MU0)
-    return classify_solution(k, theta, sol, boundary_tol)
+    return classify_solution(k, theta, sol)
 
 
 def classify_mu12(
-    k: int,
-    theta: float,
-    measure: Measure = Measure.MU1,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
+    k: int, theta: float, measure: Measure = Measure.MU1
 ) -> ExtremalityVerdict:
     """Classify an asymmetric measure for any k >= 2.
 
@@ -224,7 +211,7 @@ def classify_mu12(
     if measure is Measure.MU0:
         raise ValueError("mu0 is handled by classify_mu0")
     sol = solution_of(k, theta, measure)
-    return classify_solution(k, theta, sol, boundary_tol)
+    return classify_solution(k, theta, sol)
 
 
 def h_func(k: int, theta: float) -> float:

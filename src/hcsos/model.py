@@ -31,9 +31,9 @@ class Branch(Enum):
     LOWER = "Lower"
 
 
-def branch_of(x: float, tol: float = BRANCH_TOL) -> Branch:
+def branch_of(x: float) -> Branch:
     """Branch label implied by the first fixed-point coordinate."""
-    if abs(x - 1.0) < tol:
+    if abs(x - 1.0) < BRANCH_TOL:
         return Branch.SYMMETRIC
     return Branch.UPPER if x > 1.0 else Branch.LOWER
 

@@ -23,9 +23,9 @@ powers go lane by lane through Python's ``**``, which the callers
 handle.  The lockstep form pays a fixed numpy cost of 60-100 us per
 step however many lanes it has, about 1-1.5 ms for the 14-15 steps
 that a sweep's slowest lane takes, against tens of microseconds for one
-``find_root`` call.  So a single equation stays on ``find_root``, and a
-sweep of 24 points or more solves both branches of its whole grid in
-one ``_find_roots`` call.
+``find_root`` call.  So a single equation stays on ``find_root``, and
+every sweep solves both branches of its whole grid in one
+``_find_roots`` call; only a sweep that fails is redone point by point.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.

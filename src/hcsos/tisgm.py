@@ -147,7 +147,9 @@ def _eta_value(x: float, k: int, power=pow) -> float:
 
 def _eta_lanes(x: np.ndarray, k: int) -> np.ndarray:
     """``eta`` on every lane of x, bit for bit."""
-    with contextlib.suppress(OverflowError):
+    # float arithmetic overflows to inf silently; so does it here
+    ignore = np.errstate(over="ignore", invalid="ignore")
+    with contextlib.suppress(OverflowError), ignore:
         value = _eta_value(x, k, _powers)
         if np.isfinite(value).all():
             return value
@@ -308,11 +310,10 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     the brackets from one shared doubling ladder of eta, whose values
     depend on k only.  Every row meets the residual contract and
     ``TisgmSolution``'s positivity and branch checks, checked on the
-    columns; the first row in grid order that fails raises through
-    ``_checked``, as in its scalar solver.  Raises ValueError,
-    ArithmeticError or RuntimeError if any point fails, not necessarily
-    with the message of the first failing point; ``enumerate_solutions``
-    at each point in turn gives that one.
+    columns; if a row fails them, ConsistencyError names the first such
+    point.  Raises ValueError, ArithmeticError or RuntimeError if any
+    point fails, not necessarily with the message of the first failing
+    point; ``enumerate_solutions`` at each point in turn gives that one.
     """
     check_params(k, float(thetas.min()))
     check_params(theta=float(thetas.max()))
@@ -365,9 +366,8 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         side = np.where(abs(x - 1.0) < BRANCH_TOL, 0, np.where(x > 1.0, 1, 2))
     failed = (residual > RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0)) | (side != branch)
     if failed.any():
-        i = int(np.flatnonzero(failed)[0])
-        _checked(k, float(theta[i]), float(x[i]), float(y[i]), BRANCHES[branch[i]])
-        raise AssertionError(f"row {i} of the grid fails only on the columns")
+        where = float(theta[failed.argmax()])
+        raise ConsistencyError(f"a fixed point at k={k}, theta={where} fails a check")
     return SolutionGrid(tc, critical, point, branch, x, y, xk, w)
 
 

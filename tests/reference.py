@@ -4,11 +4,12 @@ None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
 kappa, root-finds the k = 3 thresholds, takes every spectrum and
 stationary law from the path-graph identities of the chain module,
-samples one configuration in blocks of uniforms, and draws the counts
-of many samples from their aggregate law without visiting a vertex.
-The closed forms, 50-digit evaluations, the one-shot vertex-by-vertex
-sampler and the edge-by-edge admissibility count here reach the same
-quantities another way.
+samples one configuration in blocks of uniforms, draws the counts of
+many samples from their aggregate law without visiting a vertex, and
+solves and classifies a sweep's whole grid as columns.  The closed
+forms, 50-digit evaluations, the one-shot vertex-by-vertex sampler,
+the edge-by-edge admissibility count and the point-by-point phase
+record here reach the same quantities another way.
 """
 
 import math
@@ -17,9 +18,16 @@ import mpmath as mp
 import numpy as np
 
 from hcsos.chain import SpectrumReport, TransitionKernel, stationary
+from hcsos.cli import PhaseRecord, SolutionRow
+from hcsos.extremality import classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
 from hcsos.sampler import Configuration, TreeConfig, _snapped_cumulative
-from hcsos.tisgm import RESIDUAL_TOL, ConsistencyError, compatibility_residual
+from hcsos.tisgm import (
+    RESIDUAL_TOL,
+    ConsistencyError,
+    compatibility_residual,
+    enumerate_solutions,
+)
 
 
 def solve_k2_closed_form(theta: float) -> list[TisgmSolution]:
@@ -304,3 +312,30 @@ def asymmetric_pair_mp(k: int, theta: float) -> tuple[tuple[mp.mpf, mp.mpf], ...
         )
     with mp.workdps(50):
         return tuple((+x, +y) for x, y in pair)
+
+
+def build_phase_record(k: int, theta: float) -> PhaseRecord:
+    """A sweep's record at one grid point, from the single-point solvers.
+
+    Grid points within the critical guard of theta_cr(k) carry the
+    symmetric solution with verdict "Critical" instead of a
+    classification (the asymmetric pair is not separable there).
+    """
+    sset = enumerate_solutions(k, theta)
+    rows = []
+    for sol in sset.solutions:
+        v = classify_solution(k, theta, sol)
+        verdict = "Critical" if sset.critical else v.verdict.value
+        rows.append(
+            SolutionRow(
+                branch=sol.branch.value,
+                x=sol.x,
+                y=sol.y,
+                s2=v.s2,
+                kappa=v.kappa,
+                ks_value=v.ks_value,
+                msw_value=v.msw_value,
+                verdict=verdict,
+            )
+        )
+    return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))

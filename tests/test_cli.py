@@ -15,7 +15,6 @@ from hcsos.cli import (
     CSV_HEADER,
     PhaseRecord,
     SolutionRow,
-    build_phase_record,
     main,
     read_phase_csv,
     sweep_records,
@@ -31,7 +30,7 @@ from hcsos.tisgm import (
     solve_symmetric,
     theta_cr,
 )
-from reference import s2_mp, stationary_mp
+from reference import build_phase_record, s2_mp, stationary_mp
 
 
 def run(argv):
@@ -334,7 +333,7 @@ class TestSweepSolvesGridInLockstep:
     @given(
         k=st.integers(2, 12),
         ends=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
-        steps=st.integers(64, 400),
+        steps=st.integers(2, 400),
         with_tc=st.booleans(),
     )
     def test_long_grid_equals_point_by_point(self, k, ends, steps, with_tc):
@@ -407,7 +406,8 @@ class TestSweepSolvesGridInLockstep:
         def never(*args):
             raise AssertionError("the point-by-point fallback was taken")
 
-        monkeypatch.setattr(cli, "build_phase_record", never)
+        monkeypatch.setattr(cli, "enumerate_solutions", never)
+        monkeypatch.setattr(cli, "classify_solution", never)
         assert _cli(_sweep(k, lo, hi, 250))[0] == 0
 
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -425,18 +425,29 @@ class TestSweepSolvesGridInLockstep:
 
     @pytest.mark.parametrize("k", [2, 8])
     @pytest.mark.parametrize("steps", [2, 5, 63, 64])
-    def test_short_grids_equal_either_route(self, k, steps, monkeypatch):
-        default = sweep_records(k, 0.1, 2.5, steps)
-        monkeypatch.setattr(cli, "_LOCKSTEP_MIN_STEPS", 2)
-        assert sweep_records(k, 0.1, 2.5, steps) == default
+    def test_short_grids_equal_either_route(self, k, steps):
+        # the lockstep columns against the single-point solvers
+        want = [build_phase_record(k, theta)
+                for theta in np.linspace(0.1, 2.5, steps).tolist()]
+        assert sweep_records(k, 0.1, 2.5, steps) == want
 
-    def test_short_grids_solve_point_by_point(self, monkeypatch):
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_short_grids_make_one_grid_call(self, k, monkeypatch):
+        # no length switch: a short grid is solved as columns too
+        tried = []
+
+        def grid(k, thetas):
+            tried.append(thetas.size)
+            return enumerate_solution_grid(k, thetas)
+
         def never(*args):
-            raise AssertionError("the lockstep route was taken")
+            raise AssertionError("the point-by-point fallback was taken")
 
-        monkeypatch.setattr(cli, "enumerate_solution_grid", never)
-        for steps in (2, 10, cli._LOCKSTEP_MIN_STEPS - 1):
-            assert _cli(_sweep(8, 0.1, 2.5, steps))[0] == 0
+        monkeypatch.setattr(cli, "enumerate_solution_grid", grid)
+        monkeypatch.setattr(cli, "enumerate_solutions", never)
+        for steps in (2, 10, 23):
+            assert _cli(_sweep(k, 0.1, 2.5, steps))[0] == 0
+        assert tried == [2, 10, 23]
 
     def test_lockstep_failure_that_no_point_shares_is_loud(self, monkeypatch):
         def fails(k, thetas):
@@ -455,7 +466,7 @@ class TestSweepSolvesGridInLockstep:
             raise AssertionError("the point-by-point fallback was taken")
 
         monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
-        monkeypatch.setattr(cli, "build_phase_record", never)
+        monkeypatch.setattr(cli, "enumerate_solutions", never)
         with pytest.raises(ValueError, match="broadcast"):
             sweep_records(2, 0.1, 2.5, 100)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcsos import tisgm
+from hcsos.cli import sweep_records
 from hcsos.model import Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
     BoundaryLaw,
@@ -345,16 +346,19 @@ class TestSolutionGrid:
     def test_first_row_over_the_residual_bound_raises_as_scalar(
         self, k, tol, monkeypatch
     ):
-        # the residual contract holds on every row; the first row in grid
-        # order that breaks it raises the scalar solver's ConsistencyError
+        # the residual contract holds on every row; a row that breaks it
+        # fails the grid, and the sweep raises the first failing point's
+        # ConsistencyError from the scalar solver
         monkeypatch.setattr(tisgm, "RESIDUAL_TOL", tol)
         grid = np.linspace(0.3, 2.0, 80)
         with pytest.raises(tisgm.ConsistencyError) as scalar:
             for theta in grid.tolist():
                 enumerate_solutions(k, theta)
-        with pytest.raises(tisgm.ConsistencyError) as lockstep:
+        with pytest.raises(tisgm.ConsistencyError):
             enumerate_solution_grid(k, grid)
-        assert str(lockstep.value) == str(scalar.value)
+        with pytest.raises(tisgm.ConsistencyError) as sweep:
+            sweep_records(k, 0.3, 2.0, 80)
+        assert str(sweep.value) == str(scalar.value)
 
     def test_critical_point(self):
         thetas = np.array([1.0])
