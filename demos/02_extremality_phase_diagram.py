@@ -6,9 +6,8 @@ import numpy as np
 from hcsos import Measure, classify_mu0, classify_mu12, theta_cr, thresholds
 
 for k in (2, 3):
-    table = thresholds(k)
     print(f"k = {k} thresholds:")
-    for t in table.entries:
+    for t in thresholds(k).values():
         closed = f"{t.closed_form!r}" if t.closed_form is not None else "(none)"
         print(f"  {t.name}: root-found {t.root_found!r}, closed form {closed}")
 print()

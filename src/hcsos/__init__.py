@@ -18,26 +18,16 @@ from .extremality import (
     ExtremalityVerdict,
     Measure,
     Threshold,
-    ThresholdTable,
     Verdict,
     classify_mu0,
     classify_mu12,
     classify_solution,
-    h_func,
-    q_func,
     thresholds,
 )
 from .model import (
     Branch,
     ModelParams,
     TisgmSolution,
-)
-from .rootfind import (
-    Bracket,
-    BracketError,
-    UnboundedBracketError,
-    expand_bracket_decreasing,
-    find_root,
 )
 from .sampler import (
     Configuration,
@@ -66,8 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryLaw",
-    "Bracket",
-    "BracketError",
     "Branch",
     "Configuration",
     "ConsistencyError",
@@ -80,7 +68,6 @@ __all__ = [
     "SolutionSet",
     "SpectrumReport",
     "Threshold",
-    "ThresholdTable",
     "TisgmSolution",
     "TransitionKernel",
     "TreeConfig",
@@ -93,12 +80,9 @@ __all__ = [
     "enumerate_solutions",
     "estimate_marginals",
     "eta",
-    "expand_bracket_decreasing",
-    "find_root",
-    "h_func",
+    "iterate_boundary_law",
     "kappa_of",
     "kernel_of",
-    "q_func",
     "sample",
     "solve_asymmetric",
     "solve_symmetric",

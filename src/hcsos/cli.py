@@ -414,12 +414,12 @@ def cmd_thresholds(args) -> int:
             note += " except theta = 1, where 4 s2^2 = 1 exactly (Undetermined)"
         _print_or_dump(args, [note + "."], {"k": args.k, "thresholds": []})
         return 0
-    table = thresholds(args.k)
+    table = thresholds(args.k).values()
     lines = [
-        f"k = {table.k}",
+        f"k = {args.k}",
         f"{'name':<8} {'closed-form':<24} {'root-found':<24} {'difference':<12}",
     ]
-    for t in table.entries:
+    for t in table:
         closed = repr(t.closed_form) if t.closed_form is not None else "-"
         diff = (
             f"{abs(t.closed_form - t.root_found):.3e}"
@@ -428,7 +428,7 @@ def cmd_thresholds(args) -> int:
         )
         lines.append(f"{t.name:<8} {closed:<24} {t.root_found!r:<24} {diff:<12}")
     obj = {
-        "k": table.k,
+        "k": args.k,
         "thresholds": [
             {
                 "name": t.name,
@@ -437,7 +437,7 @@ def cmd_thresholds(args) -> int:
                 "root_found": t.root_found,
                 "provenance": t.provenance,
             }
-            for t in table.entries
+            for t in table
         ],
     }
     _print_or_dump(args, lines, obj)

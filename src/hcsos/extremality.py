@@ -12,7 +12,10 @@ Two criteria drive every verdict:
 On the symmetric branch kappa = gamma = s2, so the two tests are sharp
 complements of each other: outside a small boundary band exactly one of
 them decides.  The band where neither strict inequality holds (and the
-s2 branch switch at theta = 1) is reported as Undetermined.
+s2 branch switch at theta = 1) is reported as Undetermined.  One rule,
+``_verdicts``, turns the two criteria into a verdict, for one measure
+(``classify_solution``) and for a sweep's columns (``classify_columns``)
+alike.
 
 For the asymmetric measures at k = 2 the Kesten-Stigum condition
 provably never holds (it reduces to (x-1)^2 + 2(x^2+1) < 0), so the
@@ -100,17 +103,9 @@ class ExtremalityVerdict:
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    With tol = DEFAULT_BOUNDARY_TOL: on the symmetric branch the
-    Kesten-Stigum value decides both directions (the test is sharp
-    there), with Undetermined inside the boundary band
-    |k s2^2 - 1| <= tol.  The s2 branch switch at theta = 1 needs no
-    special casing: both eigenvalue branches give s2 = 1/2 there, so
-    only k = 4 lands on the band (k s2^2 = 1 exactly).  Asymmetric at
-    k = 2: Extreme iff 2 kappa^2 < 1 - tol, otherwise Undetermined.
-    Asymmetric at k >= 3: NonExtreme iff the Kesten-Stigum value
-    exceeds 1 + tol, otherwise Undetermined.  Every branch and k takes
-    s2 and kappa from the formulas ``spectrum_numeric`` and ``kappa_of``
-    use, applied to the six kernel entries as plain floats.
+    The verdict comes from the one rule, ``_verdicts``.  Every branch
+    and k takes s2 and kappa from the formulas ``spectrum_numeric`` and
+    ``kappa_of`` use, applied to the six kernel entries as plain floats.
     """
     entries = kernel_entries(sol.x, sol.y, k, theta)
     kappa = row_distance(*entries)
@@ -118,18 +113,7 @@ def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVe
     ks = k * s2**2
     msw = k * kappa * kappa
 
-    tol = DEFAULT_BOUNDARY_TOL
-    if sol.branch is Branch.SYMMETRIC:
-        if ks > 1.0 + tol:
-            verdict = Verdict.NON_EXTREME
-        elif ks < 1.0 - tol:
-            verdict = Verdict.EXTREME
-        else:
-            verdict = Verdict.UNDETERMINED
-    elif k == 2:
-        verdict = Verdict.EXTREME if msw < 1.0 - tol else Verdict.UNDETERMINED
-    else:
-        verdict = Verdict.NON_EXTREME if ks > 1.0 + tol else Verdict.UNDETERMINED
+    verdict = Verdict(_verdicts(k, sol.branch is Branch.SYMMETRIC, ks, msw).item())
     measure = _MEASURE_OF_BRANCH[sol.branch]
     return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
 
@@ -157,9 +141,24 @@ def classify_columns(
 
 
 def _verdicts(
-    k: int, symmetric: np.ndarray, ks: np.ndarray, msw: np.ndarray
+    k: int,
+    symmetric: np.ndarray | bool,
+    ks: np.ndarray | float,
+    msw: np.ndarray | float,
 ) -> np.ndarray:
-    # classify_solution's verdict rule on columns
+    """The verdict rule, as strings, on floats or lane by lane on columns.
+
+    With tol = DEFAULT_BOUNDARY_TOL: on the symmetric branch the
+    Kesten-Stigum value decides both directions (the test is sharp
+    there), with Undetermined inside the boundary band
+    |k s2^2 - 1| <= tol.  The s2 branch switch at theta = 1 needs no
+    special casing: both eigenvalue branches give s2 = 1/2 there, so
+    only k = 4 lands on the band (k s2^2 = 1 exactly).  Asymmetric at
+    k = 2: Extreme iff 2 kappa^2 < 1 - tol, otherwise Undetermined.
+    Asymmetric at k >= 3: NonExtreme iff the Kesten-Stigum value
+    exceeds 1 + tol, otherwise Undetermined.  NaN compares false, so it
+    lands on Undetermined.
+    """
     ext, non, und = (
         Verdict.EXTREME.value, Verdict.NON_EXTREME.value, Verdict.UNDETERMINED.value
     )
@@ -256,18 +255,6 @@ class Threshold:
         return self.closed_form if self.closed_form is not None else self.root_found
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
-    k: int
-    entries: tuple[Threshold, ...]
-
-    def __getitem__(self, name: str) -> Threshold:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
-
 def _mu12_margin_k2(theta: float) -> float:
     # 2 kappa^2 - 1 for the upper branch; decreasing in theta on (0, 1).
     # x1 is the closed-form upper root: with rho = x + 1/x the k = 2 fixed
@@ -279,8 +266,8 @@ def _mu12_margin_k2(theta: float) -> float:
     return 2.0 * kappa * kappa - 1.0
 
 
-def thresholds(k: int) -> ThresholdTable:
-    """Classification thresholds for k in {2, 3}.
+def thresholds(k: int) -> dict[str, Threshold]:
+    """Classification thresholds for k in {2, 3}, by name.
 
     Each entry is the root of its defining margin function; the k = 2
     entries also carry independent closed forms.  k outside {2, 3}
@@ -299,27 +286,23 @@ def thresholds(k: int) -> ThresholdTable:
         t5_root = find_root(
             _mu12_margin_k2, Bracket.certify(_mu12_margin_k2, 0.5, 0.999)
         )
-        return ThresholdTable(
-            k=2,
-            entries=(
-                Threshold("theta1", t1_root, t1_closed),
-                Threshold("theta2", t2_root, t2_closed),
-                Threshold("theta5", t5_root, t5_closed),
-            ),
+        entries = (
+            Threshold("theta1", t1_root, t1_closed),
+            Threshold("theta2", t2_root, t2_closed),
+            Threshold("theta5", t5_root, t5_closed),
         )
-    if k == 3:
+    elif k == 3:
         h3 = lambda t: h_func(3, t)
         q3 = lambda t: q_func(3, t)
         t3_root = find_root(h3, Bracket.certify(h3, 0.01, 1.0))
         t4_root = find_root(q3, Bracket.certify(q3, 1.0, 4.0))
-        return ThresholdTable(
-            k=3,
-            entries=(
-                Threshold("theta3", t3_root, None),
-                Threshold("theta4", t4_root, None),
-            ),
+        entries = (
+            Threshold("theta3", t3_root, None),
+            Threshold("theta4", t4_root, None),
         )
-    raise ValueError(
-        f"thresholds exist only for k in {{2, 3}}; for k = {k} >= 4 the "
-        "symmetric measure is non-extreme at every theta"
-    )
+    else:
+        raise ValueError(
+            f"thresholds exist only for k in {{2, 3}}; for k = {k} >= 4 the "
+            "symmetric measure is non-extreme at every theta"
+        )
+    return {t.name: t for t in entries}

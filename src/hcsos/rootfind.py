@@ -27,6 +27,11 @@ that a sweep's slowest lane takes, against tens of microseconds for one
 every sweep solves both branches of its whole grid in one
 ``_find_roots`` call; only a sweep that fails is redone point by point.
 
+There is one bracket ladder, ``expand_bracket_decreasing``: for f
+decreasing on [1, inf) it doubles x from 1 until f drops to each of its
+targets, one lane per target.  A sweep passes all its targets at once;
+a single equation passes one, and its ``Bracket`` is lane 0.
+
 All routines are pure and deterministic: identical inputs produce
 bit-identical outputs.
 """
@@ -171,44 +176,19 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
 
 
 def expand_bracket_decreasing(
-    f: Callable[[float], float], lo: float, target: float
-) -> Bracket:
-    """Bracket the solution of f(x) = target for f strictly decreasing on [lo, inf).
-
-    Doubles the upper endpoint starting from lo until f drops below the
-    target; the returned bracket certifies the sign change of
-    f(x) - target.  Raises UnboundedBracketError after 60 doublings.
-    """
-    if lo < 0.0:
-        raise BracketError(f"expansion by doubling needs lo >= 0, got {lo}")
-    g_lo = f(lo) - target
-    if not g_lo > 0.0:
-        raise BracketError(
-            f"f(lo) = target + {g_lo}; need f(lo) > target to start the expansion"
-        )
-    hi = 2.0 * lo if lo > 0 else 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        g_hi = f(hi) - target
-        if g_hi <= 0.0:
-            return Bracket(lo, hi, g_lo, g_hi)
-        hi *= 2.0
-    raise UnboundedBracketError(
-        f"f stayed above target {target} out to x = {hi}; no bracket found"
-    )
-
-
-def _expand_brackets_decreasing(
     f: Callable[[float], float], targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``expand_bracket_decreasing(f, 1.0, target)`` for many targets.
+    """Bracket each solution of f(x) = target for f strictly decreasing on [1, inf).
 
+    Doubles the upper endpoint from 1 until f drops to each target; lane
+    i's bracket [1, hi] certifies the sign change of f(x) - targets[i].
     The values of f at 2, 4, 8, ... do not depend on the target, so each
     is computed once, and only as far up as the lowest target needs:
     f(x) - t <= 0 exactly when f(x) <= t, so every lane has crossed
     once that one has.  One lanes x rungs comparison then finds each
-    lane's first crossing.  Returns the lanes' brackets as arrays
-    (lo, hi, f_lo, f_hi), each lane equal to the scalar routine's
-    ``Bracket`` for its target.
+    lane's first crossing.  Returns the brackets as arrays
+    (lo, hi, f_lo, f_hi).  Raises UnboundedBracketError, naming the
+    first open lane's target, after 60 doublings.
     """
     g_lo = f(1.0) - targets
     if not (g_lo > 0.0).all():
@@ -227,7 +207,7 @@ def _expand_brackets_decreasing(
         step *= 2.0
     open_ = ~(np.subtract.outer(values, targets) <= 0.0).any(axis=0)
     raise UnboundedBracketError(
-        f"f stayed above target {targets[open_][0]} out to x = {step}; "
+        f"f stayed above target {float(targets[open_][0])} out to x = {step}; "
         "no bracket found"
     )
 

@@ -46,14 +46,7 @@ from .model import (
     activity_matrix,
     check_params,
 )
-from .rootfind import (
-    Bracket,
-    BracketError,
-    _expand_brackets_decreasing,
-    _find_roots,
-    expand_bracket_decreasing,
-    find_root,
-)
+from .rootfind import Bracket, _find_roots, expand_bracket_decreasing, find_root
 
 # theta within this distance of theta_cr(k): the asymmetric pair has
 # merged into x = 1 beyond root-finder resolution.
@@ -199,6 +192,8 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
 
     y solves theta y^(k+1) + y - 2 theta = 0; the root lies in
     (0, 2^(1/(k+1))) since f(0) < 0 < f(2^(1/(k+1))) and f is increasing.
+    The float 2^(1/(k+1)) may round low, so the upper end steps up by
+    one ulp while f is still negative there, as it is at huge theta.
     ``find_root`` stops on a bracket a few ulp of y wide, so y keeps full
     relative precision down to the smallest theta, where y ~ 2 theta.
     """
@@ -208,7 +203,11 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
         return _symmetric_f(k, theta, y)
 
     hi = 2.0 ** (1.0 / (k + 1))
-    y = find_root(f, Bracket.certify(f, 0.0, hi))
+    f_hi = f(hi)
+    while f_hi < 0.0:
+        hi = math.nextafter(hi, math.inf)
+        f_hi = f(hi)
+    y = find_root(f, Bracket(0.0, hi, f(0.0), f_hi))
     return _checked(k, theta, 1.0, y, Branch.SYMMETRIC)
 
 
@@ -228,7 +227,8 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
         # below theta_cr in exact arithmetic but merged with x = 1 beyond
         # float resolution: no separable asymmetric pair exists
         return []
-    bracket = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
+    ladder = expand_bracket_decreasing(lambda x: eta(x, k), np.array([target]))
+    bracket = Bracket(*(float(v[0]) for v in ladder))
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
@@ -305,10 +305,10 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     """``enumerate_solutions`` at every theta of a grid, bit for bit.
 
     Both branches of every grid point are solved in one lockstep form of
-    ``find_root``: first one lane per point for the symmetric y on
-    [0, 2^(1/(k+1))], then one per asymmetric pair for its upper x, with
-    the brackets from one shared doubling ladder of eta, whose values
-    depend on k only.  Every row meets the residual contract and
+    ``find_root``: first one lane per point for the symmetric y on the
+    bracket of ``solve_symmetric``, then one per asymmetric pair for its
+    upper x, with the brackets from one shared doubling ladder of eta,
+    whose values depend on k only.  Every row meets the residual contract and
     ``TisgmSolution``'s positivity and branch checks, checked on the
     columns; if a row fails them, ConsistencyError names the first such
     point.  Raises ValueError, ArithmeticError or RuntimeError if any
@@ -332,11 +332,12 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         hi = np.full(n, 2.0 ** (1.0 / (k + 1)))
         f_lo = _symmetric_f(k, thetas, lo, _powers)
         f_hi = _symmetric_f(k, thetas, hi, _powers)
-        # f(0) = -2 theta < 0, so a lane certifies unless f(hi) < 0
-        if (f_hi < 0.0).any():
-            raise BracketError("no sign change on the symmetric bracket of some theta")
+        # f(0) = -2 theta < 0; raise hi lane by lane as solve_symmetric does
+        while (low := f_hi < 0.0).any():
+            hi[low] = np.nextafter(hi[low], math.inf)
+            f_hi[low] = _symmetric_f(k, thetas[low], hi[low], _powers)
         if lanes.size:
-            ladder = _expand_brackets_decreasing(lambda x: eta(x, k), target)
+            ladder = expand_bracket_decreasing(lambda x: eta(x, k), target)
             lo, hi, f_lo, f_hi = map(np.concatenate, zip((lo, hi, f_lo, f_hi), ladder))
 
         def f(i: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,10 +6,12 @@ kappa, root-finds the k = 3 thresholds, takes every spectrum and
 stationary law from the path-graph identities of the chain module,
 samples one configuration in blocks of uniforms, draws the counts of
 many samples from their aggregate law without visiting a vertex, and
-solves and classifies a sweep's whole grid as columns.  The closed
-forms, 50-digit evaluations, the one-shot vertex-by-vertex sampler,
-the edge-by-edge admissibility count and the point-by-point phase
-record here reach the same quantities another way.
+solves and classifies a sweep's whole grid as columns, brackets every
+asymmetric root with one many-target ladder and applies one numpy
+verdict rule.  The closed forms, 50-digit evaluations, the one-shot
+vertex-by-vertex sampler, the edge-by-edge admissibility count, the
+point-by-point phase record, the one-target ladder and the branching
+verdict rule here reach the same quantities another way.
 """
 
 import math
@@ -19,8 +21,9 @@ import numpy as np
 
 from hcsos.chain import SpectrumReport, TransitionKernel, stationary
 from hcsos.cli import PhaseRecord, SolutionRow
-from hcsos.extremality import classify_solution
+from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
+from hcsos.rootfind import Bracket, BracketError, UnboundedBracketError
 from hcsos.sampler import Configuration, TreeConfig, _snapped_cumulative
 from hcsos.tisgm import (
     RESIDUAL_TOL,
@@ -339,3 +342,48 @@ def build_phase_record(k: int, theta: float) -> PhaseRecord:
             )
         )
     return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))
+
+
+def expand_bracket_scalar(f, lo: float, target: float) -> Bracket:
+    """Bracket the solution of f(x) = target for f strictly decreasing on [lo, inf).
+
+    The one-target doubling ladder, float by float: doubles the upper
+    endpoint from lo until f drops to the target.  The production
+    ``rootfind.expand_bracket_decreasing`` starts at 1 and runs many
+    targets at once; lane by lane it must give this bracket, or raise
+    UnboundedBracketError with this message after 60 doublings.
+    """
+    if lo < 0.0:
+        raise BracketError(f"expansion by doubling needs lo >= 0, got {lo}")
+    g_lo = f(lo) - target
+    if not g_lo > 0.0:
+        raise BracketError(
+            f"f(lo) = target + {g_lo}; need f(lo) > target to start the expansion"
+        )
+    hi = 2.0 * lo if lo > 0 else 1.0
+    for _ in range(60):
+        g_hi = f(hi) - target
+        if g_hi <= 0.0:
+            return Bracket(lo, hi, g_lo, g_hi)
+        hi *= 2.0
+    raise UnboundedBracketError(
+        f"f stayed above target {target} out to x = {hi}; no bracket found"
+    )
+
+
+def verdict_rule(k: int, symmetric: bool, ks: float, msw: float) -> Verdict:
+    """The verdict rule written as branches on one measure's floats.
+
+    The production rule is ``extremality._verdicts``, which selects
+    among the outcomes with numpy on floats and columns alike.
+    """
+    tol = DEFAULT_BOUNDARY_TOL
+    if symmetric:
+        if ks > 1.0 + tol:
+            return Verdict.NON_EXTREME
+        if ks < 1.0 - tol:
+            return Verdict.EXTREME
+        return Verdict.UNDETERMINED
+    if k == 2:
+        return Verdict.EXTREME if msw < 1.0 - tol else Verdict.UNDETERMINED
+    return Verdict.NON_EXTREME if ks > 1.0 + tol else Verdict.UNDETERMINED

@@ -130,6 +130,41 @@ class TestClassifyCommand:
                     assert v[key] == row[key], (theta, v["measure"], key)
 
 
+class TestHugeTheta:
+    # the symmetric bracket's upper end 2^(1/(k+1)) rounds low for k = 3
+    # and 8, which leaves no sign change once theta is huge
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--k", "3", "--theta", "1e20", "--measure", "mu0"],
+        ["tisgm", "--k", "8", "--theta", "1e20"],
+        ["sweep", "--k", "3", "--theta-min", "1e290", "--theta-max", "1e300",
+         "--steps", "50"],
+    ])
+    def test_exits_zero(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("k, lo, hi, steps", [
+        (3, "1e290", "1e300", 50), (3, "1e20", "1e21", 2), (8, "1e20", "1e21", 2),
+    ])
+    def test_sweep_rows_equal_lone_calls(self, k, lo, hi, steps, capsys):
+        common = ["--k", str(k), "--format", "json"]
+        argv = ["sweep", "--theta-min", lo, "--theta-max", hi, "--steps", str(steps)]
+        assert run(argv + common) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == steps
+        for rec in records:
+            theta = ["--theta", repr(rec["theta"])]
+            assert run(["tisgm", *theta, *common]) == 0
+            sols = json.loads(capsys.readouterr().out)["solutions"]
+            assert run(["classify", *theta, *common]) == 0
+            verdicts = json.loads(capsys.readouterr().out)
+            assert len(rec["solutions"]) == len(sols) == len(verdicts) == 1
+            for row, sol, v in zip(rec["solutions"], sols, verdicts):
+                assert {key: row[key] for key in sol} == sol
+                for key in ("s2", "kappa", "ks_value", "msw_value", "verdict"):
+                    assert row[key] == v[key], (rec["theta"], key)
+
+
 class TestSweepCommand:
     def test_verdict_flips_at_k2_thresholds(self, tmp_path):
         out = tmp_path / "sweep.csv"

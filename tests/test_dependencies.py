@@ -2,6 +2,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from types import ModuleType
 
 import hcsos
 
@@ -80,3 +81,17 @@ def test_sweep_leaves_hashlib_numpy_random_and_thread_pool_unloaded():
     )
     loaded = _modules_in_fresh_process(code, "hashlib", "numpy.random", "concurrent")
     assert loaded == "[]"
+
+
+def test_public_surface_is_all_and_small():
+    # __all__ is sorted, names each public object once, and holds at most
+    # 35 names; every other public name of the package is a submodule
+    names = hcsos.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(hcsos, name) for name in names)
+    assert len(names) <= 35
+    public = {
+        name for name, value in vars(hcsos).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == set(names)

@@ -19,7 +19,7 @@ from hcsos.extremality import (
     thresholds,
 )
 from hcsos.tisgm import compatibility_residual, solve_asymmetric, solve_symmetric
-from reference import spectrum_asymmetric_k2
+from reference import spectrum_asymmetric_k2, verdict_rule
 
 # Frozen reference values (50-digit mpmath evaluations rounded to float64).
 H2_AT_02 = 0.8846280394692626
@@ -352,7 +352,11 @@ class TestColumnsEqualScalar:
         with np.errstate(all="ignore"):
             msw = k * kappa * kappa
         got = extremality._verdicts(k, symmetric, ks, msw)
-        for v, g_ks, g_msw, g in zip(want, ks.tolist(), msw.tolist(), got.tolist()):
+        for v, sym, g_ks, g_msw, g in zip(
+            want, symmetric.tolist(), ks.tolist(), msw.tolist(), got.tolist()
+        ):
             assert _same(g_ks, v.ks_value) and _same(g_msw, v.msw_value)
             assert g == v.verdict.value, (v.measure, v.ks_value, v.msw_value)
+            # the one numpy rule against the rule written as branches
+            assert v.verdict is verdict_rule(k, sym, g_ks, g_msw), (v.measure, g_ks)
         assert {v.verdict for v in want} == set(Verdict)

@@ -11,12 +11,12 @@ from hcsos.rootfind import (
     BracketError,
     ConvergenceError,
     UnboundedBracketError,
-    _expand_brackets_decreasing,
     _find_roots,
     expand_bracket_decreasing,
     find_root,
 )
-from hcsos.tisgm import eta
+from hcsos.tisgm import eta, theta_cr
+from reference import expand_bracket_scalar
 
 # Symmetric-branch equation at k=2, theta=0.5; the expected root is the
 # closed-form value u^(1/3)/(3 theta) - u^(-1/3) with
@@ -105,34 +105,65 @@ class TestFindRoot:
         assert abs(root - a) <= 1e-10
 
 
+def _lane(ladder, i=0):
+    # lane i of expand_bracket_decreasing's arrays as a Bracket
+    return Bracket(*(float(v[i]) for v in ladder))
+
+
+def _same_outcome(f, targets):
+    # the ladder on all targets against the one-target oracle on each:
+    # the same brackets, or the same exception type and message
+    try:
+        ladder = expand_bracket_decreasing(f, np.array(targets))
+    except BracketError as exc:
+        open_ = []
+        for target in targets:
+            try:
+                expand_bracket_scalar(f, 1.0, target)
+            except BracketError as want:
+                open_.append(want)
+        assert open_, exc
+        assert (type(exc), str(exc)) == (type(open_[0]), str(open_[0]))
+        return exc
+    for i, target in enumerate(targets):
+        assert _lane(ladder, i) == expand_bracket_scalar(f, 1.0, target), target
+    return None
+
+
 class TestExpandBracket:
     def test_reciprocal(self):
-        b = expand_bracket_decreasing(lambda x: 1.0 / x, 1.0, 0.25)
+        b = _lane(expand_bracket_decreasing(lambda x: 1.0 / x, np.array([0.25])))
         assert b.lo <= 4.0 <= b.hi
         assert b.f_lo == 1.0 - 0.25 and b.f_hi <= 0.0
-
-    def test_exponential_from_zero(self):
-        b = expand_bracket_decreasing(lambda x: math.exp(-x), 0.0, 0.5)
-        assert b.lo <= math.log(2.0) <= b.hi
 
     def test_level_set_of_eta(self):
         k, theta = 3, 1.5  # below the coexistence threshold for k = 3
         target = theta ** (k + 1)
-        b = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
-        assert b.lo >= 1.0
+        b = _lane(expand_bracket_decreasing(lambda x: eta(x, k), np.array([target])))
+        assert b.lo == 1.0
         assert eta(b.lo, k) > target >= eta(b.hi, k)
 
     def test_precondition_violation(self):
         with pytest.raises(BracketError):
-            expand_bracket_decreasing(lambda x: 1.0 / x, 1.0, 2.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(BracketError):
-            expand_bracket_decreasing(lambda x: -x, -1.0, 0.5)
+            expand_bracket_decreasing(lambda x: 1.0 / x, np.array([2.0]))
 
     def test_unbounded_failure(self):
-        with pytest.raises(UnboundedBracketError):
-            expand_bracket_decreasing(lambda x: 1.0 + 1.0 / (1.0 + x), 1.0, 0.5)
+        f = lambda x: 1.0 + 1.0 / (1.0 + x)
+        with pytest.raises(UnboundedBracketError) as err:
+            expand_bracket_decreasing(f, np.array([0.5]))
+        with pytest.raises(UnboundedBracketError) as want:
+            expand_bracket_scalar(f, 1.0, 0.5)
+        assert str(err.value) == str(want.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 120), share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_one_lane_equals_scalar(self, k, share):
+        # theta a share of theta_cr(k): every bracket, or the same failure
+        theta = share * theta_cr(k)
+        target = theta ** (k + 1)
+        if target >= eta(1.0, k):
+            return  # merged with x = 1; solve_asymmetric never brackets it
+        _same_outcome(lambda x: eta(x, k), [target])
 
 
 # Lane i of the lockstep tests solves (t - c) (q t^2 + b) = 0: a cubic
@@ -198,16 +229,19 @@ class TestLockstep:
     def test_shared_ladder_equals_expansion(self):
         k = 3
         # eta(4) itself: the ladder's value at 4 meets the target exactly
-        targets = np.array([1.5**4, 0.3**4, 1e-9, 6.0, eta(4.0, k)])
-        lo, hi, g_lo, g_hi = _expand_brackets_decreasing(lambda x: eta(x, k), targets)
-        for i, target in enumerate(targets.tolist()):
-            b = expand_bracket_decreasing(lambda x: eta(x, k), 1.0, target)
-            assert (lo[i], hi[i], g_lo[i], g_hi[i]) == (b.lo, b.hi, b.f_lo, b.f_hi)
+        targets = [1.5**4, 0.3**4, 1e-9, 6.0, eta(4.0, k)]
+        assert _same_outcome(lambda x: eta(x, k), targets) is None
+        # k = 100, theta = 0.5: 60 doublings from 1 stay above the target;
+        # alone, or after a closed lane, it fails as the scalar ladder does
+        k = 100
+        for targets in ([0.5 ** (k + 1)], [1.0, 0.5 ** (k + 1), 0.25 ** (k + 1)]):
+            exc = _same_outcome(lambda x: eta(x, k), targets)
+            assert isinstance(exc, UnboundedBracketError)
 
     def test_shared_ladder_failures(self):
         with pytest.raises(BracketError):
-            _expand_brackets_decreasing(lambda x: 1.0 / x, np.array([0.5, 2.0]))
+            expand_bracket_decreasing(lambda x: 1.0 / x, np.array([0.5, 2.0]))
         with pytest.raises(UnboundedBracketError):
-            _expand_brackets_decreasing(
+            expand_bracket_decreasing(
                 lambda x: 1.0 + 1.0 / (1.0 + x), np.array([1.2, 0.5])
             )

@@ -3,13 +3,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcsos import tisgm
 from hcsos.cli import sweep_records
 from hcsos.model import Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
+    RESIDUAL_TOL,
     BoundaryLaw,
     NumericalDomainError,
     SolutionSet,
@@ -216,6 +217,24 @@ class TestSymmetric:
         assert tb.tb_frame.f_code.co_name == "compatibility_residual"
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 10**4), theta=st.floats(1.0, 1e300))
+    @example(k=3, theta=1e20)
+    @example(k=8, theta=1e20)
+    @example(k=3, theta=1e300)
+    def test_huge_theta(self, k, theta):
+        # 2^(1/(k+1)) rounds low for about half of all k (3, 6, 8, 9, ...),
+        # and from theta ~ 1e17 on f(hi) < 0 shows it; hi steps up to
+        # certify the bracket, in a lone call and a grid's lane alike
+        sol = solve_symmetric(k, theta)
+        assert compatibility_residual(k, theta, sol.x, sol.y) <= RESIDUAL_TOL
+        if k >= 143:
+            return  # theta_cr(k) overflows, so no grid runs (Known defects)
+        grid = enumerate_solution_grid(k, np.array([1.0, math.sqrt(theta), theta]))
+        row = (grid.point == 2) & (grid.branch == 0)
+        assert grid.y[row].tolist() == [sol.y]
+
+
 class TestAsymmetric:
     def test_empty_at_critical_coupling(self):
         assert solve_asymmetric(2, 1.0) == []
@@ -365,9 +384,11 @@ class TestSolutionGrid:
         (sset,) = _solution_sets(2, thetas, enumerate_solution_grid(2, thetas))
         assert sset == enumerate_solutions(2, 1.0) and sset.critical
 
+    # 60 doublings fall short (k = 8 and 3), x^k overflows in the residual
+    # (k = 20), theta_cr(k) overflows (k = 144)
     @pytest.mark.parametrize(
         "k,grid",
-        [(8, [0.001, 0.5]), (20, [0.1647, 1.0]), (144, [0.5, 1.0]), (3, [1e18, 1.0])],
+        [(8, [0.001, 0.5]), (20, [0.1647, 1.0]), (144, [0.5, 1.0]), (3, [1e-40, 1.0])],
     )
     def test_failing_point_raises(self, k, grid):
         with pytest.raises((ValueError, ArithmeticError, RuntimeError)):
