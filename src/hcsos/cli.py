@@ -42,6 +42,7 @@ import numpy as np
 from .chain import kernel_of, stationary
 from .extremality import (
     Measure,
+    _pair_of,
     classify_columns,
     classify_mu0,
     classify_mu12,
@@ -365,11 +366,11 @@ def cmd_classify(args) -> int:
     verdicts = []
     if args.measure in ("mu0", "all"):
         verdicts.append(classify_mu0(k, theta))
-    for name, measure in (("mu1", Measure.MU1), ("mu2", Measure.MU2)):
-        if args.measure == name:
-            verdicts.append(classify_mu12(k, theta, measure))
-        elif args.measure == "all" and theta < theta_cr(k):
-            verdicts.append(classify_mu12(k, theta, measure))
+    if args.measure in ("mu1", "mu2"):
+        verdicts.append(classify_mu12(k, theta, Measure(args.measure)))
+    elif args.measure == "all" and theta < theta_cr(k):
+        # one asymmetric solve serves both mu1 (upper) and mu2 (lower)
+        verdicts.extend(classify_solution(k, theta, s) for s in _pair_of(k, theta))
     lines: list[str] = []
     for v in verdicts:
         lines.extend(_verdict_lines(v))

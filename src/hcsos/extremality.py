@@ -41,9 +41,9 @@ excluded):
   k >= 4: never extreme (k s2^2 > 1 for every theta except the single
          boundary point of k = 4 at theta = 1).
 
-Each threshold is the root of its defining margin function (h, q, or
-the 2 kappa^2 = 1 equation); where a closed form exists the two routes
-are computed independently and must agree.
+Each threshold is a root of a margin ``classify`` reports (the
+Kesten-Stigum value of mu0, or for theta5 the MSW value of mu1, minus 1),
+so the printed verdict flips there; the k = 2 closed forms must agree.
 """
 
 from __future__ import annotations
@@ -181,13 +181,18 @@ def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:
     """
     if measure is Measure.MU0:
         return solve_symmetric(k, theta)
+    upper, lower = _pair_of(k, theta)
+    return upper if measure is Measure.MU1 else lower
+
+
+def _pair_of(k: int, theta: float) -> list[TisgmSolution]:
+    # solve_asymmetric's pair, upper then lower; ValueError where it is empty
     pair = solve_asymmetric(k, theta)
     if not pair:
         raise ValueError(
             f"mu1/mu2 do not exist at k={k}, theta={theta} >= theta_cr = {theta_cr(k)}"
         )
-    upper, lower = pair
-    return upper if measure is Measure.MU1 else lower
+    return pair
 
 
 def classify_mu0(k: int, theta: float) -> ExtremalityVerdict:
@@ -213,31 +218,6 @@ def classify_mu12(
     return classify_solution(k, theta, sol)
 
 
-def h_func(k: int, theta: float) -> float:
-    """Kesten-Stigum margin of the symmetric measure for theta <= 1.
-
-    Equals k / (theta y^k + 1)^2 - 1 at the symmetric root y; positive
-    means non-extreme.
-    """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"h is defined for 0 < theta <= 1, got {theta}")
-    y = solve_symmetric(k, theta).y
-    return k / (theta * y**k + 1.0) ** 2 - 1.0
-
-
-def q_func(k: int, theta: float) -> float:
-    """Kesten-Stigum margin of the symmetric measure for theta >= 1.
-
-    Equals k (w / (w + 1))^2 - 1 with w = theta y^k; positive means
-    non-extreme.
-    """
-    if not theta >= 1.0:
-        raise ValueError(f"q is defined for theta >= 1, got {theta}")
-    y = solve_symmetric(k, theta).y
-    w = theta * y**k
-    return k * (w / (w + 1.0)) ** 2 - 1.0
-
-
 @dataclass(frozen=True)
 class Threshold:
     """One classification threshold, root-found and (when available) closed-form."""
@@ -255,54 +235,40 @@ class Threshold:
         return self.closed_form if self.closed_form is not None else self.root_found
 
 
-def _mu12_margin_k2(theta: float) -> float:
-    # 2 kappa^2 - 1 for the upper branch; decreasing in theta on (0, 1).
-    # x1 is the closed-form upper root: with rho = x + 1/x the k = 2 fixed
-    # point condition is theta^3 rho^2 - rho - 2 = 0
-    t3 = theta**3
-    rho1 = (1.0 + math.sqrt(1.0 + 8.0 * t3)) / (2.0 * t3)
-    x1 = 0.5 * (rho1 + math.sqrt(rho1 * rho1 - 4.0))
-    kappa = x1 * x1 / (x1 * x1 + 1.0)
-    return 2.0 * kappa * kappa - 1.0
-
-
 def thresholds(k: int) -> dict[str, Threshold]:
     """Classification thresholds for k in {2, 3}, by name.
 
-    Each entry is the root of its defining margin function; the k = 2
-    entries also carry independent closed forms.  k outside {2, 3}
-    raises: for k >= 4 no thresholds exist because the symmetric measure
-    is never extreme.
+    Each entry is a root of a margin ``classify`` reports:
+    ``classify_mu0(k, theta).ks_value - 1`` on [0.01, 1] and [1, 4], and
+    ``classify_mu12(2, theta).msw_value - 1`` on [0.5, 0.999] for theta5.
+    The k = 2 entries also carry independent closed forms.  k outside
+    {2, 3} raises: for k >= 4 no thresholds exist because the symmetric
+    measure is never extreme.
     """
-    if k == 2:
-        t1_closed = 0.5 * (4.0 * math.sqrt(2.0) - 4.0) ** (1.0 / 3.0)
-        t2_closed = 0.5 * (28.0 + 20.0 * math.sqrt(2.0)) ** (1.0 / 3.0)
-        s = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
-        t5_closed = ((2.0 + s) / (2.0 + 2.0 * math.sqrt(2.0))) ** (1.0 / 3.0)
-        h2 = lambda t: h_func(2, t)
-        q2 = lambda t: q_func(2, t)
-        t1_root = find_root(h2, Bracket.certify(h2, 0.01, 1.0))
-        t2_root = find_root(q2, Bracket.certify(q2, 1.0, 4.0))
-        t5_root = find_root(
-            _mu12_margin_k2, Bracket.certify(_mu12_margin_k2, 0.5, 0.999)
-        )
-        entries = (
-            Threshold("theta1", t1_root, t1_closed),
-            Threshold("theta2", t2_root, t2_closed),
-            Threshold("theta5", t5_root, t5_closed),
-        )
-    elif k == 3:
-        h3 = lambda t: h_func(3, t)
-        q3 = lambda t: q_func(3, t)
-        t3_root = find_root(h3, Bracket.certify(h3, 0.01, 1.0))
-        t4_root = find_root(q3, Bracket.certify(q3, 1.0, 4.0))
-        entries = (
-            Threshold("theta3", t3_root, None),
-            Threshold("theta4", t4_root, None),
-        )
-    else:
+    if k not in (2, 3):
         raise ValueError(
             f"thresholds exist only for k in {{2, 3}}; for k = {k} >= 4 the "
             "symmetric measure is non-extreme at every theta"
+        )
+    ks = lambda t: classify_mu0(k, t).ks_value - 1.0
+    below = find_root(ks, Bracket.certify(ks, 0.01, 1.0))
+    above = find_root(ks, Bracket.certify(ks, 1.0, 4.0))
+    if k == 3:
+        entries = (
+            Threshold("theta3", below, None),
+            Threshold("theta4", above, None),
+        )
+    else:
+        msw = lambda t: classify_mu12(2, t).msw_value - 1.0
+        r2 = math.sqrt(2.0)
+        s = math.sqrt(2.0 + 2.0 * r2)
+        entries = (
+            Threshold("theta1", below, 0.5 * (4.0 * r2 - 4.0) ** (1.0 / 3.0)),
+            Threshold("theta2", above, 0.5 * (28.0 + 20.0 * r2) ** (1.0 / 3.0)),
+            Threshold(
+                "theta5",
+                find_root(msw, Bracket.certify(msw, 0.5, 0.999)),
+                ((2.0 + s) / (2.0 + 2.0 * r2)) ** (1.0 / 3.0),
+            ),
         )
     return {t.name: t for t in entries}

@@ -2,13 +2,15 @@
 
 None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
-kappa, root-finds the k = 3 thresholds, takes every spectrum and
+kappa, root-finds every threshold on the margins ``classify`` reports
+(ks_value - 1 of mu0, msw_value - 1 of mu1), takes every spectrum and
 stationary law from the path-graph identities of the chain module,
 samples one configuration in blocks of uniforms, draws the counts of
 many samples from their aggregate law without visiting a vertex, and
 solves and classifies a sweep's whole grid as columns, brackets every
 asymmetric root with one many-target ladder and applies one numpy
-verdict rule.  The closed forms, 50-digit evaluations, the one-shot
+verdict rule.  The closed forms, the margins h and q in w = theta y^k,
+the closed-form 2 kappa^2 - 1, 50-digit evaluations, the one-shot
 vertex-by-vertex sampler, the edge-by-edge admissibility count, the
 point-by-point phase record, the one-target ladder and the branching
 verdict rule here reach the same quantities another way.
@@ -30,6 +32,7 @@ from hcsos.tisgm import (
     ConsistencyError,
     compatibility_residual,
     enumerate_solutions,
+    solve_symmetric,
 )
 
 
@@ -59,6 +62,44 @@ def solve_k2_closed_form(theta: float) -> list[TisgmSolution]:
             raise ConsistencyError(f"closed-form root ({x}, {y}): residual {res:.3e}")
         pair.append(TisgmSolution(x=x, y=y, branch=branch))
     return pair
+
+
+def mu12_margin_k2(theta: float) -> float:
+    """2 kappa^2 - 1 of mu1 at k = 2, on the closed-form upper root.
+
+    kappa = x^2 / (x^2 + 1) for the k = 2 asymmetric kernel; decreasing
+    in theta on (0, 1), with its root at theta5.  The production margin
+    is ``classify_mu12(2, theta).msw_value - 1``, on ``solve_asymmetric``.
+    """
+    x = solve_k2_closed_form(theta)[0].x
+    kappa = x * x / (x * x + 1.0)
+    return 2.0 * kappa * kappa - 1.0
+
+
+def h_func(k: int, theta: float) -> float:
+    """Kesten-Stigum margin of mu0 for theta <= 1: k / (w + 1)^2 - 1.
+
+    w = theta y^k at the symmetric root y, where s2 = 1 / (w + 1);
+    positive means non-extreme.  The production margin is
+    ``classify_mu0(k, theta).ks_value - 1``.
+    """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"h is defined for 0 < theta <= 1, got {theta}")
+    y = solve_symmetric(k, theta).y
+    return k / (theta * y**k + 1.0) ** 2 - 1.0
+
+
+def q_func(k: int, theta: float) -> float:
+    """Kesten-Stigum margin of mu0 for theta >= 1: k (w / (w + 1))^2 - 1.
+
+    w = theta y^k at the symmetric root y, where s2 = w / (w + 1);
+    positive means non-extreme.
+    """
+    if not theta >= 1.0:
+        raise ValueError(f"q is defined for theta >= 1, got {theta}")
+    y = solve_symmetric(k, theta).y
+    w = theta * y**k
+    return k * (w / (w + 1.0)) ** 2 - 1.0
 
 
 def eta_two_pass(x, k: int, power=pow):

@@ -99,16 +99,15 @@ def _k2_closed_forms() -> tuple[float, float]:
 def test_criterion_03_k2_thresholds():
     table = thresholds(2)
     t1_closed, t2_closed = _k2_closed_forms()
-    from hcsos.extremality import h_func, q_func
-
     err_t1 = abs(table["theta1"].root_found - t1_closed)
     err_t2 = abs(table["theta2"].root_found - t2_closed)
-    err_h = abs(h_func(2, 0.2) - 0.8846)
-    err_q = abs(q_func(2, 4.0) - 0.4476)
+    # the Kesten-Stigum margin classify reports, k s2^2 - 1 of mu0
+    err_h = abs(classify_mu0(2, 0.2).ks_value - 1.0 - 0.8846)
+    err_q = abs(classify_mu0(2, 4.0).ks_value - 1.0 - 0.4476)
     _report(
         3,
-        "k=2 margin roots match closed forms to 1e-8; h(0.2) ~ 0.8846 and "
-        "q(4) ~ 0.4476 to 1e-3",
+        "k=2 margin roots match closed forms to 1e-8; the mu0 margin "
+        "ks_value - 1 ~ 0.8846 at theta 0.2 and ~ 0.4476 at theta 4 to 1e-3",
         err_t1 <= 1e-8 and err_t2 <= 1e-8 and err_h <= 1e-3 and err_q <= 1e-3,
         f"|root-closed|: {err_t1:.2e}, {err_t2:.2e}; spot errs {err_h:.2e}, {err_q:.2e}",
     )

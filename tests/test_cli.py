@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hcsos import cli, sampler, tisgm
+from hcsos import cli, extremality, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     PhaseRecord,
@@ -110,6 +110,29 @@ class TestClassifyCommand:
     def test_all_above_threshold_notes_absence(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "1.4", "--measure", "all"]) == 0
         assert "do not exist" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_all_solves_the_pair_once(self, k, capsys, monkeypatch):
+        # one solve_asymmetric call serves mu1 and mu2 below theta_cr, none
+        # is made at or above it, and the output is the single-measure
+        # calls' output concatenated
+        calls = []
+        solve = extremality.solve_asymmetric
+        monkeypatch.setattr(
+            extremality, "solve_asymmetric", lambda *a: calls.append(a) or solve(*a)
+        )
+        tc = theta_cr(k)
+        for theta in (0.3 * tc, 0.9 * tc, tc, 1.5 * tc):
+            common = ["--k", str(k), "--theta", repr(theta), "--format", "json"]
+            del calls[:]
+            assert run(["classify", "--measure", "all"] + common) == 0
+            assert len(calls) == (1 if theta < tc else 0), theta
+            got = json.loads(capsys.readouterr().out)
+            single = []
+            for name in ("mu0", "mu1", "mu2") if theta < tc else ("mu0",):
+                assert run(["classify", "--measure", name] + common) == 0
+                single += json.loads(capsys.readouterr().out)
+            assert got == single
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_matches_sweep_rows(self, k, capsys):

@@ -14,12 +14,16 @@ from hcsos.extremality import (
     classify_mu0,
     classify_mu12,
     classify_solution,
-    h_func,
-    q_func,
     thresholds,
 )
 from hcsos.tisgm import compatibility_residual, solve_asymmetric, solve_symmetric
-from reference import spectrum_asymmetric_k2, verdict_rule
+from reference import (
+    h_func,
+    mu12_margin_k2,
+    q_func,
+    spectrum_asymmetric_k2,
+    verdict_rule,
+)
 
 # Frozen reference values (50-digit mpmath evaluations rounded to float64).
 H2_AT_02 = 0.8846280394692626
@@ -242,6 +246,31 @@ class TestThresholds:
         table = thresholds(3)
         assert abs(h_func(3, table["theta3"].value)) <= 1e-10
         assert abs(q_func(3, table["theta4"].value)) <= 1e-10
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_roots_zero_the_reported_margins(self, k):
+        # each threshold is a root of the margin classify reports, so it
+        # lies inside the boundary band and the verdict there is Undetermined
+        for entry in thresholds(k).values():
+            theta = entry.root_found
+            if entry.name == "theta5":
+                verdicts = [classify_mu12(2, theta, m) for m in (Measure.MU1, Measure.MU2)]
+                margins = [v.msw_value - 1.0 for v in verdicts]
+            else:
+                verdicts = [classify_mu0(k, theta)]
+                margins = [verdicts[0].ks_value - 1.0]
+            for v, margin in zip(verdicts, margins):
+                assert abs(margin) <= 4 * np.finfo(float).eps, (entry.name, margin)
+                assert v.verdict is Verdict.UNDETERMINED, entry.name
+
+    def test_mu12_margin_equals_closed_form_oracle(self):
+        # the theta5 margin on solve_asymmetric against the closed-form pair
+        for theta in np.linspace(0.5, 0.999, 60):
+            margin = classify_mu12(2, float(theta)).msw_value - 1.0
+            assert margin == pytest.approx(mu12_margin_k2(float(theta)), abs=1e-12)
+        theta5 = thresholds(2)["theta5"].root_found
+        assert abs(classify_mu12(2, theta5).msw_value - 1.0) <= 1e-12
+        assert abs(mu12_margin_k2(theta5)) <= 1e-12
 
     def test_unsupported_k(self):
         with pytest.raises(ValueError):
