@@ -10,6 +10,10 @@ every child's spin from its parent's row of
 
 The zero pattern mirrors the inadmissible spin pairs (0,2), (1,1), (2,0),
 so the transition graph is the path 0 - 1 - 2 (with loops at 0 and 2).
+A ``TransitionKernel`` is the six other entries, so the pattern holds by
+construction; ``kernel_of`` is its one checked constructor, and every
+quantity below, the classifier's s2 and kappa among them, is read off
+those six floats.
 A chain whose transition graph is a tree is reversible, and for this
 path the spectrum and the stationary law follow from exact identities
 in the entries, built from products and ratios of positive numbers:
@@ -31,30 +35,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import TisgmSolution
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Row-stochastic 3x3 transition matrix of one fixed point's chain.
+class TransitionKernel(NamedTuple):
+    """Nonzero entries of one fixed point's row-stochastic 3x3 kernel.
 
-    ``p`` must have the wand zero pattern P02 = P11 = P20 = 0.
+    The other three entries are P02 = P11 = P20 = 0, so the wand zero
+    pattern holds by construction.
     """
 
-    p: np.ndarray
-    source: TisgmSolution
-    k: int
-    theta: float
+    p00: float
+    p01: float
+    p10: float
+    p12: float
+    p21: float
+    p22: float
 
-    def __post_init__(self) -> None:
-        if self.p.shape != (3, 3):
-            raise ValueError(f"kernel must be 3x3, got {self.p.shape}")
-        if self.p[0, 2] != 0.0 or self.p[1, 1] != 0.0 or self.p[2, 0] != 0.0:
-            raise ValueError(f"kernel lacks the wand zero pattern: {self.p}")
-        self.p.setflags(write=False)
+    @property
+    def p(self) -> np.ndarray:
+        """The whole matrix, read-only, built on each read."""
+        p00, p01, p10, p12, p21, p22 = self
+        p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
+        p.setflags(write=False)
+        return p
 
 
 @dataclass(frozen=True)
@@ -70,23 +78,21 @@ class SpectrumReport:
     s2: float
 
 
-def kernel_entries(
-    x: float, y: float, k: int, theta: float
-) -> tuple[float, float, float, float, float, float]:
-    """Nonzero entries (P00, P01, P10, P12, P21, P22) of the kernel at (x, y).
+def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
+    """Transition kernel of the chain indexed by the fixed point ``sol``.
 
-    ``kernel_of`` and the extremality classifier both start from these
-    six floats, so a verdict and a kernel agree bit for bit.
+    The one checked constructor: raises ArithmeticError where an entry
+    is not a number, as when x^k or theta y^k overflows.
     """
-    p00, p01, p10, p12, p21, p22 = _entries_of_powers(x**k, theta * y**k)
+    kern = TransitionKernel(*_entries_of_powers(sol.x**k, theta * sol.y**k))
     # every entry is NaN or in [0, 1], so the sum is finite iff all are
-    if not math.isfinite(p00 + p01 + p10 + p12 + p21 + p22):
-        raise ArithmeticError(f"degenerate kernel for x={x}, y={y}")
-    return p00, p01, p10, p12, p21, p22
+    if not math.isfinite(sum(kern)):
+        raise ArithmeticError(f"degenerate kernel for x={sol.x}, y={sol.y}")
+    return kern
 
 
 def _entries_of_powers(xk, w):
-    """``kernel_entries`` from x^k and w = theta y^k, unchecked.
+    """The six entries of ``kernel_of`` from x^k and w = theta y^k, unchecked.
 
     Plain divisions, so columns of x^k and w give the entries of every
     lane with the bits of the scalar route.
@@ -97,45 +103,25 @@ def _entries_of_powers(xk, w):
     return p00, p01, p10, p12, p21, p22
 
 
-def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
-    """Transition matrix of the chain indexed by the fixed point ``sol``."""
-    p00, p01, p10, p12, p21, p22 = kernel_entries(sol.x, sol.y, k, theta)
-    p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
-    return TransitionKernel(p=p, source=sol, k=k, theta=theta)
-
-
-def _entries(kern: TransitionKernel) -> tuple[float, ...]:
-    (p00, p01, _), (p10, _, p12), (_, p21, p22) = kern.p.tolist()
-    return p00, p01, p10, p12, p21, p22
-
-
-def path_spectrum(
-    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float
-) -> tuple[float, float, float]:
-    """(s2, lambda2, lambda3) of a wand kernel from its six entries.
-
-    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0.  The
-    second one is sign(t) s2 (positive when t = 0) and the third is
-    -d divided by it.  No step subtracts nearly equal numbers on the way
-    to s2, so s2 keeps full relative accuracy however small it is.
-    """
-    t, d, s2 = _path_terms(p00, p01, p10, p12, p21, p22)
-    lam2 = -s2 if t < 0.0 else s2
-    return s2, lam2, -d / lam2
-
-
 def _path_terms(p00, p01, p10, p12, p21, p22, sqrt=math.sqrt):
-    # t, d and s2 of path_spectrum; np.sqrt as ``sqrt`` for columns, with
-    # the same bits (IEEE square roots are correctly rounded)
+    # t, d and s2 of spectrum_numeric; np.sqrt as ``sqrt`` for columns,
+    # with the same bits (IEEE square roots are correctly rounded)
     t = p00 * p22 - p01 * p21
     d = p00 * p12 * p21 + p01 * p10 * p22
     return t, d, 0.5 * (abs(t) + sqrt(t * t + 4.0 * d))
 
 
 def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
-    """Spectrum of a wand kernel from the path-graph identities."""
-    s2, lam2, lam3 = path_spectrum(*_entries(kern))
-    return SpectrumReport(eigenvalues=(1.0, lam2, lam3), s2=s2)
+    """Spectrum of a wand kernel from the path-graph identities.
+
+    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0.  The
+    second one is sign(t) s2 (positive when t = 0) and the third is
+    -d divided by it.  No step subtracts nearly equal numbers on the way
+    to s2, so s2 keeps full relative accuracy however small it is.
+    """
+    t, d, s2 = _path_terms(*kern)
+    lam2 = -s2 if t < 0.0 else s2
+    return SpectrumReport(eigenvalues=(1.0, lam2, -d / lam2), s2=s2)
 
 
 def stationary(kern: TransitionKernel) -> np.ndarray:
@@ -149,7 +135,7 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     or an entry is zero) the chain is numerically reducible, which
     raises.
     """
-    _, p01, p10, p12, p21, _ = _entries(kern)
+    _, p01, p10, p12, p21, _ = kern
     if p01 > 0.0 and p21 > 0.0:
         mass = (p10 / p01, 1.0, p12 / p21)
         total = sum(mass)
@@ -177,4 +163,4 @@ def row_distance(
 
 def kappa_of(kern: TransitionKernel) -> float:
     """Half the maximum L1 distance between any two rows of the kernel."""
-    return row_distance(*_entries(kern))
+    return row_distance(*kern)

@@ -406,7 +406,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if args.k >= 4:
+    table = thresholds(args.k).values()
+    if not table:
         note = (
             f"k = {args.k}: no extremality thresholds; the symmetric measure "
             "is non-extreme for every theta > 0"
@@ -415,7 +416,6 @@ def cmd_thresholds(args) -> int:
             note += " except theta = 1, where 4 s2^2 = 1 exactly (Undetermined)"
         _print_or_dump(args, [note + "."], {"k": args.k, "thresholds": []})
         return 0
-    table = thresholds(args.k).values()
     lines = [
         f"k = {args.k}",
         f"{'name':<8} {'closed-form':<24} {'root-found':<24} {'difference':<12}",

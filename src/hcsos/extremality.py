@@ -3,11 +3,10 @@
 Two criteria drive every verdict:
 
 * Kesten-Stigum (non-extremality): k s2^2 > 1, with s2 the modulus of
-  the second-largest eigenvalue of the transition kernel.
-* MSW (extremality): k kappa gamma < 1 with the row-distance quantities
-  from the chain module.  gamma is the same row distance as kappa, so
-  the test is evaluated as k kappa^2 < 1 and gamma is reported equal to
-  kappa.
+  the second-largest eigenvalue of the kernel (``spectrum_numeric``).
+* MSW (extremality): k kappa gamma < 1 with the row distance kappa
+  (``kappa_of``).  gamma is the same row distance as kappa, so the test
+  is evaluated as k kappa^2 < 1 and gamma is reported equal to kappa.
 
 On the symmetric branch kappa = gamma = s2, so the two tests are sharp
 complements of each other: outside a small boundary band exactly one of
@@ -39,7 +38,7 @@ excluded):
          theta^(k+1) = w (w + 1)^k / 2^k, and the two thresholds are
          w = sqrt(k) - 1 (theta <= 1) and w = 1 / (sqrt(k) - 1) (theta >= 1).
   k >= 4: never extreme (k s2^2 > 1 for every theta except the single
-         boundary point of k = 4 at theta = 1).
+         boundary point of k = 4 at theta = 1); ``thresholds`` is empty.
 
 Each threshold is a root of a margin ``classify`` reports (the
 Kesten-Stigum value of mu0, or for theta5 the MSW value of mu1, minus 1),
@@ -57,11 +56,12 @@ import numpy as np
 from .chain import (
     _entries_of_powers,
     _path_terms,
-    kernel_entries,
-    path_spectrum,
+    kappa_of,
+    kernel_of,
     row_distance,
+    spectrum_numeric,
 )
-from .model import Branch, TisgmSolution
+from .model import Branch, TisgmSolution, check_params
 from .rootfind import Bracket, find_root
 from .tisgm import _lane_max, _powers, solve_asymmetric, solve_symmetric, theta_cr
 
@@ -103,13 +103,13 @@ class ExtremalityVerdict:
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    The verdict comes from the one rule, ``_verdicts``.  Every branch
-    and k takes s2 and kappa from the formulas ``spectrum_numeric`` and
-    ``kappa_of`` use, applied to the six kernel entries as plain floats.
+    Every branch and k takes s2 from ``spectrum_numeric`` and kappa from
+    ``kappa_of``, both of the one kernel ``kernel_of`` builds, and the
+    verdict from the one rule, ``_verdicts``.
     """
-    entries = kernel_entries(sol.x, sol.y, k, theta)
-    kappa = row_distance(*entries)
-    s2 = path_spectrum(*entries)[0]
+    kern = kernel_of(sol, k, theta)
+    s2 = spectrum_numeric(kern).s2
+    kappa = kappa_of(kern)
     ks = k * s2**2
     msw = k * kappa * kappa
 
@@ -127,7 +127,7 @@ def classify_columns(
     ``symmetric`` marks the lanes of the Symmetric branch.  Returns the
     columns s2, kappa, ks_value, msw_value and the verdict strings, with
     the default boundary band.  Raises ArithmeticError if some lane's
-    kernel is degenerate, where ``kernel_entries`` raises on that lane.
+    kernel is degenerate, where ``kernel_of`` raises on that lane.
     """
     with np.errstate(all="ignore"):
         entries = _entries_of_powers(xk, w)
@@ -236,20 +236,19 @@ class Threshold:
 
 
 def thresholds(k: int) -> dict[str, Threshold]:
-    """Classification thresholds for k in {2, 3}, by name.
+    """Classification thresholds by name: theta1, theta2 and theta5 for
+    k = 2, theta3 and theta4 for k = 3, none for k >= 4.
 
     Each entry is a root of a margin ``classify`` reports:
     ``classify_mu0(k, theta).ks_value - 1`` on [0.01, 1] and [1, 4], and
     ``classify_mu12(2, theta).msw_value - 1`` on [0.5, 0.999] for theta5.
-    The k = 2 entries also carry independent closed forms.  k outside
-    {2, 3} raises: for k >= 4 no thresholds exist because the symmetric
-    measure is never extreme.
+    The k = 2 entries also carry independent closed forms.  For k >= 4
+    the table is empty, because the symmetric measure is never extreme.
+    Raises ValueError for k < 2.
     """
-    if k not in (2, 3):
-        raise ValueError(
-            f"thresholds exist only for k in {{2, 3}}; for k = {k} >= 4 the "
-            "symmetric measure is non-extreme at every theta"
-        )
+    check_params(k)
+    if k >= 4:
+        return {}
     ks = lambda t: classify_mu0(k, t).ks_value - 1.0
     below = find_root(ks, Bracket.certify(ks, 0.01, 1.0))
     above = find_root(ks, Bracket.certify(ks, 1.0, 4.0))

@@ -264,9 +264,8 @@ def estimate_marginals(
     n1 = _binomial(rng, n_samples - n0, pi1 / (pi1 + pi2))
     above = [n0, n1, n_samples - n0 - n1]
     level_counts = [above]
-    p = kern.p.tolist()
     # per parent state, the probability of the larger of a child's two states
-    q = (p[0][1], p[1][2], p[2][2])
+    q = (kern.p01, kern.p12, kern.p22)
     m_sum, n_sum = [0, 0, 0], [0, 0, 0]
     for level in range(1, cfg.depth + 1):
         # children per parent: k + 1 under the root, k below

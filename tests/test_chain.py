@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcsos.chain import (
     TransitionKernel,
@@ -40,18 +42,23 @@ def _one_parameter_matrix(x: float) -> np.ndarray:
     )
 
 
-def _sample_kernels(rng, count):
-    """Randomized valid (k, theta, solution) triples and their kernels."""
-    kernels = []
-    while len(kernels) < count:
+def _sample_points(rng, count):
+    """Randomized valid (k, theta, solution) triples."""
+    points = []
+    while len(points) < count:
         k = int(rng.integers(2, 9))
         theta = float(rng.uniform(0.05, 2.0 * theta_cr(k)))
         sset = enumerate_solutions(k, theta)
         for sol in sset.solutions:
-            kernels.append(kernel_of(sol, k, theta))
-            if len(kernels) == count:
+            points.append((k, theta, sol))
+            if len(points) == count:
                 break
-    return kernels
+    return points
+
+
+def _sample_kernels(rng, count):
+    """The kernels of ``_sample_points``."""
+    return [kernel_of(sol, k, theta) for k, theta, sol in _sample_points(rng, count)]
 
 
 class TestKernel:
@@ -167,14 +174,6 @@ class TestNumericSpectrum:
             residual = abs(np.linalg.det(kern.p - lam * np.eye(3)))
             assert residual <= 1e-10
 
-    def test_complex_pair_raises(self):
-        # the cyclic shift has eigenvalues 1, exp(+-2 pi i / 3); it moves
-        # 2 -> 0, which no wand kernel allows, so it is refused on sight
-        sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
-        cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="zero pattern"):
-            TransitionKernel(p=cycle, source=sol, k=2, theta=1.0)
-
     def test_spectrum_is_real_with_product_minus_d(self):
         # the non-unit eigenvalues have opposite signs and |lam3| <= s2
         rng = np.random.default_rng(5)
@@ -263,21 +262,29 @@ class TestSixEntryFormulas:
         for kern in _sample_kernels(rng, 300):
             assert kappa_of(kern) == _kappa_3x3(kern)
 
-    def test_signed_zero_pattern(self):
-        # the zero pattern may hold -0.0; |0 - p| = |p| either way
-        p = np.array([[0.3, 0.7, -0.0], [0.6, -0.0, 0.4], [-0.0, 0.2, 0.8]])
-        sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
-        kern = TransitionKernel(p=p, source=sol, k=2, theta=1.0)
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.tuples(*[st.just(-0.0) | st.floats(0.0, 1.0)] * 6))
+    def test_zero_pattern_by_construction(self, entries):
+        # any six entries, -0.0 among them, give +0.0 off the wand graph
+        kern = TransitionKernel(*entries)
+        p = kern.p
+        for i, j in ((0, 2), (1, 1), (2, 0)):
+            assert p[i, j] == 0.0 and math.copysign(1.0, p[i, j]) == 1.0
+        assert p[[0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 2]].tolist() == list(entries)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 2] = 1.0
         assert kappa_of(kern) == _kappa_3x3(kern)
 
     def test_classifier_witnesses_equal_kernel_routes(self):
-        # classify_solution reads the same six floats kernel_of stores
+        # classify_solution reads s2 and kappa off the kernel kernel_of builds
         rng = np.random.default_rng(11)
-        for kern in _sample_kernels(rng, 200):
-            v = classify_solution(kern.k, kern.theta, kern.source)
+        for k, theta, sol in _sample_points(rng, 200):
+            kern = kernel_of(sol, k, theta)
+            v = classify_solution(k, theta, sol)
             assert v.s2 == spectrum_numeric(kern).s2
             assert v.kappa == kappa_of(kern)
-            assert v.ks_value == kern.k * spectrum_numeric(kern).s2 ** 2
+            assert v.ks_value == k * spectrum_numeric(kern).s2 ** 2
 
 
 class TestClosedNumericAgreementGrids:

@@ -529,6 +529,62 @@ class TestSweepSolvesGridInLockstep:
             sweep_records(2, 0.1, 2.5, 100)
 
 
+class TestSinglePointPins:
+    # digests of classify, tisgm, thresholds and iterate on both sides of
+    # theta_cr(k) (1, 1.61, 2.17 and 4.26 at k = 2, 3, 4 and 8)
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("classify --k 2 --theta 0.7",
+             "027602d166bbb7e619b21b81b0abe92fa150e12fb5022c7a38d0b1e513f7b3ab"),
+            ("classify --k 2 --theta 0.7 --format json",
+             "accbe62c4dd2cb9ba32c2d068b3ecad0b0bddd79e544870f06d39077159b3fd3"),
+            ("classify --k 2 --theta 1.5 --measure mu0",
+             "48f94eea3ea05742fb41e0c8a01d49121744a43397813d4b43fe93363a07f9b2"),
+            ("classify --k 3 --theta 0.5 --measure mu1 --format json",
+             "8b0aae48dda58518ecb2fcef0f2cea4bc0011baeb4cd5593a9fbfc8d58430a6c"),
+            ("classify --k 3 --theta 2.0 --format json",
+             "126ecc5f3ee5607b9c72a1f01dca983bee535022a5ecc8bf73bd17be4554f14b"),
+            ("classify --k 4 --theta 1.0 --measure mu0 --format json",
+             "25ac01e231f4bef3e869a19e7fa031a5dd2cd2a9023f98e2213f939c1e0983c8"),
+            ("classify --k 4 --theta 1.5 --measure mu1",
+             "b5362ccc6cc02185e96449658d8996c9ed32361929094c59b9fe2f7875300f17"),
+            ("classify --k 8 --theta 0.5",
+             "41ccd73ed0675c405878ca68aa77e41c29356a73137e9e00c253502e63a6f943"),
+            ("classify --k 8 --theta 6.0 --measure mu0",
+             "4edcde65d42a8f5e5f470c72a96dfc7f2582152446048144864b7ea571ccbaee"),
+            ("tisgm --k 2 --theta 0.5",
+             "c9774cb680c74193b823ddeee67c9273edbde2c37040c4749f6d3edbee5253d3"),
+            ("tisgm --k 3 --theta 2.0 --format json",
+             "fecf0ac0b23e3b181f92d1d75024320201150c9dbcf2ea0a6b0c29a5f6826e11"),
+            ("tisgm --k 4 --theta 1.0",
+             "653dee4d1de89e66c8dfd5427816f20370c2ef4749ac5eeb34b3070999adc826"),
+            ("tisgm --k 8 --theta 0.5 --format json",
+             "7b74bea1b968f7e467ec18c699d365a3543e553705d64c4a8802478987510986"),
+            ("thresholds --k 2",
+             "4d5cd02bea7ad7c0ef994600faf68362e72dca8464f56f5ed9dfa14e7fc640eb"),
+            ("thresholds --k 2 --format json",
+             "37ee78aa2e75072d50c3fa9d924c9671edd0a54c9a5b939e3e9cfc5383ad7e8b"),
+            ("thresholds --k 3",
+             "461c9b6fdfd11f1c499f4bddf12a97161aaeb7aec7f97178a54b8121e4ad4ef7"),
+            ("thresholds --k 3 --format json",
+             "c725a34fcb99e98a2f5fa99b99939404875766eb2edd6c9aa9e6fa652161721e"),
+            ("thresholds --k 4",
+             "37df21d10c3117cbb991b2ca63d685d6170971ab80dfcc669d913fd54df7bab6"),
+            ("thresholds --k 4 --format json",
+             "1f3fa78d99dc11f3fa512bc1abe001b3c0e946e24e72b250ae5777341d5a2c18"),
+            ("iterate --k 2 --theta 0.5",
+             "a9986d68cdfd7ca3fc996682dfec348af6db05462299fde7b91bf5bd59ea09ca"),
+            ("iterate --k 2 --theta 1.5 --max-iter 200 --format json",
+             "beaa9215af5711ee2ee5674826f00f94ad7c3da0004c3053dc5629d852fed187"),
+        ],
+    )
+    def test_pinned_output(self, argv, digest):
+        code, out, err = _cli(argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestThresholdsCommand:
     def test_k2_table(self, capsys):
         assert run(["thresholds", "--k", "2"]) == 0

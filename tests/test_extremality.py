@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcsos import extremality, tisgm
-from hcsos.chain import row_distance
+from hcsos.chain import SpectrumReport, kernel_of, row_distance
 from hcsos.extremality import (
     DEFAULT_BOUNDARY_TOL,
     Measure,
@@ -16,6 +16,7 @@ from hcsos.extremality import (
     classify_solution,
     thresholds,
 )
+from hcsos.model import Branch, TisgmSolution
 from hcsos.tisgm import compatibility_residual, solve_asymmetric, solve_symmetric
 from reference import (
     h_func,
@@ -273,10 +274,10 @@ class TestThresholds:
         assert abs(mu12_margin_k2(theta5)) <= 1e-12
 
     def test_unsupported_k(self):
-        with pytest.raises(ValueError):
-            thresholds(4)
-        with pytest.raises(ValueError):
-            thresholds(5)
+        # no thresholds for k >= 4; k < 2 is no tree order
+        assert thresholds(4) == {} and thresholds(5) == {} and thresholds(1000) == {}
+        with pytest.raises(ValueError, match="tree order k must be >= 2, got 1"):
+            thresholds(1)
 
     def test_missing_name(self):
         with pytest.raises(KeyError):
@@ -294,6 +295,25 @@ class TestCorollaryConsistency:
             for measure in (Measure.MU1, Measure.MU2):
                 v = classify_mu12(2, theta, measure)
                 assert v.verdict is Verdict.UNDETERMINED
+
+
+class TestDegenerateKernel:
+    def test_every_route_raises(self):
+        # theta y^2 = 10 * 1e308 overflows, so w = inf and P01 = inf / inf
+        sol = TisgmSolution(1.0, 1e154, Branch.SYMMETRIC)
+        msg = "degenerate kernel for x=1.0, y=1e\\+154"
+        with pytest.raises(ArithmeticError, match=msg):
+            kernel_of(sol, 2, 10.0)
+        with pytest.raises(ArithmeticError, match=msg):
+            classify_solution(2, 10.0, sol)
+        # the same point as the second lane of a column, after a good lane
+        good = solve_symmetric(2, 10.0)
+        xk = np.array([1.0, 1.0])
+        w = np.array([10.0 * good.y**2, 10.0 * sol.y**2])
+        with pytest.raises(ArithmeticError, match="degenerate kernel at some fixed point"):
+            extremality.classify_columns(2, xk, w, np.array([True, True]))
+        # the good lane alone classifies
+        assert extremality.classify_columns(2, xk[:1], w[:1], np.array([True]))[4].size == 1
 
 
 def _same(a, b):
@@ -367,8 +387,10 @@ class TestColumnsEqualScalar:
             s2s += _boundary_ties(k, target)
         pairs = list(itertools.product(s2s, repeat=2))
         fake = {}
-        monkeypatch.setattr(extremality, "path_spectrum", lambda *p: (fake["s2"],) * 3)
-        monkeypatch.setattr(extremality, "row_distance", lambda *p: fake["kappa"])
+        monkeypatch.setattr(
+            extremality, "spectrum_numeric", lambda kern: SpectrumReport((), fake["s2"])
+        )
+        monkeypatch.setattr(extremality, "kappa_of", lambda kern: fake["kappa"])
         sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]
         want = []
         for sol in (sym, upper):

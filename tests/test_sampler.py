@@ -261,16 +261,15 @@ class TestStreamingMatchesOneShotDraw:
                 want = draw_spins(kern, cfg, 1)[0]
                 assert np.array_equal(sample(kern, cfg).spins, want)
 
-    # Hand-built wand kernels for the edges of the inverse-CDF rule.
+    # Hand-built wand kernels for the edges of the inverse-CDF rule, as
+    # (P00, P01, P10, P12, P21, P22).
     EDGE_KERNELS = {
-        "p00 zero": [[0.0, 1.0, 0.0], [0.4, 0.0, 0.6], [0.0, 0.3, 0.7]],
-        "row 0 one ulp short": [
-            [0.25, float(np.nextafter(0.75, 0.0)), 0.0],
-            [0.4, 0.0, 0.6],
-            [0.0, 0.3, 0.7],
-        ],
-        "p12 zero": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]],
-        "p22 zero": [[0.5, 0.5, 0.0], [0.4, 0.0, 0.6], [0.0, 1.0, 0.0]],
+        "p00 zero": (0.0, 1.0, 0.4, 0.6, 0.3, 0.7),
+        "row 0 one ulp short": (
+            0.25, float(np.nextafter(0.75, 0.0)), 0.4, 0.6, 0.3, 0.7
+        ),
+        "p12 zero": (0.5, 0.5, 1.0, 0.0, 0.3, 0.7),
+        "p22 zero": (0.5, 0.5, 0.4, 0.6, 1.0, 0.0),
     }
 
     @pytest.fixture
@@ -285,8 +284,7 @@ class TestStreamingMatchesOneShotDraw:
 
     @staticmethod
     def _edge_kernel(name):
-        p = np.array(TestStreamingMatchesOneShotDraw.EDGE_KERNELS[name])
-        return TransitionKernel(p=p, source=UNIFORM, k=2, theta=1.0)
+        return TransitionKernel(*TestStreamingMatchesOneShotDraw.EDGE_KERNELS[name])
 
     @staticmethod
     def _assert_matches_oracle(kern, cfg, n):
