@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ class TestNumericSpectrum:
             residual = abs(np.linalg.det(kern.p - lam * np.eye(3)))
             assert residual <= 1e-10
 
+    def test_complex_pair_raises(self):
+        # the cyclic shift has eigenvalues 1, exp(+-2 pi i / 3); it moves
+        # 2 -> 0, which no wand kernel holds, so it cannot be passed in
+        cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert np.any(np.abs(np.linalg.eigvals(cycle).imag) > 0.5)
+        with pytest.raises(TypeError):
+            TransitionKernel(*cycle.ravel())
+        with pytest.raises(TypeError):
+            TransitionKernel(p=cycle)
+
     def test_spectrum_is_real_with_product_minus_d(self):
         # the non-unit eigenvalues have opposite signs and |lam3| <= s2
         rng = np.random.default_rng(5)
@@ -261,6 +272,16 @@ class TestSixEntryFormulas:
         rng = np.random.default_rng(7)
         for kern in _sample_kernels(rng, 300):
             assert kappa_of(kern) == _kappa_3x3(kern)
+
+    def test_signed_zero_pattern(self):
+        # a matrix may hold -0.0 in the zero pattern; |0 - p| = |p| either
+        # way, so its nine-entry kappa is that of its six path entries
+        p = np.array([[0.3, 0.7, -0.0], [0.6, -0.0, 0.4], [-0.0, 0.2, 0.8]])
+        kern = TransitionKernel(0.3, 0.7, 0.6, 0.4, 0.2, 0.8)
+        assert np.array_equal(kern.p, p)
+        assert not np.signbit(kern.p[[0, 1, 2], [2, 1, 0]]).any()
+        assert kappa_of(kern) == _kappa_3x3(SimpleNamespace(p=p))
+        assert kappa_of(kern) == _kappa_3x3(kern)
 
     @settings(max_examples=200, deadline=None)
     @given(entries=st.tuples(*[st.just(-0.0) | st.floats(0.0, 1.0)] * 6))
