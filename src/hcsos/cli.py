@@ -5,23 +5,22 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-Every sweep, whatever its length, works on its whole theta grid as
-columns: the roots of both branches at every grid point in one
-lockstep solve, then the residual contract and the solution checks
-(``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
-two criteria and the verdicts (``classify_columns``).  x^k and
-theta y^k are computed once per solution, every power goes lane by
-lane through Python's float ``**``, and the columns become Python
-floats before any is printed.  The CSV text is formatted straight from
-those columns, one ``map(repr, ...)`` per numeric field, in grid order
-(Symmetric, Upper, Lower at each point); no row tuples are built for
-it.  JSON and ``sweep_records`` build their records from the same
-columns, and ``write_phase_csv`` turns records into columns for the
-same formatter.  Every number equals what a lone call at that point
-gives, so sweep, tisgm and classify agree bit for bit.  The one
-point-by-point path is the failure fallback: if a point leaves the
-model's domain, the sweep is redone point by point, so the first
-failing point raises exactly as a lone call there does.
+A sweep is one ``SweepTable``: a column per CSV field and the index
+where each grid point's solutions end.  ``sweep_table`` builds it for
+the whole theta grid at once: the roots of both branches at every grid
+point in one lockstep solve, then the residual contract and the
+solution checks (``enumerate_solution_grid``), then the kernel entries,
+s2, kappa, the two criteria and the verdicts (``classify_columns``).
+x^k and theta y^k are computed once per solution, every power goes lane
+by lane through Python's float ``**``, and the columns become Python
+values before any is printed.  ``write_phase_csv`` formats the CSV text
+straight from the columns, one ``map(repr, ...)`` per numeric field;
+``write_phase_jsonl`` writes one line per grid point; ``read_phase_csv``
+parses a CSV back into the same table.  Every number equals what a lone
+call at that point gives, so sweep, tisgm and classify agree bit for
+bit.  The one point-by-point path is the failure fallback: if a point
+leaves the model's domain, the sweep is redone point by point, so the
+first failing point raises exactly as a lone call there does.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,35 +82,19 @@ class UsageError(Exception):
     """Bad flag combination not expressible as a per-argument type check."""
 
 
-@dataclass(frozen=True)
-class SolutionRow:
-    branch: str
-    x: float
-    y: float
-    s2: float
-    kappa: float
-    ks_value: float
-    msw_value: float
-    verdict: str
+class SweepTable(NamedTuple):
+    """A sweep's solutions and verdicts as columns, one per ``CSV_HEADER`` field.
 
-
-@dataclass(frozen=True)
-class PhaseRecord:
-    """All solutions and verdicts at one (k, theta) grid point.
-
-    A point within the critical guard of theta_cr(k) carries only the
+    k, theta and theta_cr hold one entry per grid point, the other
+    fields one entry per solution, in grid order (Symmetric, Upper,
+    Lower at each point); point i's solutions end at ``ends[i]``.  A
+    point within the critical guard of theta_cr(k) has only the
     symmetric solution, with verdict "Critical" instead of a
     classification (the asymmetric pair is not separable there).
     """
 
-    k: int
-    theta: float
-    theta_critical: float
-    rows: tuple[SolutionRow, ...]
-
-    @property
-    def critical(self) -> bool:
-        return any(r.verdict == "Critical" for r in self.rows)
+    columns: list
+    ends: list[int]
 
 
 # What the lockstep sweep raises when some grid point leaves the model's domain.
@@ -123,24 +106,18 @@ _BRANCH_NAMES = np.array([branch.value for branch in BRANCHES])
 _TEXT_FIELDS = ("branch", "verdict")
 
 
-def sweep_records(
-    k: int, theta_min: float, theta_max: float, steps: int
-) -> list[PhaseRecord]:
+def sweep_table(k: int, theta_min: float, theta_max: float, steps: int) -> SweepTable:
     """Every solution and verdict at each point of the theta grid.
 
     Bit for bit what ``enumerate_solutions`` and ``classify_solution``
     give at that point alone.
     """
-    return _records(*_sweep_columns(k, theta_min, theta_max, steps))
-
-
-def _sweep_columns(
-    k: int, theta_min: float, theta_max: float, steps: int
-) -> tuple[list, list[int]]:
-    # the sweep as columns: see _write_csv
     grid = np.linspace(theta_min, theta_max, steps)
     try:
-        return _lockstep_columns(k, grid)
+        sols = enumerate_solution_grid(k, grid)
+        s2, kappa, ks, msw, verdict = classify_columns(
+            k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
+        )
     except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
         for theta in grid.tolist():
@@ -149,14 +126,6 @@ def _sweep_columns(
         raise AssertionError(
             "the lockstep sweep failed, but every grid point solves alone"
         ) from exc
-
-
-def _lockstep_columns(k: int, grid: np.ndarray) -> tuple[list, list[int]]:
-    # every solution and verdict of the grid as columns of Python values
-    sols = enumerate_solution_grid(k, grid)
-    s2, kappa, ks, msw, verdict = classify_columns(
-        k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
-    )
     verdict = np.where(sols.critical[sols.point], "Critical", verdict)
     fields = (_BRANCH_NAMES[sols.branch], sols.x, sols.y, s2, kappa, ks, msw, verdict)
     columns = [
@@ -166,42 +135,16 @@ def _lockstep_columns(k: int, grid: np.ndarray) -> tuple[list, list[int]]:
         *(column.tolist() for column in fields),
     ]
     ends = np.cumsum(np.bincount(sols.point, minlength=grid.size)).tolist()
-    return columns, ends
+    return SweepTable(columns, ends)
 
 
-def _record_columns(records: list[PhaseRecord]) -> tuple[list, list[int]]:
-    # the records as _write_csv's columns and ends
-    points = [(rec.k, rec.theta, rec.theta_critical) for rec in records]
-    rows = [
-        (r.branch, r.x, r.y, r.s2, r.kappa, r.ks_value, r.msw_value, r.verdict)
-        for rec in records
-        for r in rec.rows
-    ]
-    columns = list(zip(*points)) or [()] * 3
-    columns += list(zip(*rows)) or [()] * 8
-    return columns, list(accumulate(len(rec.rows) for rec in records))
+def write_phase_csv(table: SweepTable, stream: io.TextIOBase) -> None:
+    """Write one CSV line per solution, as ``csv.writer`` would, in one write.
 
-
-def _records(columns: list, ends: list[int]) -> list[PhaseRecord]:
-    k, theta, tc, *fields = columns
-    rows = list(map(SolutionRow, *fields))
-    return [
-        PhaseRecord(*point, tuple(rows[start:end]))
-        for *point, start, end in zip(k, theta, tc, [0, *ends], ends)
-    ]
-
-
-def write_phase_csv(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
-    """Write one CSV line per solution, as ``csv.writer`` would, in one write."""
-    _write_csv(*_record_columns(records), stream)
-
-
-def _write_csv(columns: list, ends: list[int], stream: io.TextIOBase) -> None:
-    # One sequence per CSV_HEADER field: k, theta and theta_cr hold one
-    # entry per grid point, the other fields one per solution, and
-    # ends[i] is where point i's solutions end.  Numbers are written as
-    # their repr, which csv never quotes; each text field is quoted by
-    # csv.writer itself, once per distinct text.
+    Numbers are written as their repr, which csv never quotes; each text
+    field is quoted by csv.writer itself, once per distinct text.
+    """
+    columns, ends = table
     text = functools.cache(_csv_text)
     point = map(",".join, zip(*(map(repr, column) for column in columns[:3])))
     prefix = chain.from_iterable(map(repeat, point, map(sub, ends, [0, *ends])))
@@ -219,38 +162,46 @@ def _csv_text(value: str) -> str:
     return line.getvalue()[: -len(",\n")]
 
 
-def read_phase_csv(stream: io.TextIOBase) -> list[PhaseRecord]:
-    """Parse a sweep CSV back into PhaseRecords (exact float round-trip).
+def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
+    """Parse a sweep CSV back into its table (exact float round-trip).
 
-    Each grid point's rows start with its Symmetric row, so a record
+    Each grid point's rows start with its Symmetric row, so a point
     starts at every Symmetric row, and wherever k or theta changes.
     """
     reader = csv.reader(stream)
     header = next(reader)
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header}")
-    points: list[tuple[int, float, float, list[SolutionRow]]] = []
+    columns: list[list] = [[] for _ in CSV_HEADER]
+    ks, thetas, tcs, *fields = columns
+    ends: list[int] = []
     for line in reader:
         k, theta, tc = int(line[0]), float(line[1]), float(line[2])
-        row = SolutionRow(line[3], *map(float, line[4:10]), line[10])
-        if (
-            not points
-            or row.branch == Branch.SYMMETRIC.value
-            or points[-1][:2] != (k, theta)
-        ):
-            points.append((k, theta, tc, []))
-        points[-1][3].append(row)
-    return [PhaseRecord(k, theta, tc, tuple(rows)) for k, theta, tc, rows in points]
+        row = (line[3], *map(float, line[4:10]), line[10])
+        symmetric = row[0] == Branch.SYMMETRIC.value
+        if not ends or symmetric or (ks[-1], thetas[-1]) != (k, theta):
+            ks.append(k)
+            thetas.append(theta)
+            tcs.append(tc)
+            ends.append(ends[-1] if ends else 0)
+        for column, value in zip(fields, row):
+            column.append(value)
+        ends[-1] += 1
+    return SweepTable(columns, ends)
 
 
-def write_phase_jsonl(records: list[PhaseRecord], stream: io.TextIOBase) -> None:
-    for rec in records:
+def write_phase_jsonl(table: SweepTable, stream: io.TextIOBase) -> None:
+    """Write one JSON line per grid point, with its solutions as objects."""
+    (ks, thetas, tcs, *fields), ends = table
+    rows = [dict(zip(CSV_HEADER[3:], row)) for row in zip(*fields)]
+    verdicts = fields[-1]
+    for k, theta, tc, start, end in zip(ks, thetas, tcs, [0, *ends], ends):
         obj = {
-            "k": rec.k,
-            "theta": rec.theta,
-            "theta_cr": rec.theta_critical,
-            "critical": rec.critical,
-            "solutions": [asdict(r) for r in rec.rows],
+            "k": k,
+            "theta": theta,
+            "theta_cr": tc,
+            "critical": "Critical" in verdicts[start:end],
+            "solutions": rows[start:end],
         }
         stream.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -387,7 +338,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"need theta_min < theta_max, got {args.theta_min} >= {args.theta_max}"
         )
-    columns, ends = _sweep_columns(args.k, args.theta_min, args.theta_max, args.steps)
+    table = sweep_table(args.k, args.theta_min, args.theta_max, args.steps)
     if args.out == "-":
         target = sys.stdout
         close = False
@@ -396,9 +347,9 @@ def cmd_sweep(args) -> int:
         close = True
     try:
         if args.format == "json":
-            write_phase_jsonl(_records(columns, ends), target)
+            write_phase_jsonl(table, target)
         else:
-            _write_csv(columns, ends, target)
+            write_phase_csv(table, target)
     finally:
         if close:
             target.close()

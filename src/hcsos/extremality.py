@@ -59,7 +59,6 @@ from .chain import (
     kappa_of,
     kernel_of,
     row_distance,
-    spectrum_numeric,
 )
 from .model import Branch, TisgmSolution, check_params
 from .rootfind import Bracket, find_root
@@ -103,12 +102,13 @@ class ExtremalityVerdict:
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    Every branch and k takes s2 from ``spectrum_numeric`` and kappa from
-    ``kappa_of``, both of the one kernel ``kernel_of`` builds, and the
-    verdict from the one rule, ``_verdicts``.
+    Every branch and k takes s2 from ``_path_terms`` (the bits
+    ``spectrum_numeric`` reports) and kappa from ``kappa_of``, both of
+    the one kernel ``kernel_of`` builds, and the verdict from the one
+    rule, ``_verdicts``.
     """
     kern = kernel_of(sol, k, theta)
-    s2 = spectrum_numeric(kern).s2
+    s2 = _path_terms(*kern)[2]
     kappa = kappa_of(kern)
     ks = k * s2**2
     msw = k * kappa * kappa

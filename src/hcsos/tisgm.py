@@ -44,6 +44,7 @@ from .model import (
     ModelParams,
     TisgmSolution,
     activity_matrix,
+    branch_of,
     check_params,
 )
 from .rootfind import Bracket, _find_roots, expand_bracket_decreasing, find_root
@@ -231,6 +232,9 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
     bracket = Bracket(*(float(v[0]) for v in ladder))
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
+    if (branch_of(x1), branch_of(x2)) != (Branch.UPPER, Branch.LOWER):
+        # a root within BRANCH_TOL of x = 1 (just below theta_cr): merged too
+        return []
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
     lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)
     return [upper, lower]

@@ -12,7 +12,7 @@ asymmetric root with one many-target ladder and applies one numpy
 verdict rule.  The closed forms, the margins h and q in w = theta y^k,
 the closed-form 2 kappa^2 - 1, 50-digit evaluations, the one-shot
 vertex-by-vertex sampler, the edge-by-edge admissibility count, the
-point-by-point phase record, the one-target ladder and the branching
+point-by-point sweep table, the one-target ladder and the branching
 verdict rule here reach the same quantities another way.
 """
 
@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from hcsos.chain import SpectrumReport, TransitionKernel, stationary
-from hcsos.cli import PhaseRecord, SolutionRow
+from hcsos.cli import CSV_HEADER, SweepTable
 from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
 from hcsos.rootfind import Bracket, BracketError, UnboundedBracketError
@@ -358,31 +358,29 @@ def asymmetric_pair_mp(k: int, theta: float) -> tuple[tuple[mp.mpf, mp.mpf], ...
         return tuple((+x, +y) for x, y in pair)
 
 
-def build_phase_record(k: int, theta: float) -> PhaseRecord:
-    """A sweep's record at one grid point, from the single-point solvers.
+def build_phase_table(k: int, thetas) -> SweepTable:
+    """A sweep's table over the grid points ``thetas``, point by point
+    from the single-point solvers.
 
     Grid points within the critical guard of theta_cr(k) carry the
     symmetric solution with verdict "Critical" instead of a
     classification (the asymmetric pair is not separable there).
     """
-    sset = enumerate_solutions(k, theta)
-    rows = []
-    for sol in sset.solutions:
-        v = classify_solution(k, theta, sol)
-        verdict = "Critical" if sset.critical else v.verdict.value
-        rows.append(
-            SolutionRow(
-                branch=sol.branch.value,
-                x=sol.x,
-                y=sol.y,
-                s2=v.s2,
-                kappa=v.kappa,
-                ks_value=v.ks_value,
-                msw_value=v.msw_value,
-                verdict=verdict,
-            )
-        )
-    return PhaseRecord(k, theta, sset.theta_critical, tuple(rows))
+    columns = [[] for _ in CSV_HEADER]
+    ends = []
+    for theta in thetas:
+        sset = enumerate_solutions(k, theta)
+        for column, value in zip(columns, (k, theta, sset.theta_critical)):
+            column.append(value)
+        for sol in sset.solutions:
+            v = classify_solution(k, theta, sol)
+            verdict = "Critical" if sset.critical else v.verdict.value
+            row = (sol.branch.value, sol.x, sol.y, v.s2, v.kappa, v.ks_value,
+                   v.msw_value, verdict)
+            for column, value in zip(columns[3:], row):
+                column.append(value)
+        ends.append(len(columns[3]))
+    return SweepTable(columns, ends)
 
 
 def expand_bracket_scalar(f, lo: float, target: float) -> Bracket:

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +15,10 @@ from hypothesis import strategies as st
 from hcsos import cli, extremality, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
-    PhaseRecord,
-    SolutionRow,
+    SweepTable,
     main,
     read_phase_csv,
-    sweep_records,
+    sweep_table,
     write_phase_csv,
     write_phase_jsonl,
 )
@@ -30,7 +31,7 @@ from hcsos.tisgm import (
     solve_symmetric,
     theta_cr,
 )
-from reference import build_phase_record, s2_mp, stationary_mp
+from reference import build_phase_table, s2_mp, stationary_mp
 
 
 def run(argv):
@@ -83,6 +84,32 @@ class TestClassifyCommand:
     def test_missing_measure_is_a_domain_failure(self, capsys):
         assert run(["classify", "--k", "2", "--theta", "1.2", "--measure", "mu1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3, 19, 24, 25, 35, 36, 39, 50, 80, 100, 142])
+    def test_merged_pair_below_theta_cr_is_a_domain_error(self, k):
+        # one to four ulps below theta_cr(k) the upper root may fall within
+        # BRANCH_TOL of x = 1: the pair is then merged, as tisgm reports
+        theta = theta_cr(k)
+        merged = 0
+        for _ in range(4):
+            theta = math.nextafter(theta, 0.0)
+            pair = solve_asymmetric(k, theta)
+            assert [s.branch.value for s in pair] in ([], ["Upper", "Lower"])
+            merged += not pair
+            point = ["--k", str(k), "--theta", repr(theta)]
+            for argv in (*(["classify", *point, "--measure", m] for m in
+                           ("mu1", "mu2", "all")),
+                         ["simulate", *point, "--measure", "mu2", "--depth", "1",
+                          "--samples", "10"]):
+                code, _, err = _cli(argv)
+                if pair:
+                    assert (code, err) == (0, ""), argv
+                else:
+                    assert code == 1 and err.startswith(
+                        f"error: mu1/mu2 do not exist at k={k}, theta={theta!r}"
+                    ), (argv, err)
+            assert "asymmetric pair merged" in _cli(["tisgm", *point])[1]
+        assert merged
 
     def test_boundary_law_overflow_message(self, capsys):
         # the upper root is ~2.8e16 here, so x^20 leaves the double range
@@ -202,16 +229,16 @@ class TestSweepCommand:
             == 0
         )
         with out.open() as fh:
-            records = read_phase_csv(fh)
-        assert len(records) == 120
-        table = thresholds(2)
-        t1, t2 = table["theta1"].value, table["theta2"].value
+            table = read_phase_csv(fh)
+        assert len(table.ends) == 120
+        t1, t2 = (t.value for t in thresholds(2).values() if t.name != "theta5")
         spacing = (2.5 - 0.1) / 119
         flips = []
+        branch, verdict = _column(table, "branch"), _column(table, "verdict")
         mu0 = [
-            (rec.theta, rec.rows[0].verdict)
-            for rec in records
-            if rec.rows[0].branch == "Symmetric"
+            (theta, verdict[start])
+            for theta, start in zip(_column(table, "theta"), [0, *table.ends])
+            if branch[start] == "Symmetric"
         ]
         for (ta, va), (tb, vb) in zip(mu0, mu0[1:]):
             if va != vb:
@@ -233,19 +260,18 @@ class TestSweepCommand:
             == 0
         )
         with out.open() as fh:
-            records = read_phase_csv(fh)
-        for rec in records:
-            for row in rec.rows:
-                if row.branch == "Symmetric":
-                    assert row.verdict != "Extreme"
+            table = read_phase_csv(fh)
+        for branch, verdict in zip(_column(table, "branch"), _column(table, "verdict")):
+            if branch == "Symmetric":
+                assert verdict != "Extreme"
 
     def test_csv_round_trip_is_exact(self):
-        records = sweep_records(3, 0.3, 2.2, 17)
+        table = sweep_table(3, 0.3, 2.2, 17)
         buffer = io.StringIO()
-        write_phase_csv(records, buffer)
+        write_phase_csv(table, buffer)
         buffer.seek(0)
         parsed = read_phase_csv(buffer)
-        assert parsed == records
+        assert parsed == table
 
     def test_csv_bytes_equal_csv_writer(self):
         # text fields that need quoting are quoted as csv.writer quotes them;
@@ -257,26 +283,29 @@ class TestSweepCommand:
         def number(i):
             return numbers[i % len(numbers)]
 
-        # every fourth record has no rows and writes no line
-        records = [
-            PhaseRecord(2 + i % 3, number(i) if i % 2 else 0.1 * i, number(i + 5), tuple(
-                SolutionRow(texts[(i + j) % 8], 1.0 / (i + 1), number(i + j),
-                            number(2 * i + j), number(3 * i + j), 2.0**i,
-                            number(i * j + 7), texts[(3 * i + j) % 8])
-                for j in range(i % 4)))
+        # every fourth point has no solutions (its end repeats the one
+        # before) and writes no line
+        points = [(2 + i % 3, number(i) if i % 2 else 0.1 * i, number(i + 5))
+                  for i in range(44)]
+        rows = [
+            [(texts[(i + j) % 8], 1.0 / (i + 1), number(i + j), number(2 * i + j),
+              number(3 * i + j), 2.0**i, number(i * j + 7), texts[(3 * i + j) % 8])
+             for j in range(i % 4)]
             for i in range(44)
         ]
+        table = SweepTable(
+            [*zip(*points), *zip(*itertools.chain(*rows))],
+            list(itertools.accumulate(map(len, rows))),
+        )
+        assert table.ends[3] == table.ends[4]
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            for row in rec.rows:
-                writer.writerow([repr(rec.k), repr(rec.theta), repr(rec.theta_critical),
-                                 row.branch, repr(row.x), repr(row.y), repr(row.s2),
-                                 repr(row.kappa), repr(row.ks_value),
-                                 repr(row.msw_value), row.verdict])
+        for point, point_rows in zip(points, rows):
+            for branch, *numbers, verdict in point_rows:
+                writer.writerow([*map(repr, point), branch, *map(repr, numbers), verdict])
         got = io.StringIO()
-        write_phase_csv(records, got)
+        write_phase_csv(table, got)
         assert got.getvalue() == want.getvalue()
 
     def test_repeated_theta_reads_back_point_by_point(self):
@@ -284,13 +313,20 @@ class TestSweepCommand:
         # within CRITICAL_TOL, so each of its 100 points is one Critical row
         code, out, _ = _cli(_sweep(2, 1.0, 1.0000000000000004, 100))
         assert code == 0
-        records = read_phase_csv(io.StringIO(out))
-        assert len(records) == 100
-        assert records == sweep_records(2, 1.0, 1.0000000000000004, 100)
-        assert all(rec.rows[0].verdict == "Critical" for rec in records)
+        table = read_phase_csv(io.StringIO(out))
+        assert table.ends == list(range(1, 101))
+        assert table == sweep_table(2, 1.0, 1.0000000000000004, 100)
+        assert _column(table, "verdict") == ["Critical"] * 100
         again = io.StringIO()
-        write_phase_csv(records, again)
+        write_phase_csv(table, again)
         assert again.getvalue() == out
+        # and as JSON, one line per point, each flagged critical
+        code, out, _ = _cli(_sweep(2, 1.0, 1.0000000000000004, 100, "--format", "json"))
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 100
+        assert all(line["critical"] is True for line in lines)
+        assert [line["theta"] for line in lines] == _column(table, "theta")
 
     def test_header_schema(self):
         assert CSV_HEADER == [
@@ -299,9 +335,11 @@ class TestSweepCommand:
         ]
 
     def test_critical_point_flagged(self):
-        rec = build_phase_record(2, 1.0)  # theta_cr(2) exactly
-        assert rec.critical
-        assert [row.verdict for row in rec.rows] == ["Critical"]
+        table = build_phase_table(2, [1.0])  # theta_cr(2) exactly
+        assert table.ends == [1] and _column(table, "verdict") == ["Critical"]
+        jsonl = io.StringIO()
+        write_phase_jsonl(table, jsonl)
+        assert json.loads(jsonl.getvalue())["critical"] is True
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -354,6 +392,10 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _column(table, name):
+    return table.columns[CSV_HEADER.index(name)]
+
+
 def _sweep(k, lo, hi, steps, *extra):
     return ["sweep", "--k", str(k), "--theta-min", repr(lo), "--theta-max", repr(hi),
             "--steps", str(steps), *extra]
@@ -400,9 +442,8 @@ class TestSweepSolvesGridInLockstep:
         tc = theta_cr(k)
         lo, hi = sorted((tc, ends[0]) if with_tc and 0.1 <= tc <= 5.0 else ends)
         assume(lo < hi)
-        want = [build_phase_record(k, theta)
-                for theta in np.linspace(lo, hi, steps).tolist()]
-        assert sweep_records(k, lo, hi, steps) == want
+        want = build_phase_table(k, np.linspace(lo, hi, steps).tolist())
+        assert sweep_table(k, lo, hi, steps) == want
         csv_text, jsonl = io.StringIO(), io.StringIO()
         write_phase_csv(want, csv_text)
         write_phase_jsonl(want, jsonl)
@@ -415,11 +456,13 @@ class TestSweepSolvesGridInLockstep:
         # k * s2**2 as classify computes it
         code, out, _ = _cli(_sweep(2, 0.3, 3.0, 600))
         assert code == 0
-        (row,) = [r for r in read_phase_csv(io.StringIO(out))
-                  if r.theta == 1.801001669449082]
-        (sym,) = row.rows
-        assert sym.ks_value == 0.9543912848898282
-        assert sym.ks_value == 2 * sym.s2**2 != 2 * (sym.s2 * sym.s2)
+        table = read_phase_csv(io.StringIO(out))
+        i = _column(table, "theta").index(1.801001669449082)
+        start, end = [0, *table.ends][i], table.ends[i]
+        assert end == start + 1
+        ks_value, s2 = _column(table, "ks_value")[start], _column(table, "s2")[start]
+        assert ks_value == 0.9543912848898282
+        assert ks_value == 2 * s2**2 != 2 * (s2 * s2)
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -454,8 +497,7 @@ class TestSweepSolvesGridInLockstep:
         assert _cli(argv) == (1, "", message)
         assert tried == [steps]
         with pytest.raises(Exception) as first:
-            for theta in np.linspace(lo, hi, steps).tolist():
-                build_phase_record(k, theta)
+            build_phase_table(k, np.linspace(lo, hi, steps).tolist())
         assert message == f"error: {first.value}\n"
 
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -485,9 +527,8 @@ class TestSweepSolvesGridInLockstep:
     @pytest.mark.parametrize("steps", [2, 5, 63, 64])
     def test_short_grids_equal_either_route(self, k, steps):
         # the lockstep columns against the single-point solvers
-        want = [build_phase_record(k, theta)
-                for theta in np.linspace(0.1, 2.5, steps).tolist()]
-        assert sweep_records(k, 0.1, 2.5, steps) == want
+        want = build_phase_table(k, np.linspace(0.1, 2.5, steps).tolist())
+        assert sweep_table(k, 0.1, 2.5, steps) == want
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_short_grids_make_one_grid_call(self, k, monkeypatch):
@@ -513,7 +554,7 @@ class TestSweepSolvesGridInLockstep:
 
         monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
         with pytest.raises(AssertionError, match="every grid point solves alone"):
-            sweep_records(2, 0.1, 2.5, 100)
+            sweep_table(2, 0.1, 2.5, 100)
 
     def test_lockstep_bug_is_not_taken_for_a_domain_error(self, monkeypatch):
         # a numpy ValueError (shape, broadcast) is no reason to fall back
@@ -526,7 +567,7 @@ class TestSweepSolvesGridInLockstep:
         monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
         monkeypatch.setattr(cli, "enumerate_solutions", never)
         with pytest.raises(ValueError, match="broadcast"):
-            sweep_records(2, 0.1, 2.5, 100)
+            sweep_table(2, 0.1, 2.5, 100)
 
 
 class TestSinglePointPins:

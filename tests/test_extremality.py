@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcsos import extremality, tisgm
-from hcsos.chain import SpectrumReport, kernel_of, row_distance
+from hcsos.chain import kernel_of, row_distance
 from hcsos.extremality import (
     DEFAULT_BOUNDARY_TOL,
     Measure,
@@ -388,7 +388,7 @@ class TestColumnsEqualScalar:
         pairs = list(itertools.product(s2s, repeat=2))
         fake = {}
         monkeypatch.setattr(
-            extremality, "spectrum_numeric", lambda kern: SpectrumReport((), fake["s2"])
+            extremality, "_path_terms", lambda *entries: (0.0, 0.0, fake["s2"])
         )
         monkeypatch.setattr(extremality, "kappa_of", lambda kern: fake["kappa"])
         sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcsos import tisgm
-from hcsos.cli import sweep_records
+from hcsos.cli import sweep_table
 from hcsos.model import Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
     RESIDUAL_TOL,
@@ -376,7 +376,7 @@ class TestSolutionGrid:
         with pytest.raises(tisgm.ConsistencyError):
             enumerate_solution_grid(k, grid)
         with pytest.raises(tisgm.ConsistencyError) as sweep:
-            sweep_records(k, 0.3, 2.0, 80)
+            sweep_table(k, 0.3, 2.0, 80)
         assert str(sweep.value) == str(scalar.value)
 
     def test_critical_point(self):
