@@ -41,11 +41,9 @@ import numpy as np
 from .chain import kernel_of, stationary
 from .extremality import (
     Measure,
-    _pair_of,
     classify_columns,
-    classify_mu0,
-    classify_mu12,
     classify_solution,
+    no_pair_text,
     solution_of,
     thresholds,
 )
@@ -60,7 +58,6 @@ from .tisgm import (
     enumerate_solution_grid,
     enumerate_solutions,
     iterate_boundary_law,
-    theta_cr,
 )
 
 CSV_HEADER = [
@@ -88,7 +85,7 @@ class SweepTable(NamedTuple):
     k, theta and theta_cr hold one entry per grid point, the other
     fields one entry per solution, in grid order (Symmetric, Upper,
     Lower at each point); point i's solutions end at ``ends[i]``.  A
-    point within the critical guard of theta_cr(k) has only the
+    point within the critical guard of theta_cr has only the
     symmetric solution, with verdict "Critical" instead of a
     classification (the asymmetric pair is not separable there).
     """
@@ -314,21 +311,14 @@ def _verdict_lines(v) -> list[str]:
 
 def cmd_classify(args) -> int:
     k, theta = args.k, args.theta
-    verdicts = []
-    if args.measure in ("mu0", "all"):
-        verdicts.append(classify_mu0(k, theta))
-    if args.measure in ("mu1", "mu2"):
-        verdicts.append(classify_mu12(k, theta, Measure(args.measure)))
-    elif args.measure == "all" and theta < theta_cr(k):
-        # one asymmetric solve serves both mu1 (upper) and mu2 (lower)
-        verdicts.extend(classify_solution(k, theta, s) for s in _pair_of(k, theta))
-    lines: list[str] = []
-    for v in verdicts:
-        lines.extend(_verdict_lines(v))
-    if args.measure == "all" and theta >= theta_cr(k):
-        lines.append(
-            f"mu1/mu2 do not exist (theta >= theta_cr = {theta_cr(k)!r})"
-        )
+    if args.measure == "all":
+        sols = enumerate_solutions(k, theta).solutions
+    else:
+        sols = (solution_of(k, theta, Measure(args.measure)),)
+    verdicts = [classify_solution(k, theta, s) for s in sols]
+    lines = [line for v in verdicts for line in _verdict_lines(v)]
+    if args.measure == "all" and len(sols) == 1:
+        lines.append(no_pair_text(k, theta, at_point=False))
     _print_or_dump(args, lines, [_verdict_obj(v) for v in verdicts])
     return 0
 

@@ -22,8 +22,9 @@ verdict is Extreme when 2 kappa^2 < 1 and Undetermined otherwise --
 never NonExtreme.  For k >= 3 the MSW bound is not backed by theory for
 the asymmetric kernels, so only the Kesten-Stigum side is trusted there.
 Every k, k = 2 included, reaches the asymmetric pair through the one
-solver ``solve_asymmetric``, so ``classify_mu12`` and a sweep report
-the same numbers for the same measure.
+solver ``solve_asymmetric``, which alone decides whether mu1 and mu2
+exist, so ``classify_mu12``, ``classify --measure all`` and a sweep
+report the same measures with the same numbers.
 
 Thresholds (all for the symmetric measure unless noted, boundary values
 excluded):
@@ -176,29 +177,30 @@ def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:
     """Fixed point that indexes ``measure`` at (k, theta).
 
     mu0 is the symmetric root; mu1 and mu2 are the upper and lower roots
-    of ``solve_asymmetric``.  Raises ValueError when mu1/mu2 do not exist
-    (theta at or above theta_cr(k)).
+    of ``solve_asymmetric``, which alone decides whether they exist.
+    Raises ValueError with ``no_pair_text`` where it gives no pair.
     """
     if measure is Measure.MU0:
         return solve_symmetric(k, theta)
-    upper, lower = _pair_of(k, theta)
-    return upper if measure is Measure.MU1 else lower
-
-
-def _pair_of(k: int, theta: float) -> list[TisgmSolution]:
-    # solve_asymmetric's pair, upper then lower; ValueError where it is empty
     pair = solve_asymmetric(k, theta)
     if not pair:
-        raise ValueError(
-            f"mu1/mu2 do not exist at k={k}, theta={theta} >= theta_cr = {theta_cr(k)}"
-        )
-    return pair
+        raise ValueError(no_pair_text(k, theta))
+    return pair[0] if measure is Measure.MU1 else pair[1]
+
+
+def no_pair_text(k: int, theta: float, at_point: bool = True) -> str:
+    """Why mu1/mu2 do not exist where ``solve_asymmetric`` gives []: the
+    error's text ``at_point``, else the note of ``classify --measure all``."""
+    tc = theta_cr(k)
+    merged = ", where the pair is merged with mu0"
+    why = f">= theta_cr = {tc}" if theta >= tc else f"< theta_cr = {tc}{merged}"
+    where = f"at k={k}, theta={theta} {why}" if at_point else f"(theta {why})"
+    return f"mu1/mu2 do not exist {where}"
 
 
 def classify_mu0(k: int, theta: float) -> ExtremalityVerdict:
     """Classify the symmetric measure, which exists at every (k, theta)."""
-    sol = solution_of(k, theta, Measure.MU0)
-    return classify_solution(k, theta, sol)
+    return classify_solution(k, theta, solution_of(k, theta, Measure.MU0))
 
 
 def classify_mu12(
@@ -209,13 +211,12 @@ def classify_mu12(
     The pair comes from ``solve_asymmetric``, as in a sweep.  At k = 2
     Kesten-Stigum can never hold, so the only decisive outcome is
     Extreme (2 kappa^2 < 1); k >= 3 trusts only the Kesten-Stigum
-    direction.  Raises ValueError when the measure does not exist (theta
-    at or above theta_cr(k)).
+    direction.  Raises ValueError where ``solve_asymmetric`` gives no
+    pair: from CRITICAL_TOL below theta_cr(k) upward.
     """
     if measure is Measure.MU0:
         raise ValueError("mu0 is handled by classify_mu0")
-    sol = solution_of(k, theta, measure)
-    return classify_solution(k, theta, sol)
+    return classify_solution(k, theta, solution_of(k, theta, measure))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ solutions exist iff theta is below
 and come in reciprocal pairs (one root above 1, its partner the exact
 reciprocal).  Total count: one fixed point at or above theta_cr(k),
 three strictly below.  ``solve_asymmetric`` is the one route to the
-pair for every k; the k = 2 closed form through rho = x + 1/x is kept
-as a test oracle in tests/reference.py.
+pair and the one rule for where it exists, for every k; the k = 2
+closed form through rho = x + 1/x is a test oracle in tests/reference.py.
 
 For general even m the module also exposes forward iteration of the
 full boundary-law map (exploratory: no count claims are made there).
@@ -213,27 +213,30 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
 
 
 def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
-    """Reciprocal pair of fixed points with x != 1; empty at or above theta_cr.
+    """Reciprocal pair of fixed points with x != 1, upper then lower; or [].
 
-    The upper root solves eta(x) = theta^(k+1) on (1, inf); the lower
-    partner is set to its exact reciprocal, and y is recovered from
-    theta y^k = x + ... + x^(k-1).
+    The one rule for whether mu1 and mu2 exist.  The upper root solves
+    eta(x) = theta^(k+1) on (1, inf), the lower is its exact reciprocal,
+    and y is recovered from theta y^k = x + ... + x^(k-1).  Three exits
+    give []: theta less than CRITICAL_TOL below theta_cr(k) or above it,
+    theta^(k+1) >= eta(1), and a root within BRANCH_TOL of x = 1.  For
+    k <= 142 the first covers the others (x1 - 1 >= 9e-8 at its edge);
+    only k = 143, whose theta_cr overflows to inf, reaches them.
     """
     check_params(k, theta)
-    if theta >= theta_cr(k):
+    if theta_cr(k) - theta < CRITICAL_TOL:
         return []
 
     target = theta ** (k + 1)
     if target >= eta(1.0, k):
-        # below theta_cr in exact arithmetic but merged with x = 1 beyond
-        # float resolution: no separable asymmetric pair exists
+        # merged with x = 1 beyond float resolution
         return []
     ladder = expand_bracket_decreasing(lambda x: eta(x, k), np.array([target]))
     bracket = Bracket(*(float(v[0]) for v in ladder))
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
     if (branch_of(x1), branch_of(x2)) != (Branch.UPPER, Branch.LOWER):
-        # a root within BRANCH_TOL of x = 1 (just below theta_cr): merged too
+        # merged too: at k = 143, on 8 consecutive floats from 71.8414953400023
         return []
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
     lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)
@@ -255,28 +258,25 @@ class SolutionSet:
     """All translation-invariant fixed points at one (k, theta).
 
     Ordered Symmetric, Upper, Lower.  ``critical`` marks theta within
-    CRITICAL_TOL of theta_cr(k), where only the symmetric solution is
-    reported because the asymmetric pair cannot be separated from it.
+    CRITICAL_TOL of theta_cr(k), where ``solve_asymmetric`` gives no
+    pair because it cannot be separated from the symmetric solution.
     """
 
     k: int
     theta: float
     theta_critical: float
     solutions: tuple[TisgmSolution, ...]
-    critical: bool = False
+    critical: bool
 
     def __len__(self) -> int:
         return len(self.solutions)
 
 
 def enumerate_solutions(k: int, theta: float) -> SolutionSet:
-    """Complete ordered solution set: one at/above theta_cr(k), three below."""
+    """The symmetric solution, then ``solve_asymmetric``'s pair if any."""
     tc = theta_cr(k)
-    sym = solve_symmetric(k, theta)
-    if abs(theta - tc) < CRITICAL_TOL:
-        return SolutionSet(k, theta, tc, (sym,), critical=True)
-    sols = (sym, *solve_asymmetric(k, theta))
-    return SolutionSet(k, theta, tc, sols)
+    sols = (solve_symmetric(k, theta), *solve_asymmetric(k, theta))
+    return SolutionSet(k, theta, tc, sols, critical=abs(theta - tc) < CRITICAL_TOL)
 
 
 # Branch of each code in a SolutionGrid's ``branch`` column.
@@ -289,7 +289,7 @@ class SolutionGrid:
 
     Row i is the solution of branch ``BRANCHES[branch[i]]`` at grid
     point ``point[i]``.  Rows run in grid order and, within a point, as
-    in its SolutionSet: Symmetric, then Upper and Lower below theta_cr.
+    in its SolutionSet: Symmetric, then Upper and Lower where they exist.
     ``critical`` marks grid points as ``SolutionSet.critical`` does.
     ``xk`` and ``w`` are each row's x^k and theta y^k, computed once for
     the residual contract and kept for the kernel.
@@ -312,21 +312,22 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     ``find_root``: first one lane per point for the symmetric y on the
     bracket of ``solve_symmetric``, then one per asymmetric pair for its
     upper x, with the brackets from one shared doubling ladder of eta,
-    whose values depend on k only.  Every row meets the residual contract and
-    ``TisgmSolution``'s positivity and branch checks, checked on the
-    columns; if a row fails them, ConsistencyError names the first such
-    point.  Raises ValueError, ArithmeticError or RuntimeError if any
-    point fails, not necessarily with the message of the first failing
-    point; ``enumerate_solutions`` at each point in turn gives that one.
+    whose values depend on k only.  Each pair lane takes the three exits
+    of ``solve_asymmetric``, the last as a filter on the roots, not a
+    failure.  Every row meets the residual contract and positivity,
+    checked on the columns; if a row fails them, ConsistencyError names
+    the first such point.  Raises ValueError, ArithmeticError or
+    RuntimeError if any point fails, not necessarily with the message of
+    the first failing point; ``enumerate_solutions`` at each point in
+    turn gives that one.
     """
     check_params(k, float(thetas.min()))
     check_params(theta=float(thetas.max()))
     n = thetas.size
     tc = theta_cr(k)
     critical = abs(thetas - tc) < CRITICAL_TOL
-    # solve_asymmetric's own early exits: theta >= theta_cr, then the
-    # pair merged with x = 1 beyond float resolution
-    lanes = np.flatnonzero(~critical & (thetas < tc))
+    # solve_asymmetric's first two exits: the critical band, then eta(1)
+    lanes = np.flatnonzero(tc - thetas >= CRITICAL_TOL)
     target = _powers(thetas[lanes], k + 1)
     split = target < eta(1.0, k)
     lanes, target = lanes[split], target[split]
@@ -355,6 +356,9 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         roots = _find_roots(f, lo, hi, f_lo, f_hi)
         y0, x1 = roots[:n], roots[n:]
         x2 = 1.0 / x1
+        # its branch exit: branch_of(x1) is Upper and branch_of(x2) Lower
+        split = (x1 - 1.0 >= BRANCH_TOL) & (1.0 - x2 >= BRANCH_TOL)
+        lanes, x1, x2 = lanes[split], x1[split], x2[split]
         y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
         # rows of each branch, then sorted by point and branch code
         point = np.concatenate((np.arange(n), lanes, lanes))
@@ -367,9 +371,7 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         xk = _powers(x, k)
         w = theta * _powers(y, k)
         residual = _residual(theta, x, y, xk, w, _lane_max)
-        # branch_of(x) as a code
-        side = np.where(abs(x - 1.0) < BRANCH_TOL, 0, np.where(x > 1.0, 1, 2))
-    failed = (residual > RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0)) | (side != branch)
+    failed = (residual > RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0))
     if failed.any():
         where = float(theta[failed.argmax()])
         raise ConsistencyError(f"a fixed point at k={k}, theta={where} fails a check")

@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hcsos import cli, extremality, sampler, tisgm
+from hcsos import cli, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     SweepTable,
@@ -85,20 +85,40 @@ class TestClassifyCommand:
         assert run(["classify", "--k", "2", "--theta", "1.2", "--measure", "mu1"]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", [3, 19, 24, 25, 35, 36, 39, 50, 80, 100, 142])
+    @pytest.mark.parametrize(
+        "k", [2, 3, 8, 19, 24, 25, 35, 36, 39, 50, 80, 100, 142]
+    )
     def test_merged_pair_below_theta_cr_is_a_domain_error(self, k):
-        # one to four ulps below theta_cr(k) the upper root may fall within
-        # BRANCH_TOL of x = 1: the pair is then merged, as tisgm reports
-        theta = theta_cr(k)
-        merged = 0
+        # solve_asymmetric alone decides whether mu1/mu2 exist: less than
+        # CRITICAL_TOL below theta_cr(k), the four floats just below it
+        # included, the pair is merged, and every verb says so as tisgm does
+        tc = theta_cr(k)
+        below = [tc]
         for _ in range(4):
-            theta = math.nextafter(theta, 0.0)
+            below.append(math.nextafter(below[-1], 0.0))
+        merged = 0
+        for theta in (*below[1:], tc - 0.5e-9, tc - 2e-9, tc):
             pair = solve_asymmetric(k, theta)
             assert [s.branch.value for s in pair] in ([], ["Upper", "Lower"])
             merged += not pair
             point = ["--k", str(k), "--theta", repr(theta)]
+            _, out, _ = _cli(["tisgm", *point, "--format", "json"])
+            branches = [s["branch"] for s in json.loads(out)["solutions"]]
+            assert branches == ["Symmetric"] + ["Upper", "Lower"] * bool(pair)
+            assert ("asymmetric pair merged" in _cli(["tisgm", *point])[1]) == (
+                not pair
+            )
+            code, out, err = _cli(["classify", *point, "--measure", "all",
+                                   "--format", "json"])
+            assert (code, err) == (0, "")
+            assert [v["measure"] for v in json.loads(out)] == ["mu0", "mu1", "mu2"][
+                : len(branches)
+            ]
+            code, out, err = _cli(["classify", *point, "--measure", "all"])
+            assert (code, err) == (0, "")
+            assert ("mu1/mu2 do not exist (theta " in out) == (not pair)
             for argv in (*(["classify", *point, "--measure", m] for m in
-                           ("mu1", "mu2", "all")),
+                           ("mu1", "mu2")),
                          ["simulate", *point, "--measure", "mu2", "--depth", "1",
                           "--samples", "10"]):
                 code, _, err = _cli(argv)
@@ -108,8 +128,16 @@ class TestClassifyCommand:
                     assert code == 1 and err.startswith(
                         f"error: mu1/mu2 do not exist at k={k}, theta={theta!r}"
                     ), (argv, err)
-            assert "asymmetric pair merged" in _cli(["tisgm", *point])[1]
+                    # ">=" only where it holds in floats
+                    assert (">=" in err) == (theta >= tc), (argv, err)
         assert merged
+        # a sweep over the band gives each point tisgm's solutions
+        code, out, _ = _cli(_sweep(k, tc - 2e-9, tc, 9))
+        assert code == 0
+        table = read_phase_csv(io.StringIO(out))
+        rows = np.diff([0, *table.ends])
+        for theta, count in zip(_column(table, "theta"), rows):
+            assert count == len(tisgm.enumerate_solutions(k, theta)), theta
 
     def test_boundary_law_overflow_message(self, capsys):
         # the upper root is ~2.8e16 here, so x^20 leaves the double range
@@ -140,23 +168,24 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_all_solves_the_pair_once(self, k, capsys, monkeypatch):
-        # one solve_asymmetric call serves mu1 and mu2 below theta_cr, none
-        # is made at or above it, and the output is the single-measure
-        # calls' output concatenated
+        # one asymmetric root solve (one bracket ladder) serves mu1 and mu2
+        # from CRITICAL_TOL below theta_cr down, none is made above that,
+        # and the output is the single-measure calls' output concatenated
         calls = []
-        solve = extremality.solve_asymmetric
+        ladder = tisgm.expand_bracket_decreasing
         monkeypatch.setattr(
-            extremality, "solve_asymmetric", lambda *a: calls.append(a) or solve(*a)
+            tisgm, "expand_bracket_decreasing", lambda *a: calls.append(a) or ladder(*a)
         )
         tc = theta_cr(k)
-        for theta in (0.3 * tc, 0.9 * tc, tc, 1.5 * tc):
+        for theta in (0.3 * tc, 0.9 * tc, tc - 0.5e-9, tc, 1.5 * tc):
+            solves = tc - theta >= tisgm.CRITICAL_TOL
             common = ["--k", str(k), "--theta", repr(theta), "--format", "json"]
             del calls[:]
             assert run(["classify", "--measure", "all"] + common) == 0
-            assert len(calls) == (1 if theta < tc else 0), theta
+            assert len(calls) == solves, theta
             got = json.loads(capsys.readouterr().out)
             single = []
-            for name in ("mu0", "mu1", "mu2") if theta < tc else ("mu0",):
+            for name in ("mu0", "mu1", "mu2") if solves else ("mu0",):
                 assert run(["classify", "--measure", name] + common) == 0
                 single += json.loads(capsys.readouterr().out)
             assert got == single
@@ -436,6 +465,11 @@ class TestSweepSolvesGridInLockstep:
         steps=st.integers(2, 400),
         with_tc=st.booleans(),
     )
+    # k = 143, where theta_cr overflows to inf: from 71.8414953400023 up
+    # the root is within BRANCH_TOL of x = 1, and the grid drops that lane
+    # as solve_asymmetric does
+    @example(k=143, ends=(71.8414953400023, 71.84149534000238), steps=7, with_tc=False)
+    @example(k=143, ends=(60.0, 71.84149534000238), steps=50, with_tc=False)
     def test_long_grid_equals_point_by_point(self, k, ends, steps, with_tc):
         # every point of such a grid solves (checked on 60 of them); with
         # with_tc, theta_cr(k) is one end of the grid, so a point is Critical
