@@ -5,6 +5,7 @@ import io
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("[0-9]*.py"))
@@ -16,7 +17,9 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
+    # demos 03 and 04 set numpy's print options; restore them afterwards,
+    # since the text of some CLI errors depends on them
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), np.printoptions():
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
