@@ -29,13 +29,6 @@ from .model import (
     ModelParams,
     TisgmSolution,
 )
-from .sampler import (
-    Configuration,
-    EmpiricalStats,
-    TreeConfig,
-    estimate_marginals,
-    sample,
-)
 from .tisgm import (
     BoundaryLaw,
     ConsistencyError,
@@ -53,6 +46,21 @@ from .tisgm import (
 )
 
 __version__ = "0.1.0"
+
+# Loaded on first use, then kept: the sampler needs numpy, which
+# importing the package does not load.
+_SAMPLER_NAMES = ("Configuration", "EmpiricalStats", "TreeConfig", "estimate_marginals",
+                  "sample")
+
+
+def __getattr__(name: str):
+    if name not in _SAMPLER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sampler
+
+    globals().update((each, getattr(sampler, each)) for each in _SAMPLER_NAMES)
+    return globals()[name]
+
 
 __all__ = [
     "BoundaryLaw",

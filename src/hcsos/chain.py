@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import TisgmSolution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TransitionKernel(NamedTuple):
@@ -59,6 +60,8 @@ class TransitionKernel(NamedTuple):
     @property
     def p(self) -> np.ndarray:
         """The whole matrix, read-only, built on each read."""
+        import numpy as np
+
         p00, p01, p10, p12, p21, p22 = self
         p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
         p.setflags(write=False)
@@ -135,6 +138,8 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     or an entry is zero) the chain is numerically reducible, which
     raises.
     """
+    import numpy as np
+
     _, p01, p10, p12, p21, _ = kern
     if p01 > 0.0 and p21 > 0.0:
         mass = (p10 / p01, 1.0, p12 / p21)
@@ -153,7 +158,7 @@ def row_distance(
 
     Half the largest L1 distance between two rows; the zero entries of
     each row pair drop out of the sums as |0 - p| = |p|.  On columns of
-    entries pass ``tisgm._lane_max`` as ``largest``.
+    entries pass ``grid._lane_max`` as ``largest``.
     """
     d01 = abs(p00 - p10) + abs(p01) + abs(p12)
     d02 = abs(p00) + abs(p01 - p21) + abs(p22)

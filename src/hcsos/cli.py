@@ -5,22 +5,9 @@ Exit codes: 0 success, 1 computation or domain failure, 2 usage error.
 Floats are serialized with repr (shortest round-trip decimals), so every
 emitted file parses back to bit-identical values.
 
-A sweep is one ``SweepTable``: a column per CSV field and the index
-where each grid point's solutions end.  ``sweep_table`` builds it for
-the whole theta grid at once: the roots of both branches at every grid
-point in one lockstep solve, then the residual contract and the
-solution checks (``enumerate_solution_grid``), then the kernel entries,
-s2, kappa, the two criteria and the verdicts (``classify_columns``).
-x^k and theta y^k are computed once per solution, every power goes lane
-by lane through Python's float ``**``, and the columns become Python
-values before any is printed.  ``write_phase_csv`` formats the CSV text
-straight from the columns, one ``map(repr, ...)`` per numeric field;
-``write_phase_jsonl`` writes one line per grid point; ``read_phase_csv``
-parses a CSV back into the same table.  Every number equals what a lone
-call at that point gives, so sweep, tisgm and classify agree bit for
-bit.  The one point-by-point path is the failure fallback: if a point
-leaves the model's domain, the sweep is redone point by point, so the
-first failing point raises exactly as a lone call there does.
+A sweep is one ``SweepTable``, a column per CSV field.  ``grid``, which
+only ``sweep`` imports, builds it; ``write_phase_csv``,
+``write_phase_jsonl`` and ``read_phase_csv`` write and parse it.
 """
 
 from __future__ import annotations
@@ -36,29 +23,12 @@ from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
 
-import numpy as np
-
 from .chain import kernel_of, stationary
 from .extremality import (
-    Measure,
-    classify_columns,
-    classify_solution,
-    no_pair_text,
-    solution_of,
-    thresholds,
+    Measure, classify_solution, no_pair_text, solution_of, thresholds
 )
 from .model import Branch, ModelParams
-from .rootfind import BracketError, ConvergenceError
-from .sampler import TreeConfig, estimate_marginals
-from .tisgm import (
-    BRANCHES,
-    BoundaryLaw,
-    ConsistencyError,
-    SolutionSet,
-    enumerate_solution_grid,
-    enumerate_solutions,
-    iterate_boundary_law,
-)
+from .tisgm import BoundaryLaw, SolutionSet, enumerate_solutions, iterate_boundary_law
 
 CSV_HEADER = [
     "k",
@@ -94,45 +64,8 @@ class SweepTable(NamedTuple):
     ends: list[int]
 
 
-# What the lockstep sweep raises when some grid point leaves the model's domain.
-_DOMAIN_ERRORS = (BracketError, ConvergenceError, ConsistencyError, ArithmeticError)
-
-_BRANCH_NAMES = np.array([branch.value for branch in BRANCHES])
-
 # CSV fields written as text; the others are numbers
 _TEXT_FIELDS = ("branch", "verdict")
-
-
-def sweep_table(k: int, theta_min: float, theta_max: float, steps: int) -> SweepTable:
-    """Every solution and verdict at each point of the theta grid.
-
-    Bit for bit what ``enumerate_solutions`` and ``classify_solution``
-    give at that point alone.
-    """
-    grid = np.linspace(theta_min, theta_max, steps)
-    try:
-        sols = enumerate_solution_grid(k, grid)
-        s2, kappa, ks, msw, verdict = classify_columns(
-            k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
-        )
-    except _DOMAIN_ERRORS as exc:
-        # point by point, so the first failing point raises as a lone call
-        for theta in grid.tolist():
-            for sol in enumerate_solutions(k, theta).solutions:
-                classify_solution(k, theta, sol)
-        raise AssertionError(
-            "the lockstep sweep failed, but every grid point solves alone"
-        ) from exc
-    verdict = np.where(sols.critical[sols.point], "Critical", verdict)
-    fields = (_BRANCH_NAMES[sols.branch], sols.x, sols.y, s2, kappa, ks, msw, verdict)
-    columns = [
-        [k] * grid.size,
-        grid.tolist(),
-        [sols.theta_critical] * grid.size,
-        *(column.tolist() for column in fields),
-    ]
-    ends = np.cumsum(np.bincount(sols.point, minlength=grid.size)).tolist()
-    return SweepTable(columns, ends)
 
 
 def write_phase_csv(table: SweepTable, stream: io.TextIOBase) -> None:
@@ -328,6 +261,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"need theta_min < theta_max, got {args.theta_min} >= {args.theta_max}"
         )
+    from .grid import sweep_table
+
     table = sweep_table(args.k, args.theta_min, args.theta_max, args.steps)
     if args.out == "-":
         target = sys.stdout
@@ -387,6 +322,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sampler import TreeConfig, estimate_marginals
+
     cfg = TreeConfig(k=args.k, depth=args.depth, seed=args.seed)
     sol = solution_of(args.k, args.theta, Measure(args.measure))
     kern = kernel_of(sol, args.k, args.theta)

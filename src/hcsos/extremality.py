@@ -12,9 +12,7 @@ On the symmetric branch kappa = gamma = s2, so the two tests are sharp
 complements of each other: outside a small boundary band exactly one of
 them decides.  The band where neither strict inequality holds (and the
 s2 branch switch at theta = 1) is reported as Undetermined.  One rule,
-``_verdicts``, turns the two criteria into a verdict, for one measure
-(``classify_solution``) and for a sweep's columns (``classify_columns``)
-alike.
+``_verdicts``, turns the two criteria into a verdict.
 
 For the asymmetric measures at k = 2 the Kesten-Stigum condition
 provably never holds (it reduces to (x-1)^2 + 2(x^2+1) < 0), so the
@@ -52,18 +50,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .chain import (
-    _entries_of_powers,
-    _path_terms,
-    kappa_of,
-    kernel_of,
-    row_distance,
-)
+from .chain import _path_terms, kappa_of, kernel_of
 from .model import Branch, TisgmSolution, check_params
 from .rootfind import Bracket, find_root
-from .tisgm import _lane_max, _powers, solve_asymmetric, solve_symmetric, theta_cr
+from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 
@@ -114,39 +104,16 @@ def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVe
     ks = k * s2**2
     msw = k * kappa * kappa
 
-    verdict = Verdict(_verdicts(k, sol.branch is Branch.SYMMETRIC, ks, msw).item())
+    verdict = Verdict(_verdicts(k, sol.branch is Branch.SYMMETRIC, ks, msw))
     measure = _MEASURE_OF_BRANCH[sol.branch]
     return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
 
 
-def classify_columns(
-    k: int, xk: np.ndarray, w: np.ndarray, symmetric: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``classify_solution`` on columns, lane by lane and bit for bit.
-
-    Each lane is one fixed point, given by x^k and w = theta y^k;
-    ``symmetric`` marks the lanes of the Symmetric branch.  Returns the
-    columns s2, kappa, ks_value, msw_value and the verdict strings, with
-    the default boundary band.  Raises ArithmeticError if some lane's
-    kernel is degenerate, where ``kernel_of`` raises on that lane.
-    """
-    with np.errstate(all="ignore"):
-        entries = _entries_of_powers(xk, w)
-        if not np.isfinite(sum(entries)).all():
-            raise ArithmeticError("degenerate kernel at some fixed point of the grid")
-        kappa = row_distance(*entries, largest=_lane_max)
-        s2 = _path_terms(*entries, sqrt=np.sqrt)[2]
-    ks = k * _powers(s2, 2)
-    msw = k * kappa * kappa
-    return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw)
+def _choose(condition, if_true, if_false):
+    return if_true if condition else if_false
 
 
-def _verdicts(
-    k: int,
-    symmetric: np.ndarray | bool,
-    ks: np.ndarray | float,
-    msw: np.ndarray | float,
-) -> np.ndarray:
+def _verdicts(k: int, symmetric, ks, msw, where=_choose):
     """The verdict rule, as strings, on floats or lane by lane on columns.
 
     With tol = DEFAULT_BOUNDARY_TOL: on the symmetric branch the
@@ -158,19 +125,19 @@ def _verdicts(
     k = 2: Extreme iff 2 kappa^2 < 1 - tol, otherwise Undetermined.
     Asymmetric at k >= 3: NonExtreme iff the Kesten-Stigum value
     exceeds 1 + tol, otherwise Undetermined.  NaN compares false, so it
-    lands on Undetermined.
+    lands on Undetermined.  On columns pass ``np.where`` as ``where``.
     """
     ext, non, und = (
         Verdict.EXTREME.value, Verdict.NON_EXTREME.value, Verdict.UNDETERMINED.value
     )
     tol = DEFAULT_BOUNDARY_TOL
     above = ks > 1.0 + tol
-    sym = np.where(above, non, np.where(ks < 1.0 - tol, ext, und))
+    sym = where(above, non, where(ks < 1.0 - tol, ext, und))
     if k == 2:
-        asym = np.where(msw < 1.0 - tol, ext, und)
+        asym = where(msw < 1.0 - tol, ext, und)
     else:
-        asym = np.where(above, non, und)
-    return np.where(symmetric, sym, asym)
+        asym = where(above, non, und)
+    return where(symmetric, sym, asym)
 
 
 def solution_of(k: int, theta: float, measure: Measure) -> TisgmSolution:

@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this distance from x = 1 the asymmetric branches cannot be told
 # apart from the symmetric one at root-finder accuracy.
@@ -74,6 +76,8 @@ def activity_matrix(m: int, theta: float) -> np.ndarray:
     The entry is zero exactly off the wand graph, so spins i, j may sit
     on neighboring vertices iff the (i, j) entry is positive.
     """
+    import numpy as np
+
     check_params(theta=theta, m=m)
     n = m + 1
     lam = np.zeros((n, n))

@@ -31,15 +31,11 @@ full boundary-law map (exploratory: no count claims are made there).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from itertools import repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
-    BRANCH_TOL,
     Branch,
     ModelParams,
     TisgmSolution,
@@ -47,7 +43,10 @@ from .model import (
     branch_of,
     check_params,
 )
-from .rootfind import Bracket, _find_roots, expand_bracket_decreasing, find_root
+from .rootfind import Bracket, expand_bracket_decreasing, find_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # theta within this distance of theta_cr(k): the asymmetric pair has
 # merged into x = 1 beyond root-finder resolution.
@@ -75,28 +74,6 @@ def _power_sum(x: float, n: int) -> float:
     for _ in range(n):
         acc = acc * x + 1.0
     return acc
-
-
-def _powers(base: np.ndarray, n: float) -> np.ndarray:
-    """base ** n lane by lane through Python's float power.
-
-    ``np.power`` may round differently in the last bit, so the lockstep
-    routes raise to powers here to keep the bits of the scalar ones.
-    """
-    return np.fromiter(map(pow, base.tolist(), repeat(n)), float, base.size)
-
-
-def _lane_max(first, *rest):
-    """Python's ``max`` lane by lane, NaN included.
-
-    ``max`` keeps its running value unless a later argument compares
-    greater, so a NaN survives only where it comes first; np.maximum
-    would spread every NaN.
-    """
-    out = first
-    for value in rest:
-        out = np.where(value > out, value, out)
-    return out
 
 
 def theta_cr(k: int) -> float:
@@ -131,24 +108,13 @@ def eta(x: float, k: int) -> float:
 
 
 def _eta_value(x: float, k: int, power=pow) -> float:
-    # eta's formula, with no overflow handling; _powers as ``power`` for arrays
+    # eta's formula, with no overflow handling; grid._powers as ``power``
+    # for arrays
     s = x * _power_sum(x, k - 1)  # x + x^2 + ... + x^(k-1)
     # 1 + x + ... + x^(k-1) is s + 1.0 bit for bit: Horner's last step
     # is _power_sum(x, k - 1) * x + 1.0, and IEEE products commute.
     # Group as s * ((s + 1) / (x^k + 1))^k so large x cannot overflow.
     return s * power((s + 1.0) / (power(x, k) + 1.0), k)
-
-
-def _eta_lanes(x: np.ndarray, k: int) -> np.ndarray:
-    """``eta`` on every lane of x, bit for bit."""
-    # float arithmetic overflows to inf silently; so does it here
-    ignore = np.errstate(over="ignore", invalid="ignore")
-    with contextlib.suppress(OverflowError), ignore:
-        value = _eta_value(x, k, _powers)
-        if np.isfinite(value).all():
-            return value
-    # a lane left the double range: take eta's own way out, lane by lane
-    return np.array([eta(v, k) for v in x.tolist()])
 
 
 def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
@@ -170,7 +136,7 @@ def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
 
 
 def _residual(theta, x, y, xk, w, largest=max):
-    # compatibility_residual from x^k and w = theta y^k; _lane_max as
+    # compatibility_residual from x^k and w = theta y^k; grid._lane_max as
     # ``largest`` for columns
     rhs1 = (xk + w) / (1.0 + w)
     rhs2 = theta * (xk + 1.0) / (1.0 + w)
@@ -231,8 +197,8 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
     if target >= eta(1.0, k):
         # merged with x = 1 beyond float resolution
         return []
-    ladder = expand_bracket_decreasing(lambda x: eta(x, k), np.array([target]))
-    bracket = Bracket(*(float(v[0]) for v in ladder))
+    ladder = expand_bracket_decreasing(lambda x: eta(x, k), [target])
+    bracket = Bracket(*(v[0] for v in ladder))
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
     if (branch_of(x1), branch_of(x2)) != (Branch.UPPER, Branch.LOWER):
@@ -244,12 +210,12 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
 
 
 def _symmetric_f(k: int, theta: float, y: float, power=pow) -> float:
-    # the symmetric equation's f; _powers as ``power`` for arrays
+    # the symmetric equation's f; grid._powers as ``power`` for arrays
     return theta * power(y, k + 1) + y - 2.0 * theta
 
 
 def _recover_y(k: int, theta: float, x: float, power=pow) -> float:
-    # theta y^k = x + ... + x^(k-1); _powers as ``power`` for arrays
+    # theta y^k = x + ... + x^(k-1); grid._powers as ``power`` for arrays
     return power(x * _power_sum(x, k - 1) / theta, 1.0 / k)
 
 
@@ -277,105 +243,6 @@ def enumerate_solutions(k: int, theta: float) -> SolutionSet:
     tc = theta_cr(k)
     sols = (solve_symmetric(k, theta), *solve_asymmetric(k, theta))
     return SolutionSet(k, theta, tc, sols, critical=abs(theta - tc) < CRITICAL_TOL)
-
-
-# Branch of each code in a SolutionGrid's ``branch`` column.
-BRANCHES = (Branch.SYMMETRIC, Branch.UPPER, Branch.LOWER)
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionGrid:
-    """The fixed points of every theta of a grid, as columns.
-
-    Row i is the solution of branch ``BRANCHES[branch[i]]`` at grid
-    point ``point[i]``.  Rows run in grid order and, within a point, as
-    in its SolutionSet: Symmetric, then Upper and Lower where they exist.
-    ``critical`` marks grid points as ``SolutionSet.critical`` does.
-    ``xk`` and ``w`` are each row's x^k and theta y^k, computed once for
-    the residual contract and kept for the kernel.
-    """
-
-    theta_critical: float
-    critical: np.ndarray
-    point: np.ndarray
-    branch: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    xk: np.ndarray
-    w: np.ndarray
-
-
-def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
-    """``enumerate_solutions`` at every theta of a grid, bit for bit.
-
-    Both branches of every grid point are solved in one lockstep form of
-    ``find_root``: first one lane per point for the symmetric y on the
-    bracket of ``solve_symmetric``, then one per asymmetric pair for its
-    upper x, with the brackets from one shared doubling ladder of eta,
-    whose values depend on k only.  Each pair lane takes the three exits
-    of ``solve_asymmetric``, the last as a filter on the roots, not a
-    failure.  Every row meets the residual contract and positivity,
-    checked on the columns; if a row fails them, ConsistencyError names
-    the first such point.  Raises ValueError, ArithmeticError or
-    RuntimeError if any point fails, not necessarily with the message of
-    the first failing point; ``enumerate_solutions`` at each point in
-    turn gives that one.
-    """
-    check_params(k, float(thetas.min()))
-    check_params(theta=float(thetas.max()))
-    n = thetas.size
-    tc = theta_cr(k)
-    critical = abs(thetas - tc) < CRITICAL_TOL
-    # solve_asymmetric's first two exits: the critical band, then eta(1)
-    lanes = np.flatnonzero(tc - thetas >= CRITICAL_TOL)
-    target = _powers(thetas[lanes], k + 1)
-    split = target < eta(1.0, k)
-    lanes, target = lanes[split], target[split]
-    # float arithmetic overflows to inf silently; so does it here
-    with np.errstate(all="ignore"):
-        lo = np.zeros(n)
-        hi = np.full(n, 2.0 ** (1.0 / (k + 1)))
-        f_lo = _symmetric_f(k, thetas, lo, _powers)
-        f_hi = _symmetric_f(k, thetas, hi, _powers)
-        # f(0) = -2 theta < 0; raise hi lane by lane as solve_symmetric does
-        while (low := f_hi < 0.0).any():
-            hi[low] = np.nextafter(hi[low], math.inf)
-            f_hi[low] = _symmetric_f(k, thetas[low], hi[low], _powers)
-        if lanes.size:
-            ladder = expand_bracket_decreasing(lambda x: eta(x, k), target)
-            lo, hi, f_lo, f_hi = map(np.concatenate, zip((lo, hi, f_lo, f_hi), ladder))
-
-        def f(i: np.ndarray, x: np.ndarray) -> np.ndarray:
-            # the live lanes are sorted, so the symmetric ones come first
-            j = np.searchsorted(i, n)
-            return np.concatenate((
-                _symmetric_f(k, thetas[i[:j]], x[:j], _powers),
-                _eta_lanes(x[j:], k) - target[i[j:] - n],
-            ))
-
-        roots = _find_roots(f, lo, hi, f_lo, f_hi)
-        y0, x1 = roots[:n], roots[n:]
-        x2 = 1.0 / x1
-        # its branch exit: branch_of(x1) is Upper and branch_of(x2) Lower
-        split = (x1 - 1.0 >= BRANCH_TOL) & (1.0 - x2 >= BRANCH_TOL)
-        lanes, x1, x2 = lanes[split], x1[split], x2[split]
-        y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
-        # rows of each branch, then sorted by point and branch code
-        point = np.concatenate((np.arange(n), lanes, lanes))
-        branch = np.repeat([0, 1, 2], (n, lanes.size, lanes.size))
-        order = np.argsort(3 * point + branch)
-        point, branch = point[order], branch[order]
-        x = np.concatenate((np.ones(n), x1, x2))[order]
-        y = np.concatenate((y0, y1, y2))[order]
-        theta = thetas[point]
-        xk = _powers(x, k)
-        w = theta * _powers(y, k)
-        residual = _residual(theta, x, y, xk, w, _lane_max)
-    failed = (residual > RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0))
-    if failed.any():
-        where = float(theta[failed.argmax()])
-        raise ConsistencyError(f"a fixed point at k={k}, theta={where} fails a check")
-    return SolutionGrid(tc, critical, point, branch, x, y, xk, w)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +291,8 @@ class IterationOutcome:
 
 
 def _map_once(lam: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         num = lam @ z
         out = (num / num[-1]) ** k
@@ -446,6 +315,8 @@ def iterate_boundary_law(
     error.  Leaving the positive orthant (overflow included) raises
     NumericalDomainError.
     """
+    import numpy as np
+
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
@@ -477,6 +348,8 @@ def iterate_boundary_law(
 
 def boundary_law_residual(params: ModelParams, law: BoundaryLaw) -> float:
     """Max-norm distance between a law and its image under one map step."""
+    import numpy as np
+
     lam = activity_matrix(params.m, params.theta)
     z = np.asarray(law.z, dtype=float)
     return float(np.max(np.abs(_map_once(lam, params.k, z) - z)))

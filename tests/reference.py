@@ -8,12 +8,13 @@ stationary law from the path-graph identities of the chain module,
 samples one configuration in blocks of uniforms, draws the counts of
 many samples from their aggregate law without visiting a vertex, and
 solves and classifies a sweep's whole grid as columns, brackets every
-asymmetric root with one many-target ladder and applies one numpy
-verdict rule.  The closed forms, the margins h and q in w = theta y^k,
-the closed-form 2 kappa^2 - 1, 50-digit evaluations, the one-shot
-vertex-by-vertex sampler, the edge-by-edge admissibility count, the
-point-by-point sweep table, the one-target ladder and the branching
-verdict rule here reach the same quantities another way.
+asymmetric root with one many-target ladder and applies one verdict
+rule, with ``np.where`` on columns.  The closed forms, the margins h
+and q in w = theta y^k, the closed-form 2 kappa^2 - 1, 50-digit
+evaluations, the one-shot vertex-by-vertex sampler, the edge-by-edge
+admissibility count, the point-by-point sweep table, the one-target
+ladder and the branching verdict rule here reach the same quantities
+another way.
 """
 
 import math
@@ -107,7 +108,7 @@ def eta_two_pass(x, k: int, power=pow):
 
     The production ``tisgm._eta_value`` takes 1 + ... + x^(k-1) as
     (x + ... + x^(k-1)) + 1, Horner's last step.  Takes floats with
-    ``pow``, or arrays with ``tisgm._powers`` as ``power``; no overflow
+    ``pow``, or arrays with ``grid._powers`` as ``power``; no overflow
     handling, so an overflowing power raises as the production one does.
     """
 
@@ -414,7 +415,8 @@ def verdict_rule(k: int, symmetric: bool, ks: float, msw: float) -> Verdict:
     """The verdict rule written as branches on one measure's floats.
 
     The production rule is ``extremality._verdicts``, which selects
-    among the outcomes with numpy on floats and columns alike.
+    among the outcomes through its ``where`` hook: a plain conditional on
+    floats, ``np.where`` on a sweep's columns.
     """
     tol = DEFAULT_BOUNDARY_TOL
     if symmetric:

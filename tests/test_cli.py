@@ -12,21 +12,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hcsos import cli, sampler, tisgm
+from hcsos import grid, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     SweepTable,
     main,
     read_phase_csv,
-    sweep_table,
     write_phase_csv,
     write_phase_jsonl,
 )
 from hcsos.extremality import thresholds
-from hcsos.rootfind import BracketError, _find_roots
+from hcsos.grid import _find_roots, enumerate_solution_grid, sweep_table
+from hcsos.rootfind import BracketError
 from hcsos.sampler import TreeConfig, estimate_marginals
 from hcsos.tisgm import (
-    enumerate_solution_grid,
     solve_asymmetric,
     solve_symmetric,
     theta_cr,
@@ -523,11 +522,11 @@ class TestSweepSolvesGridInLockstep:
         k, lo, hi, steps = int(argv[2]), float(argv[4]), float(argv[6]), int(argv[8])
         tried = []
 
-        def grid(k, thetas):
+        def counted_grid(k, thetas):
             tried.append(thetas.size)
             return enumerate_solution_grid(k, thetas)
 
-        monkeypatch.setattr(cli, "enumerate_solution_grid", grid)
+        monkeypatch.setattr(grid, "enumerate_solution_grid", counted_grid)
         assert _cli(argv) == (1, "", message)
         assert tried == [steps]
         with pytest.raises(Exception) as first:
@@ -540,8 +539,8 @@ class TestSweepSolvesGridInLockstep:
         def never(*args):
             raise AssertionError("the point-by-point fallback was taken")
 
-        monkeypatch.setattr(cli, "enumerate_solutions", never)
-        monkeypatch.setattr(cli, "classify_solution", never)
+        monkeypatch.setattr(grid, "enumerate_solutions", never)
+        monkeypatch.setattr(grid, "classify_solution", never)
         assert _cli(_sweep(k, lo, hi, 250))[0] == 0
 
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -553,7 +552,7 @@ class TestSweepSolvesGridInLockstep:
             calls.append(args[1].size)
             return _find_roots(*args)
 
-        monkeypatch.setattr(tisgm, "_find_roots", find_roots)
+        monkeypatch.setattr(grid, "_find_roots", find_roots)
         assert _cli(_sweep(k, 0.1, 2.5, 250))[0] == 0
         assert len(calls) == 1 and calls[0] > 250
 
@@ -569,15 +568,15 @@ class TestSweepSolvesGridInLockstep:
         # no length switch: a short grid is solved as columns too
         tried = []
 
-        def grid(k, thetas):
+        def counted_grid(k, thetas):
             tried.append(thetas.size)
             return enumerate_solution_grid(k, thetas)
 
         def never(*args):
             raise AssertionError("the point-by-point fallback was taken")
 
-        monkeypatch.setattr(cli, "enumerate_solution_grid", grid)
-        monkeypatch.setattr(cli, "enumerate_solutions", never)
+        monkeypatch.setattr(grid, "enumerate_solution_grid", counted_grid)
+        monkeypatch.setattr(grid, "enumerate_solutions", never)
         for steps in (2, 10, 23):
             assert _cli(_sweep(k, 0.1, 2.5, steps))[0] == 0
         assert tried == [2, 10, 23]
@@ -586,7 +585,7 @@ class TestSweepSolvesGridInLockstep:
         def fails(k, thetas):
             raise BracketError("no sign change")
 
-        monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
+        monkeypatch.setattr(grid, "enumerate_solution_grid", fails)
         with pytest.raises(AssertionError, match="every grid point solves alone"):
             sweep_table(2, 0.1, 2.5, 100)
 
@@ -598,8 +597,8 @@ class TestSweepSolvesGridInLockstep:
         def never(*args):
             raise AssertionError("the point-by-point fallback was taken")
 
-        monkeypatch.setattr(cli, "enumerate_solution_grid", fails)
-        monkeypatch.setattr(cli, "enumerate_solutions", never)
+        monkeypatch.setattr(grid, "enumerate_solution_grid", fails)
+        monkeypatch.setattr(grid, "enumerate_solutions", never)
         with pytest.raises(ValueError, match="broadcast"):
             sweep_table(2, 0.1, 2.5, 100)
 
@@ -786,7 +785,7 @@ class TestSimulateCommand:
             pc[0, 2], pc[1, 1], pc[2, 0] = 1, 2, 4
             return dataclasses.replace(stats, pair_counts=pc)
 
-        monkeypatch.setattr(cli, "estimate_marginals", with_forbidden_pairs)
+        monkeypatch.setattr(sampler, "estimate_marginals", with_forbidden_pairs)
         argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "3",
                 "--samples", "50"]
         assert run(argv) == 0
@@ -799,7 +798,7 @@ class TestSimulateCommand:
         def never(*args):
             raise AssertionError("the sampler was reached")
 
-        monkeypatch.setattr(cli, "estimate_marginals", never)
+        monkeypatch.setattr(sampler, "estimate_marginals", never)
         assert run(["simulate", "--theta", "0.5", *argv, "--samples", "1"]) == 1
         err = capsys.readouterr().err
         assert "tree too large to sample" in err and "V = " in err
@@ -809,7 +808,7 @@ class TestSimulateCommand:
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-        monkeypatch.setattr(cli, "estimate_marginals", out_of_memory)
+        monkeypatch.setattr(sampler, "estimate_marginals", out_of_memory)
         assert run(["simulate", "--k", "2", "--theta", "1.0"]) == 1
         err = capsys.readouterr().err
         assert err == "error: not enough memory for this request\n"

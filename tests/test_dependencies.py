@@ -4,6 +4,8 @@ import subprocess
 import sys
 from types import ModuleType
 
+import pytest
+
 import hcsos
 
 
@@ -53,10 +55,9 @@ def test_import_leaves_thread_pool_unloaded():
 
 
 def test_simulate_leaves_thread_pool_and_numpy_random_unloaded():
-    # importing hcsos.cli imports every submodule; concurrent.futures would
-    # add milliseconds to every CLI start, and numpy.random megabytes of RSS
-    # to every simulate call, whose counts come from the standard library's
-    # random
+    # simulate loads the sampler; concurrent.futures would add milliseconds
+    # to every simulate call, and numpy.random megabytes of RSS, although its
+    # counts come from the standard library's random
     code = (
         "import os\n"
         "from hcsos.cli import main\n"
@@ -80,6 +81,42 @@ def test_sweep_leaves_hashlib_numpy_random_and_thread_pool_unloaded():
         "    assert main(argv) == 0\n"
     )
     loaded = _modules_in_fresh_process(code, "hashlib", "numpy.random", "concurrent")
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("code", ["import hcsos\n", "import hcsos.cli\n"])
+def test_import_leaves_numpy_and_grid_unloaded(code):
+    # only a sweep needs arrays; numpy costs tens of milliseconds per process
+    assert _modules_in_fresh_process(code, "numpy", "hcsos.grid") == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["classify", "--k", "2", "--theta", "0.7"], 0),
+        (["classify", "--k", "3", "--theta", "0.5", "--measure", "mu1"], 0),
+        (["tisgm", "--k", "3", "--theta", "0.5"], 0),
+        (["thresholds", "--k", "2"], 0),
+        (["thresholds", "--k", "3"], 0),
+        # a domain failure through the bracket ladder
+        (["classify", "--k", "100", "--theta", "0.5", "--measure", "mu1"], 1),
+    ],
+)
+def test_single_point_verbs_leave_numpy_and_grid_unloaded(argv, code):
+    run = (
+        "import contextlib, io\n"
+        "from hcsos.cli import main\n"
+        "for fmt in ('text', 'json'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        assert main({argv!r} + ['--format', fmt]) == {code}\n"
+    )
+    assert _modules_in_fresh_process(run, "numpy", "hcsos.grid") == "[]"
+
+
+@pytest.mark.parametrize("module", ["tisgm", "extremality", "rootfind", "chain"])
+def test_scalar_modules_leave_grid_unloaded(module):
+    loaded = _modules_in_fresh_process(f"import hcsos.{module}\n", "numpy", "hcsos.grid")
     assert loaded == "[]"
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from hcsos import extremality, tisgm
+from hcsos import extremality, grid, tisgm
 from hcsos.chain import kernel_of, row_distance
 from hcsos.extremality import (
     DEFAULT_BOUNDARY_TOL,
@@ -311,9 +311,9 @@ class TestDegenerateKernel:
         xk = np.array([1.0, 1.0])
         w = np.array([10.0 * good.y**2, 10.0 * sol.y**2])
         with pytest.raises(ArithmeticError, match="degenerate kernel at some fixed point"):
-            extremality.classify_columns(2, xk, w, np.array([True, True]))
+            grid.classify_columns(2, xk, w, np.array([True, True]))
         # the good lane alone classifies
-        assert extremality.classify_columns(2, xk[:1], w[:1], np.array([True]))[4].size == 1
+        assert grid.classify_columns(2, xk[:1], w[:1], np.array([True]))[4].size == 1
 
 
 def _same(a, b):
@@ -341,7 +341,7 @@ class TestColumnsEqualScalar:
     def test_lane_max_keeps_python_max_order(self):
         cases = list(itertools.product(_SPECIAL, repeat=3))
         cols = [np.array(c) for c in zip(*cases)]
-        got = tisgm._lane_max(*cols).tolist()
+        got = grid._lane_max(*cols).tolist()
         for case, value in zip(cases, got):
             assert _same(value, max(case)), case
 
@@ -361,9 +361,9 @@ class TestColumnsEqualScalar:
         assert len(lanes) > 200
         x, y, theta = (np.array(c) for c in zip(*lanes))
         with np.errstate(all="ignore"):
-            xk = tisgm._powers(x, k)
-            w = theta * tisgm._powers(y, k)
-            got = tisgm._residual(theta, x, y, xk, w, tisgm._lane_max).tolist()
+            xk = grid._powers(x, k)
+            w = theta * grid._powers(y, k)
+            got = tisgm._residual(theta, x, y, xk, w, grid._lane_max).tolist()
         assert any(math.isnan(r) for r in want)
         for lane, r, g in zip(lanes, want, got):
             assert _same(g, r), lane
@@ -375,7 +375,7 @@ class TestColumnsEqualScalar:
         cases += [(0.5,) * 6, (0.0, 1.0, 1.0, 0.0, 0.0, 1.0), (1.0, 0.0) * 3]
         cols = [np.array(c) for c in zip(*cases)]
         with np.errstate(all="ignore"):
-            got = row_distance(*cols, largest=tisgm._lane_max).tolist()
+            got = row_distance(*cols, largest=grid._lane_max).tolist()
         for case, g in zip(cases, got):
             assert _same(g, row_distance(*case)), case
 
@@ -399,10 +399,16 @@ class TestColumnsEqualScalar:
                 want.append(classify_solution(k, 0.5, sol))
         s2, kappa = (np.array(c * 2) for c in zip(*pairs))
         symmetric = np.repeat([True, False], len(pairs))
-        ks = k * tisgm._powers(s2, 2)
+        ks = k * grid._powers(s2, 2)
         with np.errstate(all="ignore"):
             msw = k * kappa * kappa
-        got = extremality._verdicts(k, symmetric, ks, msw)
+        got = extremality._verdicts(k, symmetric, ks, msw, np.where)
+        # the float form, lane by lane, NaN and both band edges included
+        floats = [
+            extremality._verdicts(k, sym, g_ks, g_msw)
+            for sym, g_ks, g_msw in zip(symmetric.tolist(), ks.tolist(), msw.tolist())
+        ]
+        assert floats == got.tolist()
         for v, sym, g_ks, g_msw, g in zip(
             want, symmetric.tolist(), ks.tolist(), msw.tolist(), got.tolist()
         ):

@@ -11,10 +11,10 @@ from hcsos.rootfind import (
     BracketError,
     ConvergenceError,
     UnboundedBracketError,
-    _find_roots,
     expand_bracket_decreasing,
     find_root,
 )
+from hcsos.grid import _find_roots
 from hcsos.tisgm import eta, theta_cr
 from reference import expand_bracket_scalar
 
@@ -106,16 +106,25 @@ class TestFindRoot:
 
 
 def _lane(ladder, i=0):
-    # lane i of expand_bracket_decreasing's arrays as a Bracket
+    # lane i of expand_bracket_decreasing's lists as a Bracket
     return Bracket(*(float(v[i]) for v in ladder))
 
 
 def _same_outcome(f, targets):
     # the ladder on all targets against the one-target oracle on each:
-    # the same brackets, or the same exception type and message
-    try:
-        ladder = expand_bracket_decreasing(f, np.array(targets))
-    except BracketError as exc:
+    # the same brackets, or the same exception type and message; a list
+    # and an ndarray of the targets give the same brackets bit for bit, or
+    # the same error text
+    outcomes = []
+    for given in (list(targets), np.array(targets)):
+        try:
+            outcomes.append(expand_bracket_decreasing(f, given))
+        except BracketError as exc:
+            outcomes.append(exc)
+    ladder, from_array = outcomes
+    if isinstance(ladder, BracketError):
+        exc = ladder
+        assert (type(from_array), str(from_array)) == (type(exc), str(exc))
         open_ = []
         for target in targets:
             try:
@@ -125,6 +134,8 @@ def _same_outcome(f, targets):
         assert open_, exc
         assert (type(exc), str(exc)) == (type(open_[0]), str(open_[0]))
         return exc
+    bits = lambda lanes: [[float(v).hex() for v in column] for column in lanes]
+    assert bits(from_array) == bits(ladder)
     for i, target in enumerate(targets):
         assert _lane(ladder, i) == expand_bracket_scalar(f, 1.0, target), target
     return None

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcsos import tisgm
-from hcsos.cli import sweep_table
+from hcsos.grid import BRANCHES, _eta_lanes, _powers, enumerate_solution_grid, sweep_table
 from hcsos.model import Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
     RESIDUAL_TOL,
@@ -16,7 +16,6 @@ from hcsos.tisgm import (
     SolutionSet,
     boundary_law_residual,
     compatibility_residual,
-    enumerate_solution_grid,
     enumerate_solutions,
     eta,
     iterate_boundary_law,
@@ -118,7 +117,7 @@ class TestEta:
     def test_lanes_equal_scalar(self, k):
         # including lanes past the double range, which take the reciprocal
         x = np.concatenate([np.linspace(1.0, 40.0, 101), [2.0**40, 1.3e22, 1e300]])
-        assert tisgm._eta_lanes(x, k).tolist() == [eta(v, k) for v in x.tolist()]
+        assert _eta_lanes(x, k).tolist() == [eta(v, k) for v in x.tolist()]
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -140,8 +139,8 @@ class TestEta:
             assert _outcome(tisgm._eta_value, x, k) == _outcome(eta_two_pass, x, k)
         lanes = np.array(xs)
         with np.errstate(all="ignore"):
-            got = _outcome(tisgm._eta_value, lanes, k, tisgm._powers)
-            want = _outcome(eta_two_pass, lanes, k, tisgm._powers)
+            got = _outcome(tisgm._eta_value, lanes, k, _powers)
+            want = _outcome(eta_two_pass, lanes, k, _powers)
         assert got == want
 
 
@@ -156,13 +155,13 @@ class TestPowers:
         def listed():
             return [b**n for b in base]
 
-        assert _outcome(tisgm._powers, np.array(base, dtype=float), n) == _outcome(
+        assert _outcome(_powers, np.array(base, dtype=float), n) == _outcome(
             listed
         )
 
     def test_overflow_text(self):
         with pytest.raises(OverflowError) as err:
-            tisgm._powers(np.array([2.0, 1e200, 3.0]), 2)
+            _powers(np.array([2.0, 1e200, 3.0]), 2)
         assert str(err.value) == "(34, 'Numerical result out of range')"
 
 
@@ -324,7 +323,7 @@ def _solution_sets(k, thetas, grid):
     sols = [[] for _ in thetas]
     for i, b, x, y in zip(grid.point.tolist(), grid.branch.tolist(),
                           grid.x.tolist(), grid.y.tolist()):
-        sols[i].append(TisgmSolution(x, y, tisgm.BRANCHES[b]))
+        sols[i].append(TisgmSolution(x, y, BRANCHES[b]))
     return [
         SolutionSet(k, theta, grid.theta_critical, tuple(s), critical)
         for theta, s, critical in zip(thetas.tolist(), sols, grid.critical.tolist())
