@@ -6,14 +6,7 @@ extremality classification of each measure by the Kesten-Stigum and MSW
 criteria, with a reproducible configuration sampler for validation.
 """
 
-from .chain import (
-    SpectrumReport,
-    TransitionKernel,
-    kappa_of,
-    kernel_of,
-    spectrum_numeric,
-    stationary,
-)
+from .chain import TransitionKernel, kappa_of, kernel_of, stationary
 from .extremality import (
     ExtremalityVerdict,
     Measure,
@@ -28,6 +21,13 @@ from .model import (
     Branch,
     ModelParams,
     TisgmSolution,
+)
+from .sampler import (
+    Configuration,
+    EmpiricalStats,
+    TreeConfig,
+    estimate_marginals,
+    sample,
 )
 from .tisgm import (
     BoundaryLaw,
@@ -47,21 +47,6 @@ from .tisgm import (
 
 __version__ = "0.1.0"
 
-# Loaded on first use, then kept: the sampler needs numpy, which
-# importing the package does not load.
-_SAMPLER_NAMES = ("Configuration", "EmpiricalStats", "TreeConfig", "estimate_marginals",
-                  "sample")
-
-
-def __getattr__(name: str):
-    if name not in _SAMPLER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sampler
-
-    globals().update((each, getattr(sampler, each)) for each in _SAMPLER_NAMES)
-    return globals()[name]
-
-
 __all__ = [
     "BoundaryLaw",
     "Branch",
@@ -74,7 +59,6 @@ __all__ = [
     "ModelParams",
     "NumericalDomainError",
     "SolutionSet",
-    "SpectrumReport",
     "Threshold",
     "TisgmSolution",
     "TransitionKernel",
@@ -94,7 +78,6 @@ __all__ = [
     "sample",
     "solve_asymmetric",
     "solve_symmetric",
-    "spectrum_numeric",
     "stationary",
     "theta_cr",
     "thresholds",

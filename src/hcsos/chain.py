@@ -29,15 +29,18 @@ kappa is half the largest L1 distance between rows of P.  The MSW
 quantity gamma is the same row distance, so the extremality test
 k * kappa * gamma < 1 is evaluated as k * kappa^2 < 1 and gamma is
 reported equal to kappa.
+
+``s2_of`` and ``kappa_of`` take the six entries: a kernel, or ``grid``'s
+tuple of entry columns with their ``sqrt`` and ``largest`` hooks.  Only
+``TransitionKernel.p`` builds an array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import TisgmSolution
+from .model import TisgmSolution, array_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,19 +71,6 @@ class TransitionKernel(NamedTuple):
         return p
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues sorted by descending modulus (leading entry 1).
-
-    ``s2`` is the modulus of the second-largest eigenvalue.  When the two
-    non-unit moduli are equal (trace 1, as on the k = 2 asymmetric
-    branch) rounding may leave the third one ulp above s2.
-    """
-
-    eigenvalues: tuple[float, float, float]
-    s2: float
-
-
 def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
     """Transition kernel of the chain indexed by the fixed point ``sol``.
 
@@ -106,28 +96,22 @@ def _entries_of_powers(xk, w):
     return p00, p01, p10, p12, p21, p22
 
 
-def _path_terms(p00, p01, p10, p12, p21, p22, sqrt=math.sqrt):
-    # t, d and s2 of spectrum_numeric; np.sqrt as ``sqrt`` for columns,
-    # with the same bits (IEEE square roots are correctly rounded)
+def s2_of(entries, sqrt=math.sqrt):
+    """s2, the modulus of the second-largest eigenvalue, from the six entries.
+
+    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0, so
+    s2 = (|t| + sqrt(t^2 + 4 d)) / 2.  No step subtracts nearly equal
+    numbers on the way, so s2 keeps full relative accuracy however
+    small it is.  On columns of entries pass ``np.sqrt`` as ``sqrt``,
+    with the same bits (IEEE square roots are correctly rounded).
+    """
+    p00, p01, p10, p12, p21, p22 = entries
     t = p00 * p22 - p01 * p21
     d = p00 * p12 * p21 + p01 * p10 * p22
-    return t, d, 0.5 * (abs(t) + sqrt(t * t + 4.0 * d))
+    return 0.5 * (abs(t) + sqrt(t * t + 4.0 * d))
 
 
-def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
-    """Spectrum of a wand kernel from the path-graph identities.
-
-    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0.  The
-    second one is sign(t) s2 (positive when t = 0) and the third is
-    -d divided by it.  No step subtracts nearly equal numbers on the way
-    to s2, so s2 keeps full relative accuracy however small it is.
-    """
-    t, d, s2 = _path_terms(*kern)
-    lam2 = -s2 if t < 0.0 else s2
-    return SpectrumReport(eigenvalues=(1.0, lam2, -d / lam2), s2=s2)
-
-
-def stationary(kern: TransitionKernel) -> np.ndarray:
+def stationary(kern: TransitionKernel) -> tuple[float, float, float]:
     """Unique probability vector pi with pi P = pi (all entries positive).
 
     Detailed balance on the path 0 - 1 - 2 gives pi proportional to
@@ -138,34 +122,27 @@ def stationary(kern: TransitionKernel) -> np.ndarray:
     or an entry is zero) the chain is numerically reducible, which
     raises.
     """
-    import numpy as np
-
     _, p01, p10, p12, p21, _ = kern
     if p01 > 0.0 and p21 > 0.0:
         mass = (p10 / p01, 1.0, p12 / p21)
         total = sum(mass)
-        pi = np.array([m / total for m in mass])
-        if math.isfinite(total) and np.all(pi > 0.0):
+        pi = tuple(m / total for m in mass)
+        if math.isfinite(total) and all(v > 0.0 for v in pi):
             return pi
-    raise RuntimeError(f"non-positive stationary vector for kernel {kern.p}")
+    raise RuntimeError(
+        f"non-positive stationary vector for kernel {array_text(kern.p)}"
+    )
 
 
-def row_distance(
-    p00: float, p01: float, p10: float, p12: float, p21: float, p22: float,
-    largest=max,
-) -> float:
-    """kappa of a wand kernel from its six entries.
+def kappa_of(entries, largest=max):
+    """Half the maximum L1 distance between any two rows of the kernel.
 
-    Half the largest L1 distance between two rows; the zero entries of
-    each row pair drop out of the sums as |0 - p| = |p|.  On columns of
-    entries pass ``grid._lane_max`` as ``largest``.
+    The zero entries of each row pair drop out of the sums as
+    |0 - p| = |p|.  On columns of entries pass ``grid._lane_max`` as
+    ``largest``.
     """
+    p00, p01, p10, p12, p21, p22 = entries
     d01 = abs(p00 - p10) + abs(p01) + abs(p12)
     d02 = abs(p00) + abs(p01 - p21) + abs(p22)
     d12 = abs(p10) + abs(p21) + abs(p12 - p22)
     return 0.5 * largest(d01, d02, d12)
-
-
-def kappa_of(kern: TransitionKernel) -> float:
-    """Half the maximum L1 distance between any two rows of the kernel."""
-    return row_distance(*kern)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -28,6 +27,7 @@ from .extremality import (
     Measure, classify_solution, no_pair_text, solution_of, thresholds
 )
 from .model import Branch, ModelParams
+from .sampler import TreeConfig, estimate_marginals
 from .tisgm import BoundaryLaw, SolutionSet, enumerate_solutions, iterate_boundary_law
 
 CSV_HEADER = [
@@ -64,32 +64,19 @@ class SweepTable(NamedTuple):
     ends: list[int]
 
 
-# CSV fields written as text; the others are numbers
-_TEXT_FIELDS = ("branch", "verdict")
-
-
 def write_phase_csv(table: SweepTable, stream: io.TextIOBase) -> None:
     """Write one CSV line per solution, as ``csv.writer`` would, in one write.
 
-    Numbers are written as their repr, which csv never quotes; each text
-    field is quoted by csv.writer itself, once per distinct text.
+    Numbers are written as their repr, and the header, branch and
+    verdict names verbatim: csv quotes none of them.
     """
     columns, ends = table
-    text = functools.cache(_csv_text)
     point = map(",".join, zip(*(map(repr, column) for column in columns[:3])))
     prefix = chain.from_iterable(map(repeat, point, map(sub, ends, [0, *ends])))
-    fields = [
-        map(text if name in _TEXT_FIELDS else repr, column)
-        for name, column in zip(CSV_HEADER[3:], columns[3:])
-    ]
-    lines = [",".join(map(text, CSV_HEADER)), *map(",".join, zip(prefix, *fields))]
+    branch, *numbers, verdict = columns[3:]
+    rows = zip(prefix, branch, *(map(repr, column) for column in numbers), verdict)
+    lines = [",".join(CSV_HEADER), *map(",".join, rows)]
     stream.write("\n".join(lines) + "\n")
-
-
-def _csv_text(value: str) -> str:
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow([value, ""])
-    return line.getvalue()[: -len(",\n")]
 
 
 def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
@@ -189,7 +176,7 @@ def _steps_type(text: str) -> int:
 
 
 def _print_or_dump(args, text_lines: list[str], obj) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
         for line in text_lines:
@@ -322,13 +309,10 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sampler import TreeConfig, estimate_marginals
-
     cfg = TreeConfig(k=args.k, depth=args.depth, seed=args.seed)
     sol = solution_of(args.k, args.theta, Measure(args.measure))
     kern = kernel_of(sol, args.k, args.theta)
     stats = estimate_marginals(kern, cfg, args.samples)
-    pf = stats.pair_frequencies
     pc = stats.pair_counts
     payload = {
         "k": args.k,
@@ -338,10 +322,10 @@ def cmd_simulate(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "solution": {"branch": sol.branch.value, "x": sol.x, "y": sol.y},
-        "stationary": list(map(float, stationary(kern))),
-        "level_frequencies": [list(map(float, f)) for f in stats.level_frequencies],
-        "pair_frequencies": [[float(v) for v in row] for row in pf],
-        "inadmissible_edges": int(pc[0, 2] + pc[1, 1] + pc[2, 0]),
+        "stationary": stationary(kern),
+        "level_frequencies": stats.level_frequencies,
+        "pair_frequencies": stats.pair_frequencies,
+        "inadmissible_edges": pc[0][2] + pc[1][1] + pc[2][0],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out == "-":
@@ -355,7 +339,11 @@ def cmd_simulate(args) -> int:
 def cmd_iterate(args) -> int:
     params = ModelParams(k=args.k, theta=args.theta, m=args.m)
     if args.init is not None:
-        entries = tuple(float(v) for v in args.init.split(","))
+        try:
+            entries = tuple(map(float, args.init.split(",")))
+        except ValueError:
+            text = f"--init takes comma-separated numbers, got {args.init!r}"
+            raise ValueError(text) from None
         init = BoundaryLaw(entries)
     else:
         init = BoundaryLaw.ones(args.m)

@@ -3,7 +3,7 @@
 Two criteria drive every verdict:
 
 * Kesten-Stigum (non-extremality): k s2^2 > 1, with s2 the modulus of
-  the second-largest eigenvalue of the kernel (``spectrum_numeric``).
+  the second-largest eigenvalue of the kernel (``s2_of``).
 * MSW (extremality): k kappa gamma < 1 with the row distance kappa
   (``kappa_of``).  gamma is the same row distance as kappa, so the test
   is evaluated as k kappa^2 < 1 and gamma is reported equal to kappa.
@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import _path_terms, kappa_of, kernel_of
+from .chain import kappa_of, kernel_of, s2_of
 from .model import Branch, TisgmSolution, check_params
 from .rootfind import Bracket, find_root
 from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
@@ -85,28 +85,31 @@ class ExtremalityVerdict:
     verdict: Verdict
     s2: float
     kappa: float
-    gamma: float  # equal to kappa
     ks_value: float  # k * s2^2; > 1 proves non-extremality
     msw_value: float  # k * kappa * gamma; < 1 proves extremality
+
+    @property
+    def gamma(self) -> float:
+        """The MSW gamma, the same row distance as kappa."""
+        return self.kappa
 
 
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    Every branch and k takes s2 from ``_path_terms`` (the bits
-    ``spectrum_numeric`` reports) and kappa from ``kappa_of``, both of
-    the one kernel ``kernel_of`` builds, and the verdict from the one
-    rule, ``_verdicts``.
+    Every branch and k takes s2 from ``s2_of`` and kappa from
+    ``kappa_of``, both of the one kernel ``kernel_of`` builds, and the
+    verdict from the one rule, ``_verdicts``.
     """
     kern = kernel_of(sol, k, theta)
-    s2 = _path_terms(*kern)[2]
+    s2 = s2_of(kern)
     kappa = kappa_of(kern)
     ks = k * s2**2
     msw = k * kappa * kappa
 
     verdict = Verdict(_verdicts(k, sol.branch is Branch.SYMMETRIC, ks, msw))
     measure = _MEASURE_OF_BRANCH[sol.branch]
-    return ExtremalityVerdict(measure, verdict, s2, kappa, kappa, ks, msw)
+    return ExtremalityVerdict(measure, verdict, s2, kappa, ks, msw)
 
 
 def _choose(condition, if_true, if_false):

@@ -32,9 +32,9 @@ sweep solves both branches of its whole grid in one ``_find_roots``
 call, with its eta brackets from one call of the one ladder,
 ``rootfind.expand_bracket_decreasing``.
 
-Only ``cli.cmd_sweep`` imports this module.  With ``sampler`` it is one
-of the two modules that import numpy when they load, so the single-point
-verbs load neither.
+Only ``cli.cmd_sweep`` imports this module.  It is the one module that
+imports numpy when it loads; the others import it inside the functions
+that use arrays, so no verb but ``sweep`` and ``iterate`` loads numpy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import rootfind, tisgm
-from .chain import _entries_of_powers, _path_terms, row_distance
+from .chain import _entries_of_powers, kappa_of, s2_of
 from .cli import SweepTable
 from .extremality import _verdicts, classify_solution
 from .model import BRANCH_TOL, Branch, check_params
@@ -307,8 +307,8 @@ def classify_columns(
         entries = _entries_of_powers(xk, w)
         if not np.isfinite(sum(entries)).all():
             raise ArithmeticError("degenerate kernel at some fixed point of the grid")
-        kappa = row_distance(*entries, largest=_lane_max)
-        s2 = _path_terms(*entries, sqrt=np.sqrt)[2]
+        kappa = kappa_of(entries, largest=_lane_max)
+        s2 = s2_of(entries, sqrt=np.sqrt)
     ks = k * _powers(s2, 2)
     msw = k * kappa * kappa
     return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw, np.where)

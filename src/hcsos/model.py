@@ -90,6 +90,18 @@ def activity_matrix(m: int, theta: float) -> np.ndarray:
     return lam
 
 
+def array_text(values) -> str:
+    """``str`` of ``values`` as an array under numpy's default print options,
+    so an error text does not depend on options set elsewhere in the process."""
+    import numpy as np
+
+    with np.printoptions(
+        precision=8, threshold=1000, edgeitems=3, linewidth=75, suppress=False,
+        nanstr="nan", infstr="inf", sign="-", floatmode="maxprec", legacy=False,
+    ):
+        return str(np.asarray(values))
+
+
 @dataclass(frozen=True)
 class TisgmSolution:
     """Positive fixed point (x, y) of the m = 2 compatibility system.

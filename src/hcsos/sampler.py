@@ -40,7 +40,9 @@ independent vertex-by-vertex samples, and forbidden pairs are zero by
 construction.  The variates come from one ``random.Random`` seeded with
 the tree's seed, through ``_binomial``, so the counts are fixed by the
 seed and the request on every supported Python.  A request of more than
-``MAX_VERTEX_SAMPLES`` vertex-samples is refused before drawing.
+``MAX_VERTEX_SAMPLES`` vertex-samples is refused before drawing.  The
+counts are ints and the frequencies floats: only ``sample``, whose
+spins are an array, imports numpy, in its body.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .chain import TransitionKernel, stationary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest vertex count of one sample; ``sample`` holds one int8 spin per
 # vertex.
@@ -130,18 +134,21 @@ class Configuration:
 class EmpiricalStats:
     """Level-wise spin frequencies and aggregate edge-pair frequencies.
 
-    ``pair_counts[a, b]`` is the number of parent-child edges with parent
+    ``pair_counts[a][b]`` is the number of parent-child edges with parent
     spin a and child spin b over all samples; ``pair_frequencies`` is it
-    normalised.
+    normalised.  Counts are ints and each frequency is count / total,
+    rounded once as in float64, since no count reaches 2^53.
     """
 
-    level_frequencies: tuple[np.ndarray, ...]
-    pair_frequencies: np.ndarray
+    level_frequencies: tuple[tuple[float, float, float], ...]
+    pair_frequencies: tuple[tuple[float, float, float], ...]
     n_samples: int
-    pair_counts: np.ndarray
+    pair_counts: tuple[tuple[int, int, int], ...]
 
 
 def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
     zero_tail = p[:, 2] == 0.0
@@ -223,6 +230,8 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
 def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
     """One admissible configuration, deterministic in cfg.seed: vertex i
     takes draw i of the seed's Philox stream."""
+    import numpy as np
+
     stream = np.random.Generator(np.random.Philox(key=cfg.seed))
     spins = np.empty(cfg.vertex_count, dtype=np.int8)
     # u < 1 never reaches the last entry of a cumulative row, so two
@@ -259,7 +268,7 @@ def estimate_marginals(
             f"V = {cfg.vertex_count} vertices exceed the limit of 2^40"
         )
     rng = random.Random(cfg.seed)
-    pi0, pi1, pi2 = stationary(kern).tolist()
+    pi0, pi1, pi2 = stationary(kern)
     n0 = _binomial(rng, n_samples, pi0)
     n1 = _binomial(rng, n_samples - n0, pi1 / (pi1 + pi2))
     above = [n0, n1, n_samples - n0 - n1]
@@ -279,18 +288,14 @@ def estimate_marginals(
         n_sum = [s + x for s, x in zip(n_sum, n)]
     # the levels' pair tables, summed
     (m0, m1, m2), (n0, n1, n2) = m_sum, n_sum
-    pair_counts = np.array(
-        [[m0 - n0, n0, 0], [m1 - n1, 0, n1], [0, m2 - n2, n2]], dtype=np.int64
-    )
-
-    pair_freq = pair_counts.astype(float)
-    if cfg.depth >= 1:
-        pair_freq /= pair_counts.sum()
+    pair_counts = ((m0 - n0, n0, 0), (m1 - n1, 0, n1), (0, m2 - n2, n2))
+    # a tree of depth 0 has no edge, and its pair frequencies are 0.0
+    edges = sum(m_sum) or 1
     return EmpiricalStats(
         level_frequencies=tuple(
-            c / c.sum() for c in np.array(level_counts, dtype=np.int64)
+            tuple(c / sum(counts) for c in counts) for counts in level_counts
         ),
-        pair_frequencies=pair_freq,
+        pair_frequencies=tuple(tuple(c / edges for c in row) for row in pair_counts),
         n_samples=n_samples,
         pair_counts=pair_counts,
     )

@@ -40,6 +40,7 @@ from .model import (
     ModelParams,
     TisgmSolution,
     activity_matrix,
+    array_text,
     branch_of,
     check_params,
 )
@@ -252,7 +253,7 @@ def enumerate_solutions(k: int, theta: float) -> SolutionSet:
 
 @dataclass(frozen=True)
 class BoundaryLaw:
-    """Positive boundary-law vector (z_0, ..., z_m) normalized to z_m = 1."""
+    """Positive finite boundary-law vector (z_0, ..., z_m) normalized to z_m = 1."""
 
     z: tuple[float, ...]
 
@@ -261,6 +262,8 @@ class BoundaryLaw:
             raise ValueError("boundary law needs m + 1 entries with m even >= 2")
         if any(not v > 0 for v in self.z):
             raise ValueError("boundary-law entries must be positive")
+        if math.inf in self.z:
+            raise ValueError("boundary-law entries must be finite")
         if self.z[-1] != 1.0:
             raise ValueError("last boundary-law entry must be exactly 1")
 
@@ -334,7 +337,7 @@ def iterate_boundary_law(
         z_new = _map_once(lam, params.k, z)
         if not np.all(np.isfinite(z_new)) or np.any(z_new <= 0.0):
             raise NumericalDomainError(
-                f"iterate left the positive orthant at step {it}: {z_new}"
+                f"iterate left the positive orthant at step {it}: {array_text(z_new)}"
             )
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new

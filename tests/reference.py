@@ -3,13 +3,14 @@
 None of these is a production route: the library computes the k = 2
 asymmetric pair with ``solve_asymmetric``, reports gamma equal to
 kappa, root-finds every threshold on the margins ``classify`` reports
-(ks_value - 1 of mu0, msw_value - 1 of mu1), takes every spectrum and
+(ks_value - 1 of mu0, msw_value - 1 of mu1), takes s2 and the
 stationary law from the path-graph identities of the chain module,
 samples one configuration in blocks of uniforms, draws the counts of
 many samples from their aggregate law without visiting a vertex, and
 solves and classifies a sweep's whole grid as columns, brackets every
 asymmetric root with one many-target ladder and applies one verdict
-rule, with ``np.where`` on columns.  The closed forms, the margins h
+rule, with ``np.where`` on columns.  The whole eigenvalue triple, the
+closed forms, the margins h
 and q in w = theta y^k, the closed-form 2 kappa^2 - 1, 50-digit
 evaluations, the one-shot vertex-by-vertex sampler, the edge-by-edge
 admissibility count, the point-by-point sweep table, the one-target
@@ -18,11 +19,12 @@ another way.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from hcsos.chain import SpectrumReport, TransitionKernel, stationary
+from hcsos.chain import TransitionKernel, stationary
 from hcsos.cli import CSV_HEADER, SweepTable
 from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
@@ -163,6 +165,37 @@ def ks_thresholds(k: int) -> tuple[mp.mpf, mp.mpf]:
             mp.root(w * (w + 1) ** k / mp.mpf(2) ** k, k + 1)
             for w in (root_k - 1, 1 / (root_k - 1))
         )
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Eigenvalues sorted by descending modulus (leading entry 1).
+
+    ``s2`` is the modulus of the second-largest eigenvalue.  When the two
+    non-unit moduli are equal (trace 1, as on the k = 2 asymmetric
+    branch) rounding may leave the third one ulp above s2.
+    """
+
+    eigenvalues: tuple[float, float, float]
+    s2: float
+
+
+def spectrum_numeric(kern: TransitionKernel) -> SpectrumReport:
+    """Spectrum of a wand kernel from the path-graph identities.
+
+    The non-unit eigenvalues solve lambda^2 - t lambda - d = 0 with
+    t = P00 P22 - P01 P21 and d = P00 P12 P21 + P01 P10 P22 > 0, so
+    they are real and of opposite sign.  The second one is sign(t) s2
+    (positive when t = 0), s2 = (|t| + sqrt(t^2 + 4 d)) / 2, and the
+    third is -d divided by it.  The library reports only s2
+    (``chain.s2_of``), with the same formula.
+    """
+    p00, p01, p10, p12, p21, p22 = kern
+    t = p00 * p22 - p01 * p21
+    d = p00 * p12 * p21 + p01 * p10 * p22
+    s2 = 0.5 * (abs(t) + math.sqrt(t * t + 4.0 * d))
+    lam2 = -s2 if t < 0.0 else s2
+    return SpectrumReport(eigenvalues=(1.0, lam2, -d / lam2), s2=s2)
 
 
 def _sorted_eigs(vals: list[float]) -> tuple[float, float, float]:

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcsos.chain import (
-    TransitionKernel,
-    kappa_of,
-    kernel_of,
-    spectrum_numeric,
-    stationary,
-)
+from hcsos.chain import TransitionKernel, kappa_of, kernel_of, s2_of, stationary
 from hcsos.extremality import classify_solution
 from hcsos.model import Branch, TisgmSolution
 from hcsos.rootfind import UnboundedBracketError
@@ -27,6 +21,7 @@ from reference import (
     s2_mp,
     solve_k2_closed_form,
     spectrum_asymmetric_k2,
+    spectrum_numeric,
     spectrum_symmetric,
     stationary_mp,
 )
@@ -191,7 +186,7 @@ class TestNumericSpectrum:
         for kern in _sample_kernels(rng, 200):
             rep = spectrum_numeric(kern)
             one, lam2, lam3 = rep.eigenvalues
-            assert one == 1.0 and abs(lam2) == rep.s2
+            assert one == 1.0 and abs(lam2) == rep.s2 == s2_of(kern)
             assert lam2 * lam3 < 0.0 and abs(lam3) <= rep.s2 * (1.0 + 1e-15)
             # trace and determinant of P against the spectrum
             assert abs(1.0 + lam2 + lam3 - np.trace(kern.p)) <= 1e-14
@@ -201,13 +196,13 @@ class TestNumericSpectrum:
 class TestStationary:
     def test_uniform(self):
         sol = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
-        pi = stationary(kernel_of(sol, 2, 1.0))
+        pi = np.array(stationary(kernel_of(sol, 2, 1.0)))
         assert np.max(np.abs(pi - 1.0 / 3.0)) <= 1e-14
 
     def test_left_fixed_vector_randomized(self):
         rng = np.random.default_rng(7)
         for kern in _sample_kernels(rng, 50):
-            pi = stationary(kern)
+            pi = np.array(stationary(kern))
             assert np.max(np.abs(pi @ kern.p - pi)) <= 1e-12
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(pi > 0.0)
@@ -222,6 +217,13 @@ class TestStationary:
                 break
             pi = nxt
         assert np.max(np.abs(stationary(kern) - pi)) <= 1e-10
+
+    def test_three_plain_floats(self):
+        rng = np.random.default_rng(8)
+        for kern in _sample_kernels(rng, 20):
+            pi = stationary(kern)
+            assert type(pi) is tuple and len(pi) == 3
+            assert all(type(v) is float for v in pi)
 
 
 class TestRowDistances:
@@ -315,16 +317,14 @@ class TestClosedNumericAgreementGrids:
             theta = float(theta)
             sol = solve_symmetric(k, theta)
             closed = spectrum_symmetric(sol.y, theta, k)
-            numeric = spectrum_numeric(kernel_of(sol, k, theta))
-            assert abs(closed.s2 - numeric.s2) <= 1e-10
+            assert abs(closed.s2 - s2_of(kernel_of(sol, k, theta))) <= 1e-10
 
     def test_k2_asymmetric_branch(self):
         for theta in np.linspace(0.05, 0.95, 20):
             theta = float(theta)
             for sol in solve_k2_closed_form(theta):
                 closed = spectrum_asymmetric_k2(sol.x)
-                numeric = spectrum_numeric(kernel_of(sol, 2, theta))
-                assert abs(closed.s2 - numeric.s2) <= 1e-10
+                assert abs(closed.s2 - s2_of(kernel_of(sol, 2, theta))) <= 1e-10
 
     def test_reciprocal_invariance_of_witnesses(self):
         for theta in np.linspace(0.1, 0.9, 9):
@@ -357,7 +357,7 @@ class TestFiftyDigitOracle:
                 pass
             for sol in sols:
                 kern = kernel_of(sol, k, theta)
-                s2 = spectrum_numeric(kern).s2
+                s2 = s2_of(kern)
                 assert abs(s2 / s2_mp(k, theta, sol) - 1) <= 2e-15, (k, theta, sol)
                 for got, want in zip(stationary(kern), stationary_mp(k, theta, sol)):
                     if want >= 1e-290:
@@ -372,6 +372,6 @@ class TestFiftyDigitOracle:
         # probabilities
         sol = solve_symmetric(k, theta)
         kern = kernel_of(sol, k, theta)
-        assert abs(spectrum_numeric(kern).s2 / s2_mp(k, theta, sol) - 1) <= 2e-15
+        assert abs(s2_of(kern) / s2_mp(k, theta, sol) - 1) <= 2e-15
         for got, want in zip(stationary(kern), stationary_mp(k, theta, sol)):
             assert abs(got / want - 1) <= 2e-15, (k, theta, got, want)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hcsos import grid, sampler, tisgm
+from hcsos import cli, grid, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     SweepTable,
@@ -302,9 +302,11 @@ class TestSweepCommand:
         assert parsed == table
 
     def test_csv_bytes_equal_csv_writer(self):
-        # text fields that need quoting are quoted as csv.writer quotes them;
-        # numbers, signed zeros, NaN and infinities included, are their repr
-        texts = ["Upper", "a,b", 'q"t', "", "x\ny", "r\rs", " sp", "Critical"]
+        # the branch and verdict names are written as csv.writer writes
+        # them, which is verbatim; numbers, signed zeros, NaN and
+        # infinities included, are their repr
+        texts = ["Symmetric", "Upper", "Lower", "Extreme", "NonExtreme",
+                 "Undetermined", "Critical", "Upper"]
         numbers = [-0.0, float("nan"), float("inf"), float("-inf"), 1e16, 1e-5,
                    0.0, 1e-300, 2.0**70, -1.5, 0.1]
 
@@ -781,11 +783,11 @@ class TestSimulateCommand:
     def test_inadmissible_edges_from_pair_counts(self, capsys, monkeypatch):
         def with_forbidden_pairs(kern, cfg, n):
             stats = estimate_marginals(kern, cfg, n)
-            pc = stats.pair_counts.copy()
-            pc[0, 2], pc[1, 1], pc[2, 0] = 1, 2, 4
+            pc = [list(row) for row in stats.pair_counts]
+            pc[0][2], pc[1][1], pc[2][0] = 1, 2, 4
             return dataclasses.replace(stats, pair_counts=pc)
 
-        monkeypatch.setattr(sampler, "estimate_marginals", with_forbidden_pairs)
+        monkeypatch.setattr(cli, "estimate_marginals", with_forbidden_pairs)
         argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "3",
                 "--samples", "50"]
         assert run(argv) == 0
@@ -798,7 +800,7 @@ class TestSimulateCommand:
         def never(*args):
             raise AssertionError("the sampler was reached")
 
-        monkeypatch.setattr(sampler, "estimate_marginals", never)
+        monkeypatch.setattr(cli, "estimate_marginals", never)
         assert run(["simulate", "--theta", "0.5", *argv, "--samples", "1"]) == 1
         err = capsys.readouterr().err
         assert "tree too large to sample" in err and "V = " in err
@@ -808,7 +810,7 @@ class TestSimulateCommand:
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-        monkeypatch.setattr(sampler, "estimate_marginals", out_of_memory)
+        monkeypatch.setattr(cli, "estimate_marginals", out_of_memory)
         assert run(["simulate", "--k", "2", "--theta", "1.0"]) == 1
         err = capsys.readouterr().err
         assert err == "error: not enough memory for this request\n"
@@ -916,6 +918,23 @@ class TestIterateCommand:
     def test_bad_init_is_domain_failure(self, capsys):
         rc = run(["iterate", "--k", "2", "--theta", "0.5", "--init", "1.0,-2.0,1.0"])
         assert rc == 1
+
+    @pytest.mark.parametrize("init", ["1,x,1", "1,,1", "1;2;1", "nan1,1,1"])
+    def test_non_numeric_init_is_domain_failure(self, capsys, init):
+        assert run(["iterate", "--k", "2", "--theta", "0.5", "--init", init]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --init takes comma-separated numbers, got {init!r}\n"
+        )
+
+    @pytest.mark.parametrize("init", ["1,inf,1", "inf,1,1", "1,1e400,1", "1,0.5,Infinity"])
+    def test_infinite_init_is_refused(self, capsys, init):
+        # an infinite entry used to pass and die at step 1 as [nan nan  1.]
+        assert run(["iterate", "--k", "2", "--theta", "0.5", "--init", init]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: boundary-law entries must be finite\n"
 
     def test_odd_m_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -18,7 +18,7 @@ def test_all_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
     # demos 03 and 04 set numpy's print options; restore them afterwards,
-    # since the text of some CLI errors depends on them
+    # so that they do not leak into later tests
     out = io.StringIO()
     with contextlib.redirect_stdout(out), np.printoptions():
         runpy.run_path(str(path), run_name="__main__")

@@ -114,7 +114,35 @@ def test_single_point_verbs_leave_numpy_and_grid_unloaded(argv, code):
     assert _modules_in_fresh_process(run, "numpy", "hcsos.grid") == "[]"
 
 
-@pytest.mark.parametrize("module", ["tisgm", "extremality", "rootfind", "chain"])
+_SIMULATE = ["simulate", "--k", "3", "--theta", "0.5", "--measure", "mu1",
+             "--depth", "4", "--samples", "40000"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (_SIMULATE, 0),
+        (_SIMULATE + ["--out", os.devnull], 0),
+        # a domain failure through the bracket ladder
+        (["simulate", "--k", "100", "--theta", "0.5", "--measure", "mu1",
+          "--depth", "1", "--samples", "1"], 1),
+    ],
+)
+def test_simulate_leaves_numpy_and_grid_unloaded(argv, code):
+    # the counts and frequencies are plain ints and floats
+    run = (
+        "import contextlib, io\n"
+        "from hcsos.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+    )
+    assert _modules_in_fresh_process(run, "numpy", "hcsos.grid") == "[]"
+
+
+@pytest.mark.parametrize(
+    "module", ["tisgm", "extremality", "rootfind", "chain", "sampler"]
+)
 def test_scalar_modules_leave_grid_unloaded(module):
     loaded = _modules_in_fresh_process(f"import hcsos.{module}\n", "numpy", "hcsos.grid")
     assert loaded == "[]"
@@ -122,11 +150,11 @@ def test_scalar_modules_leave_grid_unloaded(module):
 
 def test_public_surface_is_all_and_small():
     # __all__ is sorted, names each public object once, and holds at most
-    # 35 names; every other public name of the package is a submodule
+    # 33 names; every other public name of the package is a submodule
     names = hcsos.__all__
     assert names == sorted(set(names))
     assert all(hasattr(hcsos, name) for name in names)
-    assert len(names) <= 35
+    assert len(names) <= 33
     public = {
         name for name, value in vars(hcsos).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)

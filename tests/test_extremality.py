@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcsos import extremality, grid, tisgm
-from hcsos.chain import kernel_of, row_distance
+from hcsos.chain import kappa_of, kernel_of
 from hcsos.extremality import (
     DEFAULT_BOUNDARY_TOL,
     Measure,
@@ -375,9 +375,9 @@ class TestColumnsEqualScalar:
         cases += [(0.5,) * 6, (0.0, 1.0, 1.0, 0.0, 0.0, 1.0), (1.0, 0.0) * 3]
         cols = [np.array(c) for c in zip(*cases)]
         with np.errstate(all="ignore"):
-            got = row_distance(*cols, largest=grid._lane_max).tolist()
+            got = kappa_of(cols, largest=grid._lane_max).tolist()
         for case, g in zip(cases, got):
-            assert _same(g, row_distance(*case)), case
+            assert _same(g, kappa_of(case)), case
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
     def test_verdict(self, k, monkeypatch):
@@ -388,7 +388,7 @@ class TestColumnsEqualScalar:
         pairs = list(itertools.product(s2s, repeat=2))
         fake = {}
         monkeypatch.setattr(
-            extremality, "_path_terms", lambda *entries: (0.0, 0.0, fake["s2"])
+            extremality, "s2_of", lambda kern: fake["s2"]
         )
         monkeypatch.setattr(extremality, "kappa_of", lambda kern: fake["kappa"])
         sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]

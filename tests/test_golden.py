@@ -7,6 +7,7 @@ stderr digests that ``tests/golden.tsv`` records.
 
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import golden
@@ -35,3 +36,15 @@ def test_manifest_lists_the_corpus():
 def test_replay(row):
     cls, command, *recorded = row
     assert list(golden.run_command(main, command)) == recorded
+
+
+@pytest.mark.parametrize("command", [
+    "iterate --k 5 --theta 0.10298929806153578 --m 6 --max-iter 500 --format json",
+    "simulate --k 20 --theta 1e-20 --measure mu0 --depth 2 --samples 10",
+])
+def test_error_texts_ignore_numpy_print_options(command):
+    # both errors print an array, in numpy's default format whatever the
+    # process has set
+    recorded = {row[1]: list(row[2:]) for row in golden.read_manifest()}[command]
+    with np.printoptions(precision=4, suppress=True, floatmode="fixed", sign="+"):
+        assert list(golden.run_command(main, command)) == recorded

@@ -524,6 +524,10 @@ class TestBoundaryLawIteration:
             BoundaryLaw((1.0, -1.0, 1.0))
         with pytest.raises(ValueError):
             BoundaryLaw((1.0, 1.0, 2.0))  # last entry must be 1
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryLaw((1.0, math.inf, 1.0))
+        with pytest.raises(ValueError, match="positive"):
+            BoundaryLaw((1.0, math.nan, 1.0))
         with pytest.raises(ValueError):
             iterate_boundary_law(
                 ModelParams(k=2, theta=1.0, m=4), BoundaryLaw.ones(2)
