@@ -12,9 +12,8 @@ from .extremality import (
     Measure,
     Threshold,
     Verdict,
-    classify_mu0,
-    classify_mu12,
     classify_solution,
+    solution_of,
     thresholds,
 )
 from .model import (
@@ -65,8 +64,6 @@ __all__ = [
     "TreeConfig",
     "Verdict",
     "boundary_law_residual",
-    "classify_mu0",
-    "classify_mu12",
     "classify_solution",
     "compatibility_residual",
     "enumerate_solutions",
@@ -76,6 +73,7 @@ __all__ = [
     "kappa_of",
     "kernel_of",
     "sample",
+    "solution_of",
     "solve_asymmetric",
     "solve_symmetric",
     "stationary",

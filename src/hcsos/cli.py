@@ -84,15 +84,19 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
 
     Each grid point's rows start with its Symmetric row, so a point
     starts at every Symmetric row, and wherever k or theta changes.
+    Raises ValueError at the line of a missing header or a wrong-width row.
     """
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, None)
     if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header}")
+        raise ValueError(f"line {reader.line_num}: unexpected CSV header {header}")
     columns: list[list] = [[] for _ in CSV_HEADER]
     ks, thetas, tcs, *fields = columns
     ends: list[int] = []
+    width = len(CSV_HEADER)
     for line in reader:
+        if len(line) != width:
+            raise ValueError(f"line {reader.line_num}: {len(line)} fields, not {width}")
         k, theta, tc = int(line[0]), float(line[1]), float(line[2])
         row = (line[3], *map(float, line[4:10]), line[10])
         symmetric = row[0] == Branch.SYMMETRIC.value

@@ -12,7 +12,8 @@ On the symmetric branch kappa = gamma = s2, so the two tests are sharp
 complements of each other: outside a small boundary band exactly one of
 them decides.  The band where neither strict inequality holds (and the
 s2 branch switch at theta = 1) is reported as Undetermined.  One rule,
-``_verdicts``, turns the two criteria into a verdict.
+``_verdicts``, turns the two criteria into a verdict, and ``_criteria``
+reads all of it off a kernel's six entries, as floats or as columns.
 
 For the asymmetric measures at k = 2 the Kesten-Stigum condition
 provably never holds (it reduces to (x-1)^2 + 2(x^2+1) < 0), so the
@@ -21,7 +22,7 @@ never NonExtreme.  For k >= 3 the MSW bound is not backed by theory for
 the asymmetric kernels, so only the Kesten-Stigum side is trusted there.
 Every k, k = 2 included, reaches the asymmetric pair through the one
 solver ``solve_asymmetric``, which alone decides whether mu1 and mu2
-exist, so ``classify_mu12``, ``classify --measure all`` and a sweep
+exist, so ``solution_of``, ``classify --measure all`` and a sweep
 report the same measures with the same numbers.
 
 Thresholds (all for the symmetric measure unless noted, boundary values
@@ -97,23 +98,32 @@ class ExtremalityVerdict:
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    Every branch and k takes s2 from ``s2_of`` and kappa from
-    ``kappa_of``, both of the one kernel ``kernel_of`` builds, and the
-    verdict from the one rule, ``_verdicts``.
+    The criteria of ``_criteria`` on the one kernel ``kernel_of`` builds.
     """
     kern = kernel_of(sol, k, theta)
-    s2 = s2_of(kern)
-    kappa = kappa_of(kern)
-    ks = k * s2**2
-    msw = k * kappa * kappa
-
-    verdict = Verdict(_verdicts(k, sol.branch is Branch.SYMMETRIC, ks, msw))
+    *numbers, verdict = _criteria(k, sol.branch is Branch.SYMMETRIC, kern)
     measure = _MEASURE_OF_BRANCH[sol.branch]
-    return ExtremalityVerdict(measure, verdict, s2, kappa, ks, msw)
+    return ExtremalityVerdict(measure, Verdict(verdict), *numbers)
 
 
 def _choose(condition, if_true, if_false):
     return if_true if condition else if_false
+
+
+def _criteria(
+    k: int, symmetric, entries, power=pow, sqrt=math.sqrt, largest=max, where=_choose
+):
+    """s2, kappa, the Kesten-Stigum and MSW values and the verdict string
+    of the six kernel entries, on floats or lane by lane on columns.
+
+    s2 comes from ``s2_of``, kappa from ``kappa_of`` and the verdict from
+    the one rule, ``_verdicts``.  On columns pass ``grid``'s hooks.
+    """
+    s2 = s2_of(entries, sqrt=sqrt)
+    kappa = kappa_of(entries, largest=largest)
+    ks = k * power(s2, 2)
+    msw = k * kappa * kappa
+    return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw, where)
 
 
 def _verdicts(k: int, symmetric, ks, msw, where=_choose):
@@ -168,27 +178,6 @@ def no_pair_text(k: int, theta: float, at_point: bool = True) -> str:
     return f"mu1/mu2 do not exist {where}"
 
 
-def classify_mu0(k: int, theta: float) -> ExtremalityVerdict:
-    """Classify the symmetric measure, which exists at every (k, theta)."""
-    return classify_solution(k, theta, solution_of(k, theta, Measure.MU0))
-
-
-def classify_mu12(
-    k: int, theta: float, measure: Measure = Measure.MU1
-) -> ExtremalityVerdict:
-    """Classify an asymmetric measure for any k >= 2.
-
-    The pair comes from ``solve_asymmetric``, as in a sweep.  At k = 2
-    Kesten-Stigum can never hold, so the only decisive outcome is
-    Extreme (2 kappa^2 < 1); k >= 3 trusts only the Kesten-Stigum
-    direction.  Raises ValueError where ``solve_asymmetric`` gives no
-    pair: from CRITICAL_TOL below theta_cr(k) upward.
-    """
-    if measure is Measure.MU0:
-        raise ValueError("mu0 is handled by classify_mu0")
-    return classify_solution(k, theta, solution_of(k, theta, measure))
-
-
 @dataclass(frozen=True)
 class Threshold:
     """One classification threshold, root-found and (when available) closed-form."""
@@ -211,8 +200,8 @@ def thresholds(k: int) -> dict[str, Threshold]:
     k = 2, theta3 and theta4 for k = 3, none for k >= 4.
 
     Each entry is a root of a margin ``classify`` reports:
-    ``classify_mu0(k, theta).ks_value - 1`` on [0.01, 1] and [1, 4], and
-    ``classify_mu12(2, theta).msw_value - 1`` on [0.5, 0.999] for theta5.
+    the ``ks_value - 1`` of mu0 on [0.01, 1] and [1, 4], and the
+    ``msw_value - 1`` of mu1 at k = 2 on [0.5, 0.999] for theta5.
     The k = 2 entries also carry independent closed forms.  For k >= 4
     the table is empty, because the symmetric measure is never extreme.
     Raises ValueError for k < 2.
@@ -220,7 +209,7 @@ def thresholds(k: int) -> dict[str, Threshold]:
     check_params(k)
     if k >= 4:
         return {}
-    ks = lambda t: classify_mu0(k, t).ks_value - 1.0
+    ks = lambda t: classify_solution(k, t, solve_symmetric(k, t)).ks_value - 1.0
     below = find_root(ks, Bracket.certify(ks, 0.01, 1.0))
     above = find_root(ks, Bracket.certify(ks, 1.0, 4.0))
     if k == 3:
@@ -229,7 +218,8 @@ def thresholds(k: int) -> dict[str, Threshold]:
             Threshold("theta4", above, None),
         )
     else:
-        msw = lambda t: classify_mu12(2, t).msw_value - 1.0
+        mu1 = lambda t: solution_of(2, t, Measure.MU1)
+        msw = lambda t: classify_solution(2, t, mu1(t)).msw_value - 1.0
         r2 = math.sqrt(2.0)
         s = math.sqrt(2.0 + 2.0 * r2)
         entries = (

@@ -4,7 +4,8 @@
 once: the roots of both branches at every grid point in one lockstep
 solve, then the residual contract and the solution checks
 (``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
-two criteria and the verdicts (``classify_columns``).  x^k and theta y^k
+two criteria and the verdicts (``classify_solution``'s own
+``extremality._criteria``, on columns).  x^k and theta y^k
 are computed once per solution, and the columns become Python values
 before any is printed.  Every number equals what a lone call at that
 point gives, so sweep, tisgm and classify agree bit for bit.  The one
@@ -18,8 +19,8 @@ lane by lane here: powers through Python's float ``**`` (``_powers``;
 ``np.power`` may round differently in the last bit) and ``max`` in
 Python's order, NaN included (``_lane_max``).  The scalar route's
 formulas take these, ``np.sqrt`` and ``np.where`` as their ``power``,
-``largest``, ``sqrt`` and ``where`` hooks, so each formula and the
-verdict rule are written once.
+``largest``, ``sqrt`` and ``where`` hooks, so each formula, the
+criteria and the verdict rule are written once.
 
 ``_find_roots`` is ``rootfind.find_root`` on many lanes: it runs the
 same Brent steps on every live lane and drops a lane as soon as it meets
@@ -48,9 +49,9 @@ from typing import Callable
 import numpy as np
 
 from . import rootfind, tisgm
-from .chain import _entries_of_powers, kappa_of, s2_of
+from .chain import _entries_of_powers
 from .cli import SweepTable
-from .extremality import _verdicts, classify_solution
+from .extremality import _criteria, classify_solution
 from .model import BRANCH_TOL, Branch, check_params
 from .rootfind import (
     _EPS,
@@ -285,33 +286,11 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         w = theta * _powers(y, k)
         residual = _residual(theta, x, y, xk, w, _lane_max)
     # the bound of the scalar route, read when the grid is checked
-    failed = (residual > tisgm.RESIDUAL_TOL) | ~((x > 0.0) & (y > 0.0))
+    failed = ~((residual <= tisgm.RESIDUAL_TOL) & (x > 0.0) & (y > 0.0))
     if failed.any():
         where = float(theta[failed.argmax()])
         raise ConsistencyError(f"a fixed point at k={k}, theta={where} fails a check")
     return SolutionGrid(tc, critical, point, branch, x, y, xk, w)
-
-
-def classify_columns(
-    k: int, xk: np.ndarray, w: np.ndarray, symmetric: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``classify_solution`` on columns, lane by lane and bit for bit.
-
-    Each lane is one fixed point, given by x^k and w = theta y^k;
-    ``symmetric`` marks the lanes of the Symmetric branch.  Returns the
-    columns s2, kappa, ks_value, msw_value and the verdict strings, with
-    the default boundary band.  Raises ArithmeticError if some lane's
-    kernel is degenerate, where ``kernel_of`` raises on that lane.
-    """
-    with np.errstate(all="ignore"):
-        entries = _entries_of_powers(xk, w)
-        if not np.isfinite(sum(entries)).all():
-            raise ArithmeticError("degenerate kernel at some fixed point of the grid")
-        kappa = kappa_of(entries, largest=_lane_max)
-        s2 = s2_of(entries, sqrt=np.sqrt)
-    ks = k * _powers(s2, 2)
-    msw = k * kappa * kappa
-    return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw, np.where)
 
 
 def sweep_table(k: int, theta_min: float, theta_max: float, steps: int) -> SweepTable:
@@ -323,9 +302,15 @@ def sweep_table(k: int, theta_min: float, theta_max: float, steps: int) -> Sweep
     grid = np.linspace(theta_min, theta_max, steps)
     try:
         sols = enumerate_solution_grid(k, grid)
-        s2, kappa, ks, msw, verdict = classify_columns(
-            k, sols.xk, sols.w, sols.branch == BRANCHES.index(Branch.SYMMETRIC)
-        )
+        symmetric = sols.branch == BRANCHES.index(Branch.SYMMETRIC)
+        with np.errstate(all="ignore"):
+            entries = _entries_of_powers(sols.xk, sols.w)
+            # some lane's kernel is degenerate, where kernel_of raises
+            if not np.isfinite(sum(entries)).all():
+                raise ArithmeticError("degenerate kernel at some fixed point")
+            s2, kappa, ks, msw, verdict = _criteria(
+                k, symmetric, entries, _powers, np.sqrt, _lane_max, np.where
+            )
     except _DOMAIN_ERRORS as exc:
         # point by point, so the first failing point raises as a lone call
         for theta in grid.tolist():

@@ -128,6 +128,8 @@ def compatibility_residual(k: int, theta: float, x: float, y: float) -> float:
     try:
         xk = x**k
         w = theta * y**k
+        if w == math.inf:  # theta y^k rounds to inf, which raises nothing
+            raise OverflowError
     except OverflowError:
         raise OverflowError(
             f"the boundary law leaves the double range at k = {k}, x = {x!r}: "
@@ -148,7 +150,7 @@ def _residual(theta, x, y, xk, w, largest=max):
 
 def _checked(k: int, theta: float, x: float, y: float, branch: Branch) -> TisgmSolution:
     res = compatibility_residual(k, theta, x, y)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:  # NaN fails too
         raise ConsistencyError(
             f"fixed point ({x}, {y}) at k={k}, theta={theta} has residual {res:.3e}"
         )

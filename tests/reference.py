@@ -72,7 +72,8 @@ def mu12_margin_k2(theta: float) -> float:
 
     kappa = x^2 / (x^2 + 1) for the k = 2 asymmetric kernel; decreasing
     in theta on (0, 1), with its root at theta5.  The production margin
-    is ``classify_mu12(2, theta).msw_value - 1``, on ``solve_asymmetric``.
+    is the ``msw_value - 1`` that ``classify_solution`` reports for
+    ``solution_of(2, theta, Measure.MU1)``, on ``solve_asymmetric``.
     """
     x = solve_k2_closed_form(theta)[0].x
     kappa = x * x / (x * x + 1.0)
@@ -83,8 +84,9 @@ def h_func(k: int, theta: float) -> float:
     """Kesten-Stigum margin of mu0 for theta <= 1: k / (w + 1)^2 - 1.
 
     w = theta y^k at the symmetric root y, where s2 = 1 / (w + 1);
-    positive means non-extreme.  The production margin is
-    ``classify_mu0(k, theta).ks_value - 1``.
+    positive means non-extreme.  The production margin is the
+    ``ks_value - 1`` that ``classify_solution`` reports for
+    ``solve_symmetric(k, theta)``.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"h is defined for 0 < theta <= 1, got {theta}")

@@ -10,7 +10,13 @@ import mpmath as mp
 import numpy as np
 
 from hcsos.chain import kappa_of, kernel_of, s2_of
-from hcsos.extremality import Verdict, classify_mu0, classify_mu12, thresholds
+from hcsos.extremality import (
+    Measure,
+    Verdict,
+    classify_solution,
+    solution_of,
+    thresholds,
+)
 from hcsos.model import ModelParams
 from hcsos.sampler import TreeConfig, estimate_marginals, sample
 from hcsos.tisgm import (
@@ -37,6 +43,10 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def classify(k, theta, measure=Measure.MU0):
+    return classify_solution(k, theta, solution_of(k, theta, measure))
 
 
 def test_criterion_01_theta_cr_exactness():
@@ -102,8 +112,8 @@ def test_criterion_03_k2_thresholds():
     err_t1 = abs(table["theta1"].root_found - t1_closed)
     err_t2 = abs(table["theta2"].root_found - t2_closed)
     # the Kesten-Stigum margin classify reports, k s2^2 - 1 of mu0
-    err_h = abs(classify_mu0(2, 0.2).ks_value - 1.0 - 0.8846)
-    err_q = abs(classify_mu0(2, 4.0).ks_value - 1.0 - 0.4476)
+    err_h = abs(classify(2, 0.2).ks_value - 1.0 - 0.8846)
+    err_q = abs(classify(2, 4.0).ks_value - 1.0 - 0.4476)
     _report(
         3,
         "k=2 margin roots match closed forms to 1e-8; the mu0 margin "
@@ -138,10 +148,10 @@ def test_criterion_04_k3_thresholds():
         (np.linspace(high3 + 1e-4, 4.0, 25), Verdict.NON_EXTREME),
     )
     for theta, expected in ((t, e) for grid, e in grids for t in grid):
-        if classify_mu0(3, float(theta)).verdict is not expected:
+        if classify(3, float(theta)).verdict is not expected:
             ok, detail = False, f"not {expected.value} at theta={theta}; "
             break
-    pinned = [classify_mu0(3, theta) for theta in (0.801, 1.8462)]
+    pinned = [classify(3, theta) for theta in (0.801, 1.8462)]
     ok = ok and all(
         abs(v.ks_value - 1.0) > 0.05 and v.verdict is Verdict.NON_EXTREME
         for v in pinned
@@ -163,7 +173,7 @@ def test_criterion_05_large_k_never_extreme():
     detail = ""
     for k in range(4, 11):
         for theta in np.linspace(0.05, 5.0, 50):
-            v = classify_mu0(k, float(theta))
+            v = classify(k, float(theta))
             if v.verdict is not Verdict.NON_EXTREME or v.ks_value <= 1.0:
                 ok = False
                 detail = f"k={k}, theta={theta}: {v.verdict.value}, ks={v.ks_value}"
@@ -187,12 +197,13 @@ def test_criterion_06_asymmetric_extremality_window():
     ok = err_root <= 1e-8
     detail = f"|root-closed|={err_root:.2e}"
     for theta in np.linspace(t5_closed + 1e-4, 1.0 - 1e-4, 25):
-        if classify_mu12(2, float(theta)).verdict is not Verdict.EXTREME:
+        if classify(2, float(theta), Measure.MU1).verdict is not Verdict.EXTREME:
             ok, detail = False, f"not Extreme at theta={theta}"
             break
     if ok:
         for theta in np.linspace(0.05, t5_closed - 1e-4, 25):
-            if classify_mu12(2, float(theta)).verdict is not Verdict.UNDETERMINED:
+            v = classify(2, float(theta), Measure.MU1)
+            if v.verdict is not Verdict.UNDETERMINED:
                 ok, detail = False, f"not Undetermined at theta={theta}"
                 break
     _report(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hcsos import cli, grid, sampler, tisgm
+from hcsos import cli, extremality, grid, sampler, tisgm
 from hcsos.cli import (
     CSV_HEADER,
     SweepTable,
@@ -21,7 +21,13 @@ from hcsos.cli import (
     write_phase_csv,
     write_phase_jsonl,
 )
-from hcsos.extremality import thresholds
+from hcsos.extremality import (
+    Measure,
+    classify_solution,
+    no_pair_text,
+    solution_of,
+    thresholds,
+)
 from hcsos.grid import _find_roots, enumerate_solution_grid, sweep_table
 from hcsos.rootfind import BracketError
 from hcsos.sampler import TreeConfig, estimate_marginals
@@ -190,6 +196,31 @@ class TestClassifyCommand:
             assert got == single
 
     @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_library_call_equals_json_record(self, k):
+        # classify_solution at solution_of's fixed point is what classify
+        # prints, field by field; where the pair is absent both refuse
+        # with the same text
+        tc = theta_cr(k)
+        for theta in (0.5 * tc, 0.97 * tc, 1.03 * tc, 2.0 * tc):
+            for measure in Measure:
+                argv = ["classify", "--k", str(k), "--theta", repr(theta),
+                        "--measure", measure.value, "--format", "json"]
+                code, out, err = _cli(argv)
+                assert code == (0 if measure is Measure.MU0 or theta < tc else 1)
+                if code:
+                    with pytest.raises(ValueError) as absent:
+                        solution_of(k, theta, measure)
+                    assert str(absent.value) == no_pair_text(k, theta)
+                    assert (out, err) == ("", f"error: {absent.value}\n")
+                    continue
+                v = classify_solution(k, theta, solution_of(k, theta, measure))
+                assert json.loads(out) == [{
+                    "measure": measure.value, "verdict": v.verdict.value,
+                    "s2": v.s2, "kappa": v.kappa, "gamma": v.gamma,
+                    "ks_value": v.ks_value, "msw_value": v.msw_value,
+                }]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
     def test_matches_sweep_rows(self, k, capsys):
         # classify and sweep reach every measure through the same solver,
         # so they report the same witnesses bit for bit
@@ -220,6 +251,21 @@ class TestHugeTheta:
     def test_exits_zero(self, argv, capsys):
         assert run(argv) == 0
         assert capsys.readouterr().err == ""
+
+    def test_overflowing_w_is_one_domain_error(self, monkeypatch):
+        # theta y^2 rounds to inf at the symmetric root here, which raises
+        # nothing: the residual was NaN, and NaN passed the residual bound
+        want = ("error: the boundary law leaves the double range at k = 2, "
+                "x = 1.0: x^k or theta y^k exceeds the largest float\n")
+        for argv in (["tisgm", "--k", "2", "--theta", "1.7e308"],
+                     ["classify", "--k", "2", "--theta", "1.7e308"],
+                     _sweep(2, 1e307, 1.7e308, 3)):
+            assert _cli(argv) == (1, "", want), argv
+        assert "nan" not in want
+        # a NaN residual fails the contract on either route
+        monkeypatch.setattr(tisgm, "compatibility_residual", lambda *a: math.nan)
+        with pytest.raises(tisgm.ConsistencyError, match="has residual nan"):
+            solve_symmetric(2, 0.5)
 
     @pytest.mark.parametrize("k, lo, hi, steps", [
         (3, "1e290", "1e300", 50), (3, "1e20", "1e21", 2), (8, "1e20", "1e21", 2),
@@ -300,6 +346,24 @@ class TestSweepCommand:
         buffer.seek(0)
         parsed = read_phase_csv(buffer)
         assert parsed == table
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "line 0: unexpected CSV header None"),
+        ("short", "line 3: 5 fields, not 11"),
+        ("long", "line 2: 12 fields, not 11"),
+    ])
+    def test_malformed_csv_names_its_line(self, case, message):
+        buffer = io.StringIO()
+        write_phase_csv(sweep_table(2, 0.5, 0.9, 2), buffer)
+        header, first, *rest = buffer.getvalue().splitlines()
+        lines = {
+            "empty": [],
+            "short": [header, first, ",".join(rest[0].split(",")[:5])],
+            "long": [header, first + ",Extreme", *rest],
+        }[case]
+        stream = io.StringIO("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_phase_csv(stream)
 
     def test_csv_bytes_equal_csv_writer(self):
         # the branch and verdict names are written as csv.writer writes
@@ -557,6 +621,20 @@ class TestSweepSolvesGridInLockstep:
         monkeypatch.setattr(grid, "_find_roots", find_roots)
         assert _cli(_sweep(k, 0.1, 2.5, 250))[0] == 0
         assert len(calls) == 1 and calls[0] > 250
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_benchmark_grids_run_the_shared_criteria_once(self, k, monkeypatch):
+        # classify_solution's own criteria, once, on the columns of every row
+        rows = []
+
+        def criteria(k, symmetric, *rest):
+            rows.append(symmetric.size)
+            return extremality._criteria(k, symmetric, *rest)
+
+        monkeypatch.setattr(grid, "_criteria", criteria)
+        code, out, _ = _cli(_sweep(k, 0.1, 2.5, 250))
+        assert code == 0
+        assert rows == [len(out.splitlines()) - 1] and rows[0] > 250
 
     @pytest.mark.parametrize("k", [2, 8])
     @pytest.mark.parametrize("steps", [2, 5, 63, 64])
@@ -868,6 +946,39 @@ class TestSimulateFuzz:
             assert rc == 1 and "tree too large to sample" in text
         elif samples * v > sampler.MAX_VERTEX_SAMPLES:
             assert rc == 1
+
+
+class TestEveryVerbFuzz:
+    # the no-escape part of TestSimulateFuzz for every other verb, over the
+    # whole domain; only the sizes are bounded
+    @settings(max_examples=250, deadline=None)
+    @given(
+        verb=st.sampled_from(["tisgm", "classify", "sweep", "thresholds", "iterate"]),
+        k=st.integers(2, 10**4),
+        thetas=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+        measure=st.sampled_from(["mu0", "mu1", "mu2", "all"]),
+        steps=st.integers(2, 30),
+        m=st.sampled_from(["2", "4", "6"]),
+        max_iter=st.integers(1, 500),
+        json_format=st.booleans(),
+    )
+    def test_exit_code(self, verb, k, thetas, measure, steps, m, max_iter,
+                       json_format):
+        lo, hi = sorted(map(repr, thetas), key=float)
+        point = ["--k", str(k), "--theta", repr(thetas[0])]
+        argv = {
+            "tisgm": ["tisgm", *point],
+            "classify": ["classify", *point, "--measure", measure],
+            "sweep": ["sweep", "--k", str(k), "--theta-min", lo, "--theta-max", hi,
+                      "--steps", str(steps)],
+            "thresholds": ["thresholds", "--k", str(k)],
+            "iterate": ["iterate", *point, "--m", m, "--max-iter", str(max_iter)],
+        }[verb]
+        if json_format:
+            argv += ["--format", "json"]
+        code, _, err = _cli(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestIterateCommand:

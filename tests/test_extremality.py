@@ -1,19 +1,20 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from hcsos import extremality, grid, tisgm
-from hcsos.chain import kappa_of, kernel_of
+from hcsos.chain import _entries_of_powers, kappa_of, kernel_of
 from hcsos.extremality import (
     DEFAULT_BOUNDARY_TOL,
     Measure,
     Verdict,
-    classify_mu0,
-    classify_mu12,
     classify_solution,
+    no_pair_text,
+    solution_of,
     thresholds,
 )
 from hcsos.model import Branch, TisgmSolution
@@ -40,58 +41,62 @@ THETA3 = 0.8303922356762945
 THETA4 = 1.2263282974775683
 
 
+def classify(k, theta, measure=Measure.MU0):
+    return classify_solution(k, theta, solution_of(k, theta, measure))
+
+
 class TestCriteria:
     # the Kesten-Stigum value k s2^2 and the MSW value k kappa gamma, as
     # classify_solution evaluates them
 
     def test_kesten_stigum_below(self):
-        v = classify_mu0(2, 1.0)
+        v = classify(2, 1.0)
         assert v.s2 == pytest.approx(0.5, abs=1e-12)
         assert v.ks_value == 2 * v.s2**2
         assert v.verdict is not Verdict.NON_EXTREME
 
     def test_kesten_stigum_boundary_strict(self):
-        v = classify_mu0(4, 1.0)
+        v = classify(4, 1.0)
         assert v.ks_value == pytest.approx(1.0, abs=1e-12)
         assert v.verdict is not Verdict.NON_EXTREME
 
     def test_kesten_stigum_from_symmetric_branch(self):
-        v = classify_mu0(4, 0.5)
+        v = classify(4, 0.5)
         assert v.ks_value == 4 * v.s2**2
         assert v.ks_value > 1.0 and v.verdict is Verdict.NON_EXTREME
 
     def test_msw_simple(self):
-        v = classify_mu0(2, 1.0)
+        v = classify(2, 1.0)
         assert v.msw_value == pytest.approx(0.5, abs=1e-12)
         assert v.verdict is Verdict.EXTREME
 
     def test_msw_near_k2_boundary(self):
         # just above theta5 the asymmetric k = 2 measures pass MSW
-        v = classify_mu12(2, THETA5 + 1e-6, Measure.MU1)
+        v = classify(2, THETA5 + 1e-6, Measure.MU1)
         assert v.msw_value < 1.0 and v.verdict is Verdict.EXTREME
 
     def test_msw_arithmetic(self):
         # gamma is reported equal to kappa, and msw is k kappa gamma
         for measure in (Measure.MU1, Measure.MU2):
-            v = classify_mu12(3, 1.2, measure)
+            v = classify(3, 1.2, measure)
             assert v.gamma == v.kappa
             assert v.msw_value == 3 * v.kappa * v.gamma
 
 
 class TestClassifyMu0:
     def test_small_coupling_non_extreme(self):
-        assert classify_mu0(2, 0.3).verdict is Verdict.NON_EXTREME
+        assert classify(2, 0.3).verdict is Verdict.NON_EXTREME
 
     def test_unit_coupling_extreme(self):
-        v = classify_mu0(2, 1.0)
+        v = classify(2, 1.0)
         assert v.verdict is Verdict.EXTREME
         assert v.ks_value == pytest.approx(0.5, abs=1e-12)
 
     def test_k5_always_non_extreme(self):
-        assert classify_mu0(5, 2.5).verdict is Verdict.NON_EXTREME
+        assert classify(5, 2.5).verdict is Verdict.NON_EXTREME
 
     def test_k4_unit_coupling_is_the_boundary_case(self):
-        v = classify_mu0(4, 1.0)
+        v = classify(4, 1.0)
         assert v.verdict is Verdict.UNDETERMINED
         assert v.ks_value == pytest.approx(1.0, abs=1e-12)
 
@@ -100,7 +105,7 @@ class TestClassifyMu0:
         # Kesten-Stigum values coincide
         for k in (2, 3, 5, 8):
             for theta in np.linspace(0.15, 2.4, 16):
-                v = classify_mu0(k, float(theta))
+                v = classify(k, float(theta))
                 assert abs(v.kappa - v.gamma) <= 1e-12
                 assert abs(v.kappa - v.s2) <= 1e-12
                 assert abs(v.ks_value - v.msw_value) <= 1e-12
@@ -113,35 +118,35 @@ class TestClassifyMu0:
     @pytest.mark.parametrize("k", [4, 7, 10])
     def test_never_extreme_for_large_k(self, k):
         for theta in np.linspace(0.05, 5.0, 20):
-            assert classify_mu0(k, float(theta)).verdict is not Verdict.EXTREME
+            assert classify(k, float(theta)).verdict is not Verdict.EXTREME
 
     def test_flips_at_k2_thresholds(self):
         eps = 1e-4
-        assert classify_mu0(2, THETA1 - eps).verdict is Verdict.NON_EXTREME
-        assert classify_mu0(2, THETA1 + eps).verdict is Verdict.EXTREME
-        assert classify_mu0(2, THETA2 - eps).verdict is Verdict.EXTREME
-        assert classify_mu0(2, THETA2 + eps).verdict is Verdict.NON_EXTREME
+        assert classify(2, THETA1 - eps).verdict is Verdict.NON_EXTREME
+        assert classify(2, THETA1 + eps).verdict is Verdict.EXTREME
+        assert classify(2, THETA2 - eps).verdict is Verdict.EXTREME
+        assert classify(2, THETA2 + eps).verdict is Verdict.NON_EXTREME
 
     def test_flips_at_k3_thresholds(self):
         eps = 1e-4
         table = thresholds(3)
         t3, t4 = table["theta3"].value, table["theta4"].value
-        assert classify_mu0(3, t3 - eps).verdict is Verdict.NON_EXTREME
-        assert classify_mu0(3, t3 + eps).verdict is Verdict.EXTREME
-        assert classify_mu0(3, t4 - eps).verdict is Verdict.EXTREME
-        assert classify_mu0(3, t4 + eps).verdict is Verdict.NON_EXTREME
+        assert classify(3, t3 - eps).verdict is Verdict.NON_EXTREME
+        assert classify(3, t3 + eps).verdict is Verdict.EXTREME
+        assert classify(3, t4 - eps).verdict is Verdict.EXTREME
+        assert classify(3, t4 + eps).verdict is Verdict.NON_EXTREME
 
 
 class TestClassifyMu12:
     def test_extreme_near_one(self):
-        assert classify_mu12(2, 0.98).verdict is Verdict.EXTREME
+        assert classify(2, 0.98, Measure.MU1).verdict is Verdict.EXTREME
 
     def test_undetermined_below_theta5(self):
-        assert classify_mu12(2, 0.5).verdict is Verdict.UNDETERMINED
+        assert classify(2, 0.5, Measure.MU1).verdict is Verdict.UNDETERMINED
 
     def test_never_non_extreme(self):
         for theta in np.linspace(0.05, 0.99, 40):
-            v = classify_mu12(2, float(theta))
+            v = classify(2, float(theta), Measure.MU1)
             assert v.verdict is not Verdict.NON_EXTREME
             assert v.ks_value < 1.0
 
@@ -153,32 +158,29 @@ class TestClassifyMu12:
             assert 2.0 * s2 * s2 < 1.0
 
     def test_mu2_mirrors_mu1(self):
-        v1 = classify_mu12(2, 0.97, Measure.MU1)
-        v2 = classify_mu12(2, 0.97, Measure.MU2)
+        v1 = classify(2, 0.97, Measure.MU1)
+        v2 = classify(2, 0.97, Measure.MU2)
         assert v1.verdict is v2.verdict
         assert v1.s2 == pytest.approx(v2.s2, abs=1e-12)
         assert v1.kappa == pytest.approx(v2.kappa, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            classify_mu12(2, 1.0)
-        with pytest.raises(ValueError):
-            classify_mu12(2, 1.2)
-        with pytest.raises(ValueError):
-            classify_mu12(2, 0.5, Measure.MU0)
+        for theta in (1.0, 1.2):
+            with pytest.raises(ValueError, match=re.escape(no_pair_text(2, theta))):
+                classify(2, theta, Measure.MU1)
 
     def test_k3_dispatch(self):
-        v = classify_mu12(3, 1.2, Measure.MU1)
+        v = classify(3, 1.2, Measure.MU1)
         assert v.verdict in (Verdict.NON_EXTREME, Verdict.UNDETERMINED)
         with pytest.raises(ValueError):
-            classify_mu12(3, 2.0, Measure.MU1)  # above theta_cr(3)
+            classify(3, 2.0, Measure.MU1)  # above theta_cr(3)
 
     def test_k3_never_extreme(self):
         # the row-distance identity is unproven for k >= 3 asymmetric
         # kernels, so Extreme must not be claimed there
         for theta in np.linspace(0.2, 1.55, 15):
             for measure in (Measure.MU1, Measure.MU2):
-                v = classify_mu12(3, float(theta), measure)
+                v = classify(3, float(theta), measure)
                 assert v.verdict is not Verdict.EXTREME
 
 
@@ -207,10 +209,10 @@ class TestMarginFunctions:
 
     def test_margins_match_ks_value(self):
         for k, theta in ((2, 0.4), (3, 0.7), (5, 0.2)):
-            v = classify_mu0(k, theta)
+            v = classify(k, theta)
             assert h_func(k, theta) == pytest.approx(v.ks_value - 1.0, abs=1e-12)
         for k, theta in ((2, 1.8), (3, 2.5), (4, 1.1)):
-            v = classify_mu0(k, theta)
+            v = classify(k, theta)
             assert q_func(k, theta) == pytest.approx(v.ks_value - 1.0, abs=1e-12)
 
     def test_domains(self):
@@ -255,10 +257,10 @@ class TestThresholds:
         for entry in thresholds(k).values():
             theta = entry.root_found
             if entry.name == "theta5":
-                verdicts = [classify_mu12(2, theta, m) for m in (Measure.MU1, Measure.MU2)]
+                verdicts = [classify(2, theta, m) for m in (Measure.MU1, Measure.MU2)]
                 margins = [v.msw_value - 1.0 for v in verdicts]
             else:
-                verdicts = [classify_mu0(k, theta)]
+                verdicts = [classify(k, theta)]
                 margins = [verdicts[0].ks_value - 1.0]
             for v, margin in zip(verdicts, margins):
                 assert abs(margin) <= 4 * np.finfo(float).eps, (entry.name, margin)
@@ -267,10 +269,10 @@ class TestThresholds:
     def test_mu12_margin_equals_closed_form_oracle(self):
         # the theta5 margin on solve_asymmetric against the closed-form pair
         for theta in np.linspace(0.5, 0.999, 60):
-            margin = classify_mu12(2, float(theta)).msw_value - 1.0
+            margin = classify(2, float(theta), Measure.MU1).msw_value - 1.0
             assert margin == pytest.approx(mu12_margin_k2(float(theta)), abs=1e-12)
         theta5 = thresholds(2)["theta5"].root_found
-        assert abs(classify_mu12(2, theta5).msw_value - 1.0) <= 1e-12
+        assert abs(classify(2, theta5, Measure.MU1).msw_value - 1.0) <= 1e-12
         assert abs(mu12_margin_k2(theta5)) <= 1e-12
 
     def test_unsupported_k(self):
@@ -291,14 +293,14 @@ class TestCorollaryConsistency:
         # consistent with at least two extreme measures existing there
         for theta in np.linspace(THETA1 + 1e-3, THETA5 - 1e-3, 20):
             theta = float(theta)
-            assert classify_mu0(2, theta).verdict is Verdict.EXTREME
+            assert classify(2, theta).verdict is Verdict.EXTREME
             for measure in (Measure.MU1, Measure.MU2):
-                v = classify_mu12(2, theta, measure)
+                v = classify(2, theta, measure)
                 assert v.verdict is Verdict.UNDETERMINED
 
 
 class TestDegenerateKernel:
-    def test_every_route_raises(self):
+    def test_every_route_raises(self, monkeypatch):
         # theta y^2 = 10 * 1e308 overflows, so w = inf and P01 = inf / inf
         sol = TisgmSolution(1.0, 1e154, Branch.SYMMETRIC)
         msg = "degenerate kernel for x=1.0, y=1e\\+154"
@@ -306,14 +308,30 @@ class TestDegenerateKernel:
             kernel_of(sol, 2, 10.0)
         with pytest.raises(ArithmeticError, match=msg):
             classify_solution(2, 10.0, sol)
-        # the same point as the second lane of a column, after a good lane
+        # the same point as the second lane of a sweep's columns, after a
+        # good lane: the sweep checks the entries before the shared criteria
         good = solve_symmetric(2, 10.0)
         xk = np.array([1.0, 1.0])
         w = np.array([10.0 * good.y**2, 10.0 * sol.y**2])
-        with pytest.raises(ArithmeticError, match="degenerate kernel at some fixed point"):
-            grid.classify_columns(2, xk, w, np.array([True, True]))
-        # the good lane alone classifies
-        assert grid.classify_columns(2, xk[:1], w[:1], np.array([True]))[4].size == 1
+
+        def forged(k, thetas):
+            # two Symmetric rows, one per grid point, none critical
+            no, rows = np.zeros(2, int), np.arange(2)
+            y = np.array([good.y, sol.y])
+            return grid.SolutionGrid(math.inf, no == 1, rows, no, xk, y, xk, w)
+
+        monkeypatch.setattr(grid, "enumerate_solution_grid", forged)
+        with pytest.raises(AssertionError, match="every grid point solves") as err:
+            grid.sweep_table(2, 10.0, 10.0, 2)
+        cause = str(err.value.__cause__)
+        assert cause == "degenerate kernel at some fixed point"
+        # the good lane alone goes through the criteria as a lone call does
+        entries = _entries_of_powers(xk[:1], w[:1])
+        hooks = (grid._powers, np.sqrt, grid._lane_max, np.where)
+        columns = extremality._criteria(2, np.array([True]), entries, *hooks)
+        v = classify_solution(2, 10.0, good)
+        lone = (v.s2, v.kappa, v.ks_value, v.msw_value, v.verdict.value)
+        assert [c.item() for c in columns] == list(lone)
 
 
 def _same(a, b):
@@ -381,16 +399,17 @@ class TestColumnsEqualScalar:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
     def test_verdict(self, k, monkeypatch):
-        # classify_solution with its s2 and kappa replaced by each value
+        # the shared criteria with s2 and kappa replaced by each value, on
+        # floats through classify_solution and on columns as a sweep runs them
         s2s = list(_SPECIAL) + [0.3, 0.9]
         for target in (1.0 + DEFAULT_BOUNDARY_TOL, 1.0 - DEFAULT_BOUNDARY_TOL, 1.0):
             s2s += _boundary_ties(k, target)
         pairs = list(itertools.product(s2s, repeat=2))
         fake = {}
+        monkeypatch.setattr(extremality, "s2_of", lambda entries, sqrt: fake["s2"])
         monkeypatch.setattr(
-            extremality, "s2_of", lambda kern: fake["s2"]
+            extremality, "kappa_of", lambda entries, largest: fake["kappa"]
         )
-        monkeypatch.setattr(extremality, "kappa_of", lambda kern: fake["kappa"])
         sym, upper = solve_symmetric(k, 0.5), solve_asymmetric(k, 0.5)[0]
         want = []
         for sol in (sym, upper):
@@ -399,10 +418,10 @@ class TestColumnsEqualScalar:
                 want.append(classify_solution(k, 0.5, sol))
         s2, kappa = (np.array(c * 2) for c in zip(*pairs))
         symmetric = np.repeat([True, False], len(pairs))
-        ks = k * grid._powers(s2, 2)
+        fake.update(s2=s2, kappa=kappa)
+        hooks = (grid._powers, np.sqrt, grid._lane_max, np.where)
         with np.errstate(all="ignore"):
-            msw = k * kappa * kappa
-        got = extremality._verdicts(k, symmetric, ks, msw, np.where)
+            *_, ks, msw, got = extremality._criteria(k, symmetric, None, *hooks)
         # the float form, lane by lane, NaN and both band edges included
         floats = [
             extremality._verdicts(k, sym, g_ks, g_msw)
