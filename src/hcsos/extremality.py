@@ -98,7 +98,7 @@ class ExtremalityVerdict:
 def classify_solution(k: int, theta: float, sol: TisgmSolution) -> ExtremalityVerdict:
     """Verdict for the measure indexed by an already-computed fixed point.
 
-    The criteria of ``_criteria`` on the one kernel ``kernel_of`` builds.
+    ``_criteria`` on the entries of the one kernel ``kernel_of`` builds.
     """
     kern = kernel_of(sol, k, theta)
     *numbers, verdict = _criteria(k, sol.branch is Branch.SYMMETRIC, kern)
@@ -121,7 +121,7 @@ def _criteria(
     """
     s2 = s2_of(entries, sqrt=sqrt)
     kappa = kappa_of(entries, largest=largest)
-    ks = k * power(s2, 2)
+    ks = k * power(s2, 2)  # not s2 * s2, which can differ in the last bit
     msw = k * kappa * kappa
     return s2, kappa, ks, msw, _verdicts(k, symmetric, ks, msw, where)
 

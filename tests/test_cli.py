@@ -262,7 +262,7 @@ class TestHugeTheta:
                      _sweep(2, 1e307, 1.7e308, 3)):
             assert _cli(argv) == (1, "", want), argv
         assert "nan" not in want
-        # a NaN residual fails the contract on either route
+        # the scalar route's check refuses a NaN residual too
         monkeypatch.setattr(tisgm, "compatibility_residual", lambda *a: math.nan)
         with pytest.raises(tisgm.ConsistencyError, match="has residual nan"):
             solve_symmetric(2, 0.5)
