@@ -13,6 +13,7 @@ only ``sweep`` imports, builds it; ``write_phase_csv``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from .chain import kernel_of, stationary
 from .extremality import (
-    Measure, classify_solution, no_pair_text, solution_of, thresholds
+    Measure, Verdict, classify_solution, no_pair_text, solution_of, thresholds
 )
 from .model import Branch, ModelParams
 from .sampler import TreeConfig, estimate_marginals
@@ -43,6 +44,9 @@ CSV_HEADER = [
     "msw_value",
     "verdict",
 ]
+# the names a sweep writes in the branch and verdict fields
+_NAMES = {"branch": [b.value for b in Branch],
+          "verdict": [*(v.value for v in Verdict), "Critical"]}
 
 
 class UsageError(Exception):
@@ -84,7 +88,8 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
 
     Each grid point's rows start with its Symmetric row, so a point
     starts at every Symmetric row, and wherever k or theta changes.
-    Raises ValueError at the line of a missing header or a wrong-width row.
+    Raises ValueError at the line of a missing header, a wrong-width row
+    or a field that no sweep writes, which it names.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -94,11 +99,17 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
     ks, thetas, tcs, *fields = columns
     ends: list[int] = []
     width = len(CSV_HEADER)
+    branches, verdicts = _NAMES["branch"], _NAMES["verdict"]
     for line in reader:
         if len(line) != width:
             raise ValueError(f"line {reader.line_num}: {len(line)} fields, not {width}")
-        k, theta, tc = int(line[0]), float(line[1]), float(line[2])
-        row = (line[3], *map(float, line[4:10]), line[10])
+        try:
+            k, theta, tc = int(line[0]), float(line[1]), float(line[2])
+            row = (line[3], *map(float, line[4:10]), line[10])
+        except ValueError:
+            row = None
+        if row is None or row[0] not in branches or row[-1] not in verdicts:
+            raise ValueError(f"line {reader.line_num}: {_bad_field(line)}")
         symmetric = row[0] == Branch.SYMMETRIC.value
         if not ends or symmetric or (ks[-1], thetas[-1]) != (k, theta):
             ks.append(k)
@@ -109,6 +120,20 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
             column.append(value)
         ends[-1] += 1
     return SweepTable(columns, ends)
+
+
+def _bad_field(line: list[str]) -> str:
+    """Names the first field of ``line`` that no sweep writes, and why."""
+    for name, text in zip(CSV_HEADER, line):
+        if name in _NAMES:
+            if text not in _NAMES[name]:
+                return f"{name} {text!r} is not one of {', '.join(_NAMES[name])}"
+            continue
+        try:
+            int(text) if name == "k" else float(text)
+        except ValueError:
+            kind = "an integer" if name == "k" else "a number"
+            return f"{name} {text!r} is not {kind}"
 
 
 def write_phase_jsonl(table: SweepTable, stream: io.TextIOBase) -> None:
@@ -177,6 +202,13 @@ def _steps_type(text: str) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _output(path: str):
+    """The stream an ``--out`` path names, for a ``with``: stdout for '-'."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _print_or_dump(args, text_lines: list[str], obj) -> None:
@@ -255,20 +287,11 @@ def cmd_sweep(args) -> int:
     from .grid import sweep_table
 
     table = sweep_table(args.k, args.theta_min, args.theta_max, args.steps)
-    if args.out == "-":
-        target = sys.stdout
-        close = False
-    else:
-        target = open(args.out, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with _output(args.out) as target:
         if args.format == "json":
             write_phase_jsonl(table, target)
         else:
             write_phase_csv(table, target)
-    finally:
-        if close:
-            target.close()
     return 0
 
 
@@ -331,12 +354,8 @@ def cmd_simulate(args) -> int:
         "pair_frequencies": stats.pair_frequencies,
         "inadmissible_edges": pc[0][2] + pc[1][1] + pc[2][0],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(args.out) as target:
+        target.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 

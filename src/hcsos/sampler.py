@@ -9,18 +9,20 @@ ever allocated.
 
 The root spin is drawn from the stationary distribution of the kernel
 and every child spin from its parent's row, independently across
-children.
+children.  By the wand zero pattern P02 = P11 = P20 = 0 a child of a
+parent in state a = 0, 1 or 2 has two admissible states, {0, 1}, {0, 2}
+or {1, 2}, and takes the larger with probability q_a = P01, P12 or P22.
 
 ``sample`` draws one configuration vertex by vertex.  Its uniforms come
 from one counter-based Philox stream keyed by the seed, the uniform of
 vertex i being draw i of the stream, so the draw consumed by a vertex is
-fixed by (seed, vertex id) alone.  Spins are read off by inverse CDF
-over the exact row probabilities, whose cumulative rows are snapped to 1
-where the remaining row mass is exactly zero, so zero-probability
-(inadmissible) transitions can never fire.  It draws the uniforms of a
-level ``_UNIFORMS_AT_ONCE`` at a time, so it holds little more than one
-int8 spin per vertex; one sample is capped at ``MAX_VERTICES`` vertices,
-checked by ``TreeConfig`` before anything is allocated.
+fixed by (seed, vertex id) alone.  A child takes the lower of its two
+states unless its uniform reaches that state's probability, P00, P10 or
+P21, and the root compares its uniform with pi0 and pi0 + pi1.  It
+draws the uniforms of a level ``_UNIFORMS_AT_ONCE`` at a time, so it
+holds little more than one int8 spin per vertex; one sample is capped at
+``MAX_VERTICES`` vertices, checked by ``TreeConfig`` before anything is
+allocated.
 
 ``estimate_marginals`` keeps only the per-level spin counts and the
 pair table summed over n samples, and draws those from their exact law
@@ -29,9 +31,7 @@ vertex.  The root spins of n samples are Multinomial(n, pi), drawn as
 n0 ~ Bin(n, pi0) and n1 ~ Bin(n - n0, pi1 / (pi1 + pi2)).  At a level
 whose parent level counts N_a spins in state a, m_a = c N_a children
 have a parent in state a, with c = k + 1 under the root and k below it.
-By the wand zero pattern P02 = P11 = P20 = 0 each such child has two
-possible states and takes the larger with probability q_a = P01, P12
-or P22, independently, so the number n_a that do is Bin(m_a, q_a) (a
+The number n_a of them that take the larger state is Bin(m_a, q_a) (a
 sum of independent binomials with one p is binomial), and the level's
 pair table is [[m0-n0, n0, 0], [m1-n1, 0, n1], [0, m2-n2, n2]].  This is
 the multitype branching-process reduction (Athreya and Ney, *Branching
@@ -146,17 +146,6 @@ class EmpiricalStats:
     pair_counts: tuple[tuple[int, int, int], ...]
 
 
-def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    cum = np.cumsum(p, axis=1)
-    cum[:, -1] = 1.0
-    zero_tail = p[:, 2] == 0.0
-    cum[zero_tail, 1] = 1.0
-    cum[zero_tail & (p[:, 1] == 0.0), 0] = 1.0
-    return cum
-
-
 def _binomial(rng: random.Random, n: int, p: float) -> int:
     """Binomial(n, p) variate from the uniforms of rng.
 
@@ -229,29 +218,30 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
 
 def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
     """One admissible configuration, deterministic in cfg.seed: vertex i
-    takes draw i of the seed's Philox stream."""
+    takes draw i of the seed's Philox stream, and a child the lower of its
+    two states unless that draw reaches the state's probability."""
     import numpy as np
 
     stream = np.random.Generator(np.random.Philox(key=cfg.seed))
     spins = np.empty(cfg.vertex_count, dtype=np.int8)
-    # u < 1 never reaches the last entry of a cumulative row, so two
-    # comparisons read off a spin
+    pi0, pi1, _ = stationary(kern)
     u = stream.random()
-    pi_cum = np.cumsum(stationary(kern))
-    spins[0] = int(u >= pi_cum[0]) + int(u >= pi_cum[1])
-    cum = _snapped_cumulative(kern.p)
+    spins[0] = int(u >= pi0) + int(u >= pi0 + pi1)
+    # per parent state: a child's two states and the lower one's probability
+    lower = np.array([0, 0, 1], dtype=np.int8)
+    upper = np.array([1, 2, 2], dtype=np.int8)
+    p_lower = np.array([kern.p00, kern.p10, kern.p21])
     offsets = cfg.level_offsets
     for level in range(1, cfg.depth + 1):
         per_parent = cfg.k + (level == 1)
         step = -(-_UNIFORMS_AT_ONCE // per_parent)  # parents per block
         for lo in range(offsets[level - 1], offsets[level], step):
-            rows = cum[spins[lo : min(lo + step, offsets[level])]]
+            parent = spins[lo : min(lo + step, offsets[level]), None]
             # a parent's children are consecutive: one row of u per parent
-            u = stream.random((len(rows), per_parent))
+            u = stream.random((len(parent), per_parent))
             first = offsets[level] + (lo - offsets[level - 1]) * per_parent
             block = spins[first : first + u.size].reshape(u.shape)
-            block[...] = u >= rows[:, :1]
-            block += u >= rows[:, 1:2]
+            block[...] = np.where(u >= p_lower[parent], upper[parent], lower[parent])
     return Configuration(spins=spins, tree=cfg)
 
 

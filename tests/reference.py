@@ -12,24 +12,29 @@ asymmetric root with one many-target ladder and applies one verdict
 rule, with ``np.where`` on columns.  The whole eigenvalue triple, the
 closed forms, the margins h
 and q in w = theta y^k, the closed-form 2 kappa^2 - 1, 50-digit
-evaluations, the one-shot vertex-by-vertex sampler, the edge-by-edge
-admissibility count, the point-by-point sweep table, the one-target
-ladder and the branching verdict rule here reach the same quantities
-another way.
+evaluations, the 80-bit interval enclosure of mu0's margin, the
+one-shot vertex-by-vertex sampler, the edge-by-edge admissibility
+count, the point-by-point sweep table, the one-target ladder and the
+branching verdict rule here reach the same quantities another way.
+The cumulative rows of the kernel belong to the oracle alone: ``sample``
+reads each child off one entry of its parent's row, ``draw_spins``
+by a general inverse CDF over the snapped cumulative rows.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath import iv
 
 from hcsos.chain import TransitionKernel, stationary
 from hcsos.cli import CSV_HEADER, SweepTable
 from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
 from hcsos.rootfind import Bracket, BracketError, UnboundedBracketError
-from hcsos.sampler import Configuration, TreeConfig, _snapped_cumulative
+from hcsos.sampler import Configuration, TreeConfig
 from hcsos.tisgm import (
     RESIDUAL_TOL,
     ConsistencyError,
@@ -293,6 +298,24 @@ def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
     return int(np.size(pairs) - np.count_nonzero(pairs))
 
 
+def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative rows of the 3x3 kernel p, snapped to 1 where the rest of
+    the row's mass is exactly zero, so that an inverse-CDF draw never
+    takes a zero-probability (inadmissible) transition.
+
+    For a six-entry kernel the rows are [P00, 1, 1], [P10, P10, 1] and
+    [0, P21, 1] wherever a row whose larger state has probability 0 gives
+    its lower state probability 1, as in every kernel ``kernel_of``
+    builds: each row fixes one comparison, the one ``sample`` makes.
+    """
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+    zero_tail = p[:, 2] == 0.0
+    cum[zero_tail, 1] = 1.0
+    cum[zero_tail & (p[:, 1] == 0.0), 0] = 1.0
+    return cum
+
+
 def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     """(n, vertex_count) spin matrix; row s is the s-th independent sample.
 
@@ -358,6 +381,51 @@ def symmetric_y_mp(k: int, theta: float) -> mp.mpf:
             raise RuntimeError(f"Newton did not settle at k={k}, theta={theta}")
     with mp.workdps(50):
         return +y
+
+
+@contextlib.contextmanager
+def iv_precision(bits: int):
+    """mpmath's interval context at ``bits`` of precision, restored after."""
+    prec = iv.prec
+    iv.prec = bits
+    try:
+        yield iv
+    finally:
+        iv.prec = prec
+
+
+def certify_symmetric(k: int, theta: float, y: float) -> iv.mpf:
+    """Enclosure of mu0's Kesten-Stigum margin k s2^2 - 1 at (k, theta),
+    in 80-bit interval arithmetic around the float root y.
+
+    f(y) = theta y^(k+1) + y - 2 theta increases on y > 0, so f < 0 at
+    the lower end of the box Y = y (1 +- 1e-13) and f > 0 at its upper
+    end certify that the symmetric root lies in Y; ValueError otherwise.
+    On Y, w = theta Y^k, and the symmetric kernel's eigenvalues are 1,
+    1 / (1 + w) and -w / (1 + w), so s2 = max(1, w) / (1 + w).
+    """
+    with iv_precision(80):
+        t = iv.mpf(theta)
+        box = iv.mpf(y) * iv.mpf([1.0 - 1e-13, 1.0 + 1e-13])
+        lo, hi = (t * end ** (k + 1) + end - 2 * t for end in (box.a, box.b))
+        if not (lo.b < 0 < hi.a):
+            raise ValueError(f"no sign change of f on y (1 +- 1e-13) at k={k}, "
+                             f"theta={theta!r}, y={y!r}")
+        w = t * box**k
+        s2 = iv.mpf([max(1, w.a), max(1, w.b)]) / (1 + w)
+        return k * s2**2 - 1
+
+
+def certified_verdict(margin: iv.mpf, tol: float = DEFAULT_BOUNDARY_TOL):
+    """mu0's verdict wherever the enclosure ``margin`` of k s2^2 - 1 clears
+    the Undetermined band [-tol, tol]: NonExtreme above it, Extreme below.
+    None where the enclosure meets the band, which leaves the float
+    verdict to rounding (or, inside the band, Undetermined)."""
+    if margin.a > tol:
+        return Verdict.NON_EXTREME
+    if margin.b < -tol:
+        return Verdict.EXTREME
+    return None
 
 
 def asymmetric_pair_mp(k: int, theta: float) -> tuple[tuple[mp.mpf, mp.mpf], ...]:

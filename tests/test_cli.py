@@ -365,6 +365,45 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_phase_csv(stream)
 
+    @pytest.mark.parametrize("field, text, message", [
+        ("k", "x", "k 'x' is not an integer"),
+        ("k", "2.5", "k '2.5' is not an integer"),
+        ("theta", "abc", "theta 'abc' is not a number"),
+        ("theta_cr", "", "theta_cr '' is not a number"),
+        ("s2", "", "s2 '' is not a number"),
+        ("branch", "Sideways", "branch 'Sideways' is not one of Symmetric, Upper, Lower"),
+        ("verdict", "Maybe",
+         "verdict 'Maybe' is not one of Extreme, NonExtreme, Undetermined, Critical"),
+    ])
+    def test_malformed_field_names_its_line(self, field, text, message):
+        # the field goes wrong in the third row; the rows before it parse
+        buffer = io.StringIO()
+        write_phase_csv(sweep_table(2, 0.5, 0.9, 2), buffer)
+        lines = buffer.getvalue().splitlines()
+        row = lines[3].split(",")
+        row[CSV_HEADER.index(field)] = text
+        lines[3] = ",".join(row)
+        stream = io.StringIO("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as raised:
+            read_phase_csv(stream)
+        assert str(raised.value) == f"line 4: {message}"
+
+    def test_every_name_a_sweep_writes_reads_back(self):
+        # each branch and verdict name appears in some sweep; the reader
+        # accepts exactly the names those sweeps hold
+        names = {"branch": set(), "verdict": set()}
+        for k, lo, hi in [(2, 0.3, 3.0), (4, 0.5, 2.0), (2, 1.0, 1.0000000000000004)]:
+            buffer = io.StringIO()
+            write_phase_csv(sweep_table(k, lo, hi, 60), buffer)
+            buffer.seek(0)
+            table = read_phase_csv(buffer)
+            for name in names:
+                names[name].update(_column(table, name))
+        assert names == {
+            "branch": {"Symmetric", "Upper", "Lower"},
+            "verdict": {"Extreme", "NonExtreme", "Undetermined", "Critical"},
+        }
+
     def test_csv_bytes_equal_csv_writer(self):
         # the branch and verdict names are written as csv.writer writes
         # them, which is verbatim; numbers, signed zeros, NaN and

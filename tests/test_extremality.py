@@ -20,7 +20,10 @@ from hcsos.extremality import (
 from hcsos.model import Branch, TisgmSolution
 from hcsos.tisgm import compatibility_residual, solve_asymmetric, solve_symmetric
 from reference import (
+    certified_verdict,
+    certify_symmetric,
     h_func,
+    iv_precision,
     mu12_margin_k2,
     q_func,
     spectrum_asymmetric_k2,
@@ -135,6 +138,50 @@ class TestClassifyMu0:
         assert classify(3, t3 + eps).verdict is Verdict.EXTREME
         assert classify(3, t4 - eps).verdict is Verdict.EXTREME
         assert classify(3, t4 + eps).verdict is Verdict.NON_EXTREME
+
+
+class TestCertifiedMu0:
+    """mu0's verdicts against 80-bit interval enclosures of k s2^2 - 1."""
+
+    THETAS = [float(t) for t in np.geomspace(1e-3, 1e3, 120)]
+
+    def test_verdicts_equal_certified_ones(self):
+        # (4, 1) has margin exactly 0: its enclosure meets the band, and it
+        # is the one point of the grid whose verdict no enclosure decides
+        points = [(k, theta) for k in [*range(2, 13), 20, 50, 100]
+                  for theta in self.THETAS]
+        assert len(points) == 1680
+        mismatches, undecided = [], []
+        for k, theta in [*points, (4, 1.0)]:
+            sol = solve_symmetric(k, theta)
+            certified = certified_verdict(certify_symmetric(k, theta, sol.y))
+            verdict = classify_solution(k, theta, sol).verdict
+            if certified is None:
+                undecided.append((k, theta, verdict))
+            elif certified is not verdict:
+                mismatches.append((k, theta, verdict, certified))
+        assert mismatches == []
+        assert undecided == [(4, 1.0, Verdict.UNDETERMINED)]
+
+    def test_never_extreme_from_k4(self):
+        # s2 = max(1, w) / (1 + w) = 1 / (1 + v) with v = min(w, 1/w) in
+        # (0, 1], so s2 >= 1/2 on the whole branch, with equality only at
+        # w = 1 (theta = 1); hence k s2^2 - 1 >= k/4 - 1 >= 0 for k >= 4
+        with iv_precision(80) as iv:
+            s2 = 1 / (1 + iv.mpf([0, 1]))
+            assert s2.a == 0.5 and 1 / (1 + iv.mpf(1)) == 0.5
+            for k in range(4, 10**4 + 1):
+                bound = k * s2.a**2 - 1
+                assert bound.a >= 0
+                assert (bound.b == 0) == (k == 4)
+        ks = sorted({round(float(k)) for k in np.geomspace(4, 1e4, 30)})
+        assert len(ks) == 30
+        for k in ks:
+            for theta in self.THETAS:
+                sol = solve_symmetric(k, theta)
+                verdict = classify_solution(k, theta, sol).verdict
+                assert verdict is Verdict.NON_EXTREME, (k, theta)
+        assert classify(4, 1.0).verdict is Verdict.UNDETERMINED
 
 
 class TestClassifyMu12:

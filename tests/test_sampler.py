@@ -262,15 +262,22 @@ class TestStreamingMatchesOneShotDraw:
                 want = draw_spins(kern, cfg, 1)[0]
                 assert np.array_equal(sample(kern, cfg).spins, want)
 
-    # Hand-built wand kernels for the edges of the inverse-CDF rule, as
+    # Hand-built wand kernels whose rows sit at 0 or 1, the edges of the
+    # one-comparison rule and of the oracle's inverse CDF, as
     # (P00, P01, P10, P12, P21, P22).
     EDGE_KERNELS = {
         "p00 zero": (0.0, 1.0, 0.4, 0.6, 0.3, 0.7),
+        "p00 one": (1.0, 0.0, 0.4, 0.6, 0.3, 0.7),
         "row 0 one ulp short": (
             0.25, float(np.nextafter(0.75, 0.0)), 0.4, 0.6, 0.3, 0.7
         ),
         "p12 zero": (0.5, 0.5, 1.0, 0.0, 0.3, 0.7),
+        # x^k = 1e17: P10 = x^k / (1 + x^k) rounds to 1.0 while P12 > 0
+        "p10 rounds to one": (
+            0.5, 0.5, 1e17 / (1.0 + 1e17), 1.0 / (1.0 + 1e17), 0.3, 0.7
+        ),
         "p22 zero": (0.5, 0.5, 0.4, 0.6, 1.0, 0.0),
+        "every row at an edge": (0.0, 1.0, 1.0, 0.0, 1.0, 0.0),
     }
 
     @pytest.fixture
@@ -304,6 +311,8 @@ class TestStreamingMatchesOneShotDraw:
         kern = self._edge_kernel(name)
         if name == "row 0 one ulp short":
             assert kern.p[0, 0] + kern.p[0, 1] == np.nextafter(1.0, 0.0)
+        if name == "p10 rounds to one":
+            assert kern.p10 == 1.0 and kern.p12 > 0.0
         for cfg, n in self._cases(k):
             self._assert_matches_oracle(kern, cfg, n)
         _assert_same_law(kern, TreeConfig(k=k, depth=3), 20, reps=200)
@@ -316,8 +325,12 @@ class TestStreamingMatchesOneShotDraw:
             for name in self.EDGE_KERNELS
         }
         assert pc["p00 zero"][0][0] == 0 < pc["p00 zero"][0][1]  # row 0 gives 1
+        assert pc["p00 one"][0][1] == 0 < pc["p00 one"][0][0]  # row 0 gives 0
         assert pc["p12 zero"][1][2] == 0 < pc["p12 zero"][1][0]  # row 1 gives 0
+        assert pc["p10 rounds to one"][1][2] == 0 < pc["p10 rounds to one"][1][0]
         assert pc["p22 zero"][2][2] == 0 < pc["p22 zero"][2][1]  # row 2 gives 1
+        edges = pc["every row at an edge"]
+        assert edges[0][0] == edges[1][2] == edges[2][2] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -334,9 +347,11 @@ class TestStreamingMatchesOneShotDraw:
         self._assert_matches_oracle(kern, TreeConfig(k, depth, seed), n)
 
     def test_zero_pattern_fixes_one_comparison_per_row(self):
-        # each row has two live states (P02 = P11 = P20 = 0), which the
-        # aggregate law relies on: in the snapped rows c01 = 1, c11 = c10
-        # and c20 = 0
+        # each row has two live states (P02 = P11 = P20 = 0), so the
+        # oracle's inverse CDF makes the one comparison sample makes and
+        # the aggregate law relies on: in the snapped rows c01 = 1 (row 0
+        # compares u with P00 alone), c11 = c10 (row 1 with P10) and
+        # c20 = 0 (row 2 with P21)
         checked = 0
         for k in (2, 3, 5, 8, 50):
             for theta in np.geomspace(1e-3, 1e3, 61):
@@ -347,10 +362,13 @@ class TestStreamingMatchesOneShotDraw:
                 for sol in sols:
                     p = kernel_of(sol, k, theta).p
                     assert p[0, 2] == p[1, 1] == p[2, 0] == 0.0
-                    cum = sampler._snapped_cumulative(p)
+                    cum = reference._snapped_cumulative(p)
                     assert cum[0, 1] == 1.0
                     assert cum[1, 1] == cum[1, 0]
                     assert cum[2, 0] == 0.0
+                    # and each row compares with the kernel's own entry
+                    assert cum[0, 0] == p[0, 0] and cum[1, 0] == p[1, 0]
+                    assert cum[2, 1] == p[2, 1]
                     checked += 1
         assert checked >= 500
 
@@ -698,7 +716,7 @@ class TestThreadHygiene:
         assert threading.active_count() == self.baseline
 
     def test_sample_runs_on_calling_thread(self, monkeypatch):
-        threads = self._record_threads(monkeypatch, "_snapped_cumulative")
+        threads = self._record_threads(monkeypatch, "stationary")
         sample(_kernel(3), self.CFG)
         assert threads == {threading.get_ident()}
         assert threading.active_count() == self.baseline
