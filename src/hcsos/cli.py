@@ -89,7 +89,8 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
     Each grid point's rows start with its Symmetric row, so a point
     starts at every Symmetric row, and wherever k or theta changes.
     Raises ValueError at the line of a missing header, a wrong-width row
-    or a field that no sweep writes, which it names.
+    or a field that no sweep writes, which it names: a k below 2, a
+    number that is not finite, or an unknown branch or verdict name.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -108,7 +109,8 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
             row = (line[3], *map(float, line[4:10]), line[10])
         except ValueError:
             row = None
-        if row is None or row[0] not in branches or row[-1] not in verdicts:
+        if (row is None or row[0] not in branches or row[-1] not in verdicts
+                or k < 2 or not all(map(math.isfinite, (theta, tc, *row[1:-1])))):
             raise ValueError(f"line {reader.line_num}: {_bad_field(line)}")
         symmetric = row[0] == Branch.SYMMETRIC.value
         if not ends or symmetric or (ks[-1], thetas[-1]) != (k, theta):
@@ -130,10 +132,14 @@ def _bad_field(line: list[str]) -> str:
                 return f"{name} {text!r} is not one of {', '.join(_NAMES[name])}"
             continue
         try:
-            int(text) if name == "k" else float(text)
+            value = int(text) if name == "k" else float(text)
         except ValueError:
             kind = "an integer" if name == "k" else "a number"
             return f"{name} {text!r} is not {kind}"
+        if not math.isfinite(value):
+            return f"{name} {text!r} is not a finite number"
+        if name == "k" and value < 2:
+            return f"k {text!r} is less than 2"
 
 
 def write_phase_jsonl(table: SweepTable, stream: io.TextIOBase) -> None:

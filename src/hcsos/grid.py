@@ -1,8 +1,9 @@
 """The lockstep route of a sweep: a whole theta grid solved and classified as columns.
 
 ``sweep_table`` builds a sweep's ``SweepTable`` for the whole grid at
-once: the roots of both branches at every grid point in one lockstep
-solve, then the residual contract and the solution checks
+once: in one lockstep solve the symmetric root at every grid point and
+the pair's upper root wherever theta_cr(k) alone lets the pair exist,
+then the residual contract and the solution checks
 (``enumerate_solution_grid``), then the kernel entries, s2, kappa, the
 two criteria and the verdicts (``classify_solution``'s own
 ``extremality._criteria``, on columns).  x^k and theta y^k
@@ -226,25 +227,23 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
     call: first one lane per point for the symmetric y on the bracket of
     ``solve_symmetric``, then one per asymmetric pair for its upper x,
     with the brackets from one call of the eta ladder, whose rungs
-    depend on k only.  Each pair lane takes the three exits of
-    ``solve_asymmetric``, the last as a filter on the roots, not a
-    failure.  Every row meets the residual contract and positivity,
-    checked on the columns; if a row fails them, ConsistencyError names
-    the first such point.  Raises ValueError, ArithmeticError or
-    RuntimeError if any point fails, not necessarily with the message of
-    the first failing point; ``enumerate_solutions`` at each point in
-    turn gives that one.
+    depend on k only.  Every point outside the critical band, the one
+    exit of ``solve_asymmetric``, has a pair lane.  Every row meets the
+    residual contract, positivity and, if Upper or Lower, |x - 1| >=
+    BRANCH_TOL as ``TisgmSolution`` does, checked on the columns; if a
+    row fails them, ConsistencyError names the first such point.  Raises
+    ValueError, ArithmeticError or RuntimeError if any point fails, not
+    necessarily with the message of the first failing point;
+    ``enumerate_solutions`` at each point in turn gives that one.
     """
     check_params(k, float(thetas.min()))
     check_params(theta=float(thetas.max()))
     n = thetas.size
     tc = theta_cr(k)
     critical = abs(thetas - tc) < CRITICAL_TOL
-    # solve_asymmetric's first two exits: the critical band, then eta(1)
+    # solve_asymmetric's one exit: the critical band
     lanes = np.flatnonzero(tc - thetas >= CRITICAL_TOL)
     target = _powers(thetas[lanes], k + 1)
-    split = target < eta(1.0, k)
-    lanes, target = lanes[split], target[split]
     # float arithmetic overflows to inf silently; so does it here
     with np.errstate(all="ignore"):
         lo = np.zeros(n)
@@ -270,9 +269,6 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         roots = _find_roots(f, lo, hi, f_lo, f_hi)
         y0, x1 = roots[:n], roots[n:]
         x2 = 1.0 / x1
-        # its branch exit: branch_of(x1) is Upper and branch_of(x2) Lower
-        split = (x1 - 1.0 >= BRANCH_TOL) & (1.0 - x2 >= BRANCH_TOL)
-        lanes, x1, x2 = lanes[split], x1[split], x2[split]
         y1, y2 = (_recover_y(k, thetas[lanes], x, _powers) for x in (x1, x2))
         # rows of each branch, then sorted by point and branch code
         point = np.concatenate((np.arange(n), lanes, lanes))
@@ -285,8 +281,9 @@ def enumerate_solution_grid(k: int, thetas: np.ndarray) -> SolutionGrid:
         xk = _powers(x, k)
         w = theta * _powers(y, k)
         residual = _residual(theta, x, y, xk, w, _lane_max)
-    # the bound of the scalar route, read when the grid is checked
+    # the checks of the scalar route, read when the grid is checked
     failed = ~((residual <= tisgm.RESIDUAL_TOL) & (x > 0.0) & (y > 0.0))
+    failed |= (branch != 0) & (abs(x - 1.0) < BRANCH_TOL)
     if failed.any():
         where = float(theta[failed.argmax()])
         raise ConsistencyError(f"a fixed point at k={k}, theta={where} fails a check")

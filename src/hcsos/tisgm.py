@@ -22,8 +22,8 @@ solutions exist iff theta is below
 and come in reciprocal pairs (one root above 1, its partner the exact
 reciprocal).  Total count: one fixed point at or above theta_cr(k),
 three strictly below.  ``solve_asymmetric`` is the one route to the
-pair and the one rule for where it exists, for every k; the k = 2
-closed form through rho = x + 1/x is a test oracle in tests/reference.py.
+pair, and theta_cr(k) alone decides where it exists; the k = 2 closed
+form through rho = x + 1/x is a test oracle in tests/reference.py.
 
 For general even m the module also exposes forward iteration of the
 full boundary-law map (exploratory: no count claims are made there).
@@ -41,7 +41,6 @@ from .model import (
     TisgmSolution,
     activity_matrix,
     array_text,
-    branch_of,
     check_params,
 )
 from .rootfind import Bracket, expand_bracket_decreasing, find_root
@@ -83,7 +82,8 @@ def theta_cr(k: int) -> float:
     Equals ((k-1) k^k / 2^k)^(1/(k+1)); exactly 1 for k = 2.
     """
     check_params(k)
-    return ((k - 1) * float(k) ** k / 2.0**k) ** (1.0 / (k + 1))
+    # k^k / 2^k first: an exact scaling below k = 143, finite at k = 143
+    return ((k - 1) * (float(k) ** k / 2.0**k)) ** (1.0 / (k + 1))
 
 
 def eta(x: float, k: int) -> float:
@@ -186,27 +186,20 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
 
     The one rule for whether mu1 and mu2 exist.  The upper root solves
     eta(x) = theta^(k+1) on (1, inf), the lower is its exact reciprocal,
-    and y is recovered from theta y^k = x + ... + x^(k-1).  Three exits
-    give []: theta less than CRITICAL_TOL below theta_cr(k) or above it,
-    theta^(k+1) >= eta(1), and a root within BRANCH_TOL of x = 1.  For
-    k <= 142 the first covers the others (x1 - 1 >= 9e-8 at its edge);
-    only k = 143, whose theta_cr overflows to inf, reaches them.
+    and y is recovered from theta y^k = x + ... + x^(k-1).  One exit
+    gives []: theta less than CRITICAL_TOL below theta_cr(k) or above
+    it.  At that edge theta^(k+1) < eta(1) and x1 - 1 >= 9e-8 for every
+    k <= 143, so the pair is separable; from k = 144 theta_cr overflows.
     """
     check_params(k, theta)
     if theta_cr(k) - theta < CRITICAL_TOL:
         return []
 
     target = theta ** (k + 1)
-    if target >= eta(1.0, k):
-        # merged with x = 1 beyond float resolution
-        return []
     ladder = expand_bracket_decreasing(lambda x: eta(x, k), [target])
     bracket = Bracket(*(v[0] for v in ladder))
     x1 = find_root(lambda x: eta(x, k) - target, bracket)
     x2 = 1.0 / x1
-    if (branch_of(x1), branch_of(x2)) != (Branch.UPPER, Branch.LOWER):
-        # merged too: at k = 143, on 8 consecutive floats from 71.8414953400023
-        return []
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
     lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)
     return [upper, lower]

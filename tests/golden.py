@@ -44,8 +44,9 @@ HEADER = "class\targv\texit\tstdout_sha256\tstderr_sha256"
 # k = 2-40, 50, 80, 100 and 142: theta_cr(k) is finite in floats
 BAND_KS = (*range(2, 41), 50, 80, 100, 142)
 BAND_OFFSETS = (0.3e-9, 0.7e-9, 1.5e-9)
-# theta_cr(143) overflows to inf; its true value is 71.84149534000237, and
-# from 71.8414953400023 up the root lies within BRANCH_TOL of x = 1
+# theta_cr(143) is 71.841495340002402..., the float 71.84149534000238;
+# _theta_cr's product form overflows to inf there, so these thetas are
+# listed by hand around it
 K143_THETAS = (
     1e-3, 0.5, 1.0, 10.0, 50.0, 60.0, 71.0, 71.8414953400022, 71.8414953400023,
     71.84149534000234, 71.84149534000237, 71.84149534000238, 71.8414953400024,

@@ -14,8 +14,9 @@ closed forms, the margins h
 and q in w = theta y^k, the closed-form 2 kappa^2 - 1, 50-digit
 evaluations, the 80-bit interval enclosure of mu0's margin, the
 one-shot vertex-by-vertex sampler, the edge-by-edge admissibility
-count, the point-by-point sweep table, the one-target ladder and the
-branching verdict rule here reach the same quantities another way.
+count, the point-by-point sweep table, the one-target ladder, the
+branching verdict rule and theta_cr's product form here reach the same
+quantities another way.
 The cumulative rows of the kernel belong to the oracle alone: ``sample``
 reads each child off one entry of its parent's row, ``draw_spins``
 by a general inverse CDF over the snapped cumulative rows.
@@ -130,6 +131,15 @@ def eta_two_pass(x, k: int, power=pow):
     s = x * power_sum(k - 1)
     t = power_sum(k)
     return s * power(t / (power(x, k) + 1.0), k)
+
+
+def theta_cr_product(k: int) -> float:
+    """theta_cr(k) with (k - 1) k^k formed before the division by 2^k.
+
+    ``tisgm.theta_cr`` divides first.  Below k = 143 both give the same
+    float; at k = 143 the product rounds to inf here.
+    """
+    return ((k - 1) * float(k) ** k / 2.0**k) ** (1.0 / (k + 1))
 
 
 def gamma_of(kern) -> float:

@@ -76,6 +76,16 @@ class TestTisgmCommand:
                 run([verb, "--k", "2", "--theta", "inf"])
             assert err.value.code == 2
 
+    def test_k143_theta_cr_is_finite(self):
+        # k^k overflows at k = 143, but k^k / 2^k does not
+        code, out, _ = _cli(["tisgm", "--k", "143", "--theta", "50"])
+        assert code == 0
+        assert out.startswith("k = 143  theta = 50.0  theta_cr = 71.84149534000238\n")
+        assert "3 translation-invariant solution(s)" in out
+        argv = ["classify", "--k", "143", "--theta", "80", "--measure", "mu1"]
+        assert _cli(argv) == (1, "", "error: mu1/mu2 do not exist at k=143, "
+                              "theta=80.0 >= theta_cr = 71.84149534000238\n")
+
 
 class TestClassifyCommand:
     def test_mu0_large_k(self, capsys):
@@ -91,7 +101,7 @@ class TestClassifyCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "k", [2, 3, 8, 19, 24, 25, 35, 36, 39, 50, 80, 100, 142]
+        "k", [2, 3, 8, 19, 24, 25, 35, 36, 39, 50, 80, 100, 142, 143]
     )
     def test_merged_pair_below_theta_cr_is_a_domain_error(self, k):
         # solve_asymmetric alone decides whether mu1/mu2 exist: less than
@@ -195,7 +205,7 @@ class TestClassifyCommand:
                 single += json.loads(capsys.readouterr().out)
             assert got == single
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [2, 3, 5, 143])
     def test_library_call_equals_json_record(self, k):
         # classify_solution at solution_of's fixed point is what classify
         # prints, field by field; where the pair is absent both refuse
@@ -374,6 +384,13 @@ class TestSweepCommand:
         ("branch", "Sideways", "branch 'Sideways' is not one of Symmetric, Upper, Lower"),
         ("verdict", "Maybe",
          "verdict 'Maybe' is not one of Extreme, NonExtreme, Undetermined, Critical"),
+        # numbers that parse but that no sweep writes
+        ("k", "1", "k '1' is less than 2"),
+        ("k", "-3", "k '-3' is less than 2"),
+        ("theta", "nan", "theta 'nan' is not a finite number"),
+        ("theta_cr", "inf", "theta_cr 'inf' is not a finite number"),
+        ("x", "-inf", "x '-inf' is not a finite number"),
+        ("msw_value", "NaN", "msw_value 'NaN' is not a finite number"),
     ])
     def test_malformed_field_names_its_line(self, field, text, message):
         # the field goes wrong in the third row; the rows before it parse
@@ -569,9 +586,8 @@ class TestSweepSolvesGridInLockstep:
         steps=st.integers(2, 400),
         with_tc=st.booleans(),
     )
-    # k = 143, where theta_cr overflows to inf: from 71.8414953400023 up
-    # the root is within BRANCH_TOL of x = 1, and the grid drops that lane
-    # as solve_asymmetric does
+    # k = 143 around theta_cr(143) = 71.84149534000238: the critical band
+    # alone drops the pair lanes, as in solve_asymmetric
     @example(k=143, ends=(71.8414953400023, 71.84149534000238), steps=7, with_tc=False)
     @example(k=143, ends=(60.0, 71.84149534000238), steps=50, with_tc=False)
     def test_long_grid_equals_point_by_point(self, k, ends, steps, with_tc):

@@ -173,7 +173,7 @@ class TestExpandBracket:
         theta = share * theta_cr(k)
         target = theta ** (k + 1)
         if target >= eta(1.0, k):
-            return  # merged with x = 1; solve_asymmetric never brackets it
+            return  # merged with x = 1; the critical band keeps it from a bracket
         _same_outcome(lambda x: eta(x, k), [target])
 
 

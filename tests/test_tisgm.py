@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from hcsos import tisgm
 from hcsos.grid import BRANCHES, _eta_lanes, _powers, enumerate_solution_grid, sweep_table
-from hcsos.model import Branch, ModelParams, TisgmSolution
+from hcsos.model import BRANCH_TOL, Branch, ModelParams, TisgmSolution
 from hcsos.tisgm import (
+    CRITICAL_TOL,
     RESIDUAL_TOL,
     BoundaryLaw,
     NumericalDomainError,
@@ -28,6 +29,7 @@ from reference import (
     eta_two_pass,
     solve_k2_closed_form,
     symmetric_y_mp,
+    theta_cr_product,
 )
 
 # Frozen high-precision reference values (50-digit mpmath evaluations of
@@ -59,6 +61,26 @@ class TestThetaCr:
     def test_domain(self):
         with pytest.raises(ValueError):
             theta_cr(1)
+
+    def test_equals_product_form_below_k143(self):
+        # dividing k^k by 2^k is an exact scaling, so it commutes with the
+        # one rounded product (k - 1) k^k
+        for k in range(2, 143):
+            assert theta_cr(k) == theta_cr_product(k), k
+
+    def test_k143_finite(self):
+        # (k - 1) k^k overflows at k = 143; k^k / 2^k does not
+        assert theta_cr_product(143) == math.inf
+        tc = theta_cr(143)
+        assert tc == 71.84149534000238
+        with mp.workdps(50):
+            exact = mp.power(142 * mp.mpf(143) ** 143 / mp.mpf(2) ** 143, mp.mpf(1) / 144)
+            assert abs(tc - exact) <= 2 * math.ulp(tc)
+
+    def test_overflows_from_k144(self):
+        # float(k) ** k leaves the double range (Known defects)
+        with pytest.raises(OverflowError):
+            theta_cr(144)
 
 
 class TestEta:
@@ -227,7 +249,7 @@ class TestSymmetric:
         # certify the bracket, in a lone call and a grid's lane alike
         sol = solve_symmetric(k, theta)
         assert compatibility_residual(k, theta, sol.x, sol.y) <= RESIDUAL_TOL
-        if k >= 143:
+        if k >= 144:
             return  # theta_cr(k) overflows, so no grid runs (Known defects)
         grid = enumerate_solution_grid(k, np.array([1.0, math.sqrt(theta), theta]))
         row = (grid.point == 2) & (grid.branch == 0)
@@ -264,6 +286,24 @@ class TestAsymmetric:
         upper, lower = solve_asymmetric(3, 1.0)
         assert upper.branch is Branch.UPPER
         assert lower.branch is Branch.LOWER
+
+    def test_pair_separable_at_band_edge(self):
+        # at the largest theta the critical band lets through, for every k
+        # whose theta_cr is finite, theta^(k+1) < eta(1) and the roots
+        # clear BRANCH_TOL: the band is the only exit either route needs
+        for k in range(2, 144):
+            tc = theta_cr(k)
+            theta = tc - CRITICAL_TOL
+            while tc - theta < CRITICAL_TOL:
+                theta = math.nextafter(theta, 0.0)
+            while tc - math.nextafter(theta, math.inf) >= CRITICAL_TOL:
+                theta = math.nextafter(theta, math.inf)
+            assert solve_asymmetric(k, math.nextafter(theta, math.inf)) == [], k
+            assert theta ** (k + 1) < eta(1.0, k), k
+            upper, lower = solve_asymmetric(k, theta)
+            assert upper.x - 1.0 >= 9e-8 and 1.0 - lower.x >= BRANCH_TOL, k
+            grid = enumerate_solution_grid(k, np.array([theta]))
+            assert grid.x.tolist() == [1.0, upper.x, lower.x], k
 
 
 class TestFiftyDigitRoots:
