@@ -3,7 +3,8 @@
 Fixed-point enumeration for the translation-invariant boundary laws,
 transition kernels of the induced tree-indexed Markov chains, and
 extremality classification of each measure by the Kesten-Stigum and MSW
-criteria, with a reproducible configuration sampler for validation.
+criteria, with reproducible level and edge statistics of sampled
+configurations for validation.
 """
 
 from .chain import TransitionKernel, kappa_of, kernel_of, stationary
@@ -21,13 +22,7 @@ from .model import (
     ModelParams,
     TisgmSolution,
 )
-from .sampler import (
-    Configuration,
-    EmpiricalStats,
-    TreeConfig,
-    estimate_marginals,
-    sample,
-)
+from .sampler import EmpiricalStats, TreeConfig, estimate_marginals
 from .tisgm import (
     BoundaryLaw,
     ConsistencyError,
@@ -49,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryLaw",
     "Branch",
-    "Configuration",
     "ConsistencyError",
     "EmpiricalStats",
     "ExtremalityVerdict",
@@ -72,7 +66,6 @@ __all__ = [
     "iterate_boundary_law",
     "kappa_of",
     "kernel_of",
-    "sample",
     "solution_of",
     "solve_asymmetric",
     "solve_symmetric",

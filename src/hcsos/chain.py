@@ -78,8 +78,8 @@ def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
     is not a number, as when x^k or theta y^k overflows.
     """
     kern = TransitionKernel(*_entries_of_powers(sol.x**k, theta * sol.y**k))
-    # every entry is NaN or in [0, 1], so the sum is finite iff all are
-    if not math.isfinite(sum(kern)):
+    # every entry is NaN or in [0, 1], so only NaN is not finite
+    if not all(map(math.isfinite, kern)):
         raise ArithmeticError(f"degenerate kernel for x={sol.x}, y={sol.y}")
     return kern
 
@@ -125,7 +125,8 @@ def stationary(kern: TransitionKernel) -> tuple[float, float, float]:
     _, p01, p10, p12, p21, _ = kern
     if p01 > 0.0 and p21 > 0.0:
         mass = (p10 / p01, 1.0, p12 / p21)
-        total = sum(mass)
+        # left to right: the built-in sum rounds differently from 3.12 on
+        total = mass[0] + mass[1] + mass[2]
         pi = tuple(m / total for m in mass)
         if math.isfinite(total) and all(v > 0.0 for v in pi):
             return pi

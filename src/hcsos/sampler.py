@@ -1,28 +1,14 @@
-"""Monte Carlo sampling of admissible configurations on finite subtrees.
+"""Monte Carlo statistics of admissible configurations on finite subtrees.
 
-Vertices are indexed in level order with the root at 0.  The root of a
-Cayley tree has k + 1 children and every other internal vertex has k, so
-level sizes are 1, k+1, (k+1)k, (k+1)k^2, ...  The children of one parent
-are contiguous in the next level, so a level's parent spins are its
-parent level's spins, each repeated once per child; no tree structure is
-ever allocated.
+The root of a Cayley tree has k + 1 children and every other internal
+vertex has k, so level sizes are 1, k+1, (k+1)k, (k+1)k^2, ...; no tree
+structure is ever allocated.
 
 The root spin is drawn from the stationary distribution of the kernel
 and every child spin from its parent's row, independently across
 children.  By the wand zero pattern P02 = P11 = P20 = 0 a child of a
 parent in state a = 0, 1 or 2 has two admissible states, {0, 1}, {0, 2}
 or {1, 2}, and takes the larger with probability q_a = P01, P12 or P22.
-
-``sample`` draws one configuration vertex by vertex.  Its uniforms come
-from one counter-based Philox stream keyed by the seed, the uniform of
-vertex i being draw i of the stream, so the draw consumed by a vertex is
-fixed by (seed, vertex id) alone.  A child takes the lower of its two
-states unless its uniform reaches that state's probability, P00, P10 or
-P21, and the root compares its uniform with pi0 and pi0 + pi1.  It
-draws the uniforms of a level ``_UNIFORMS_AT_ONCE`` at a time, so it
-holds little more than one int8 spin per vertex; one sample is capped at
-``MAX_VERTICES`` vertices, checked by ``TreeConfig`` before anything is
-allocated.
 
 ``estimate_marginals`` keeps only the per-level spin counts and the
 pair table summed over n samples, and draws those from their exact law
@@ -41,8 +27,7 @@ construction.  The variates come from one ``random.Random`` seeded with
 the tree's seed, through ``_binomial``, so the counts are fixed by the
 seed and the request on every supported Python.  A request of more than
 ``MAX_VERTEX_SAMPLES`` vertex-samples is refused before drawing.  The
-counts are ints and the frequencies floats: only ``sample``, whose
-spins are an array, imports numpy, in its body.
+counts are ints and the frequencies floats; no array is built.
 """
 
 from __future__ import annotations
@@ -50,18 +35,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .chain import TransitionKernel, stationary
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Largest vertex count of one sample; ``sample`` holds one int8 spin per
-# vertex.
+# Largest vertex count of a tree that ``TreeConfig`` accepts, and so of
+# every tree ``simulate`` samples.  ``estimate_marginals`` needs O(depth)
+# memory whatever the tree, so this is no memory bound: it leaves every
+# accepted tree at least 2^14 samples under ``MAX_VERTEX_SAMPLES``.
 MAX_VERTICES = 1 << 26
-# Uniforms that ``sample`` draws at once (512 KiB of float64).
-_UNIFORMS_AT_ONCE = 1 << 16
 # Largest n_samples * V that ``estimate_marginals`` counts, which bounds the
 # n of every binomial it draws.  ``_binomial``'s rejection test subtracts
 # lgamma values of size n log n, whose rounding (ulp 0.004 at 2^40, 0.25 at
@@ -97,37 +78,9 @@ class TreeConfig:
         )
 
     @property
-    def level_sizes(self) -> tuple[int, ...]:
-        sizes = [1]
-        for level in range(1, self.depth + 1):
-            sizes.append((self.k + 1) * self.k ** (level - 1))
-        return tuple(sizes)
-
-    @property
-    def level_offsets(self) -> tuple[int, ...]:
-        offsets = [0]
-        for size in self.level_sizes:
-            offsets.append(offsets[-1] + size)
-        return tuple(offsets)
-
-    @property
     def vertex_count(self) -> int:
-        return self.level_offsets[-1]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Spins on the subtree, indexed in level order."""
-
-    spins: np.ndarray
-    tree: TreeConfig
-
-    def __post_init__(self) -> None:
-        if self.spins.shape != (self.tree.vertex_count,):
-            raise ValueError(
-                f"expected {self.tree.vertex_count} spins, got {self.spins.shape}"
-            )
-        self.spins.setflags(write=False)
+        # 1 root, k + 1 children of the root, then a factor k per level
+        return 1 + (self.k + 1) * (self.k**self.depth - 1) // (self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -214,35 +167,6 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
         ):
             return k
-
-
-def sample(kern: TransitionKernel, cfg: TreeConfig) -> Configuration:
-    """One admissible configuration, deterministic in cfg.seed: vertex i
-    takes draw i of the seed's Philox stream, and a child the lower of its
-    two states unless that draw reaches the state's probability."""
-    import numpy as np
-
-    stream = np.random.Generator(np.random.Philox(key=cfg.seed))
-    spins = np.empty(cfg.vertex_count, dtype=np.int8)
-    pi0, pi1, _ = stationary(kern)
-    u = stream.random()
-    spins[0] = int(u >= pi0) + int(u >= pi0 + pi1)
-    # per parent state: a child's two states and the lower one's probability
-    lower = np.array([0, 0, 1], dtype=np.int8)
-    upper = np.array([1, 2, 2], dtype=np.int8)
-    p_lower = np.array([kern.p00, kern.p10, kern.p21])
-    offsets = cfg.level_offsets
-    for level in range(1, cfg.depth + 1):
-        per_parent = cfg.k + (level == 1)
-        step = -(-_UNIFORMS_AT_ONCE // per_parent)  # parents per block
-        for lo in range(offsets[level - 1], offsets[level], step):
-            parent = spins[lo : min(lo + step, offsets[level]), None]
-            # a parent's children are consecutive: one row of u per parent
-            u = stream.random((len(parent), per_parent))
-            first = offsets[level] + (lo - offsets[level - 1]) * per_parent
-            block = spins[first : first + u.size].reshape(u.shape)
-            block[...] = np.where(u >= p_lower[parent], upper[parent], lower[parent])
-    return Configuration(spins=spins, tree=cfg)
 
 
 def estimate_marginals(

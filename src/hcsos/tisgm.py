@@ -101,7 +101,7 @@ def eta(x: float, k: int) -> float:
     if math.isfinite(value):
         return value
     if x == 1.0:
-        # the peak (k-1) k^k / 2^k itself (k >= 170): 1/x is no way out
+        # the peak (k-1) k^k / 2^k itself (k >= 161): 1/x is no way out
         raise OverflowError(f"eta(1, k) = (k-1) k^k / 2^k overflows at k = {k}")
     # the direct evaluation overflowed (x beyond ~1e300/k); the value is
     # unchanged under x -> 1/x, and the reciprocal argument is safe

@@ -5,9 +5,9 @@ asymmetric pair with ``solve_asymmetric``, reports gamma equal to
 kappa, root-finds every threshold on the margins ``classify`` reports
 (ks_value - 1 of mu0, msw_value - 1 of mu1), takes s2 and the
 stationary law from the path-graph identities of the chain module,
-samples one configuration in blocks of uniforms, draws the counts of
-many samples from their aggregate law without visiting a vertex, and
-solves and classifies a sweep's whole grid as columns, brackets every
+draws the counts of many samples from their aggregate law without
+visiting a vertex, and solves and classifies a sweep's whole grid as
+columns, brackets every
 asymmetric root with one many-target ladder and applies one verdict
 rule, with ``np.where`` on columns.  The whole eigenvalue triple, the
 closed forms, the margins h
@@ -17,9 +17,9 @@ one-shot vertex-by-vertex sampler, the edge-by-edge admissibility
 count, the point-by-point sweep table, the one-target ladder, the
 branching verdict rule and theta_cr's product form here reach the same
 quantities another way.
-The cumulative rows of the kernel belong to the oracle alone: ``sample``
-reads each child off one entry of its parent's row, ``draw_spins``
-by a general inverse CDF over the snapped cumulative rows.
+The snapped cumulative rows of the kernel and ``draw_spins``, a general
+inverse CDF over them, are the only per-vertex route: the library keeps
+no configuration, only counts.
 """
 
 import contextlib
@@ -35,7 +35,7 @@ from hcsos.cli import CSV_HEADER, SweepTable
 from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
 from hcsos.rootfind import Bracket, BracketError, UnboundedBracketError
-from hcsos.sampler import Configuration, TreeConfig
+from hcsos.sampler import TreeConfig
 from hcsos.tisgm import (
     RESIDUAL_TOL,
     ConsistencyError,
@@ -284,10 +284,25 @@ def stationary_mp(k: int, theta: float, sol: TisgmSolution) -> list[mp.mpf]:
         return [m / total for m in mass]
 
 
+def level_sizes(cfg: TreeConfig) -> tuple[int, ...]:
+    """Vertices per level: 1, k + 1, (k + 1) k, (k + 1) k^2, ..."""
+    return (1, *((cfg.k + 1) * cfg.k**level for level in range(cfg.depth)))
+
+
+def level_offsets(cfg: TreeConfig) -> tuple[int, ...]:
+    """Index of each level's first vertex in level order, and V at the end."""
+    offsets = [0]
+    for size in level_sizes(cfg):
+        offsets.append(offsets[-1] + size)
+    return tuple(offsets)
+
+
 def parents(cfg: TreeConfig) -> np.ndarray:
-    """Parent index for every vertex in level order (the root maps to itself)."""
+    """Parent index for every vertex in level order (the root maps to itself).
+
+    The children of one parent are contiguous in the next level."""
     par = np.zeros(cfg.vertex_count, dtype=np.int64)
-    offsets = cfg.level_offsets
+    offsets = level_offsets(cfg)
     for level in range(2, cfg.depth + 1):
         start, prev = offsets[level], offsets[level - 1]
         count = offsets[level + 1] - start
@@ -296,15 +311,15 @@ def parents(cfg: TreeConfig) -> np.ndarray:
     return par
 
 
-def count_inadmissible_edges(config: Configuration, m: int = 2) -> int:
+def count_inadmissible_edges(spins: np.ndarray, cfg: TreeConfig, m: int = 2) -> int:
     """Number of parent-child spin pairs violating wand admissibility,
-    checked edge by edge against the activity matrix."""
+    checked edge by edge against the activity matrix, in one spin vector
+    of ``cfg``'s tree or in every row of a ``draw_spins`` matrix."""
     allowed = activity_matrix(m, 1.0) > 0.0
-    par = parents(config.tree)
-    child_idx = np.arange(1, config.tree.vertex_count)
-    if child_idx.size == 0:
-        return 0
-    pairs = allowed[config.spins[par[child_idx]], config.spins[child_idx]]
+    if spins.shape[-1] != cfg.vertex_count:
+        raise ValueError(f"expected {cfg.vertex_count} spins, got {spins.shape}")
+    child = np.arange(1, cfg.vertex_count)
+    pairs = allowed[spins[..., parents(cfg)[child]], spins[..., child]]
     return int(np.size(pairs) - np.count_nonzero(pairs))
 
 
@@ -316,7 +331,7 @@ def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
     For a six-entry kernel the rows are [P00, 1, 1], [P10, P10, 1] and
     [0, P21, 1] wherever a row whose larger state has probability 0 gives
     its lower state probability 1, as in every kernel ``kernel_of``
-    builds: each row fixes one comparison, the one ``sample`` makes.
+    builds: each row fixes one comparison, with P00, P10 or P21.
     """
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
@@ -329,10 +344,10 @@ def _snapped_cumulative(p: np.ndarray) -> np.ndarray:
 def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     """(n, vertex_count) spin matrix; row s is the s-th independent sample.
 
-    Every uniform at once, parent spins gathered by index and a
-    three-way comparison against the gathered cumulative rows: the
-    library's ``sample`` equals row 0 bit for bit, and the counts of
-    ``estimate_marginals`` follow the law of these rows' counts.
+    Vertex i of row s takes uniform i of row s of one Philox stream keyed
+    by ``cfg.seed``, all drawn at once; parent spins are gathered by index
+    and compared three ways with the gathered cumulative rows.  The
+    counts of ``estimate_marginals`` follow the law of these rows' counts.
     """
     v = cfg.vertex_count
     uniforms = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, v))
@@ -343,7 +358,7 @@ def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
 
     spins = np.empty((n, v), dtype=np.int8)
     spins[:, 0] = np.searchsorted(pi_cum, uniforms[:, 0], side="right")
-    offsets = cfg.level_offsets
+    offsets = level_offsets(cfg)
     for level in range(1, cfg.depth + 1):
         sl = slice(offsets[level], offsets[level + 1])
         parent_spins = spins[:, par[sl]]
@@ -357,7 +372,7 @@ def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
 def spin_counts(spins: np.ndarray, cfg: TreeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-level spin counts (depth + 1, 3) and parent-child pair counts (3, 3)
     of a ``draw_spins`` matrix, tallied one edge at a time with ``np.add.at``."""
-    offsets = cfg.level_offsets
+    offsets = level_offsets(cfg)
     levels = np.array(
         [
             np.bincount(spins[:, offsets[lv] : offsets[lv + 1]].ravel(), minlength=3)

@@ -18,7 +18,7 @@ from hcsos.extremality import (
     thresholds,
 )
 from hcsos.model import ModelParams
-from hcsos.sampler import TreeConfig, estimate_marginals, sample
+from hcsos.sampler import TreeConfig, estimate_marginals
 from hcsos.tisgm import (
     BoundaryLaw,
     compatibility_residual,
@@ -29,6 +29,7 @@ from hcsos.tisgm import (
 )
 from reference import (
     count_inadmissible_edges,
+    draw_spins,
     gamma_of,
     ks_thresholds,
     solve_k2_closed_form,
@@ -261,11 +262,12 @@ def test_criterion_09_sampler_statistics():
     stats = estimate_marginals(kern, cfg, n)
     sigma = math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / n)
     worst = max(abs(f - 1.0 / 3.0) for freq in stats.level_frequencies for f in freq)
-    # the pair table's forbidden entries are zero by construction, so
-    # admissibility is checked edge by edge on sampled configurations
-    clean = all(
-        count_inadmissible_edges(sample(kern, TreeConfig(k=2, depth=4, seed=seed))) == 0
-        for seed in range(200)
+    # the pair table's forbidden entries are zero by construction;
+    # admissibility is also checked edge by edge on 200 oracle configurations
+    pc = stats.pair_counts
+    clean = pc[0][2] == pc[1][1] == pc[2][0] == 0 and all(
+        count_inadmissible_edges(draw_spins(kern, c, 1)[0], c) == 0
+        for c in (TreeConfig(k=2, depth=4, seed=seed) for seed in range(200))
     )
     _report(
         9,

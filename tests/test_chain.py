@@ -225,6 +225,32 @@ class TestStationary:
             assert type(pi) is tuple and len(pi) == 3
             assert all(type(v) is float for v in pi)
 
+    def test_total_is_left_to_right(self):
+        # the built-in sum compensates from Python 3.12 on; the total is the
+        # plain left-to-right sum on every Python, so pi keeps its bits
+        rng = np.random.default_rng(9)
+        kernels = _sample_kernels(rng, 200)
+        for p01, p10, p21 in (10.0 ** rng.uniform(-12, 0, size=(2000, 3))).tolist():
+            kernels.append(TransitionKernel(1 - p01, p01, p10, 1 - p10, p21, 1 - p21))
+        for kern in kernels:
+            mass = (kern.p10 / kern.p01, 1.0, kern.p12 / kern.p21)
+            total = mass[0] + mass[1] + mass[2]
+            assert stationary(kern) == tuple(m / total for m in mass)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1.0, 0.0, 0.4, 0.6, 0.3, 0.7),  # p01 = 0: 0 never leaves
+            (0.5, 0.5, 0.4, 0.6, 0.0, 1.0),  # p21 = 0: 2 never leaves
+            (0.5, 0.5, 0.0, 1.0, 0.3, 0.7),  # p10 = 0: no mass on 0
+            (0.5, 0.5, 1.0, 0.0, 0.3, 0.7),  # p12 = 0: no mass on 2
+            (1.0, 5e-324, 0.5, 0.5, 0.3, 0.7),  # p10 / p01 overflows
+        ],
+    )
+    def test_reducible_kernel_refused(self, entries):
+        with pytest.raises(RuntimeError, match="non-positive stationary vector"):
+            stationary(TransitionKernel(*entries))
+
 
 class TestRowDistances:
     def test_uniform_kappa(self):

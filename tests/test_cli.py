@@ -983,7 +983,7 @@ class TestSimulateFuzz:
     def test_exit_code_and_messages(self, k, depth, theta, measure, samples):
         # the counts are drawn in O(depth) whatever the tree and the sample
         # count; refused trees allocate nothing
-        v = 1 + (k + 1) * (k**depth - 1) // (k - 1)
+        v = 1 + sum((k + 1) * k**level for level in range(depth))
         if v <= sampler.MAX_VERTICES:
             assert TreeConfig(k=k, depth=depth).vertex_count == v
         out, err = io.StringIO(), io.StringIO()

@@ -150,11 +150,11 @@ def test_scalar_modules_leave_grid_unloaded(module):
 
 def test_public_surface_is_all_and_small():
     # __all__ is sorted, names each public object once, and holds at most
-    # 32 names; every other public name of the package is a submodule
+    # 30 names; every other public name of the package is a submodule
     names = hcsos.__all__
     assert names == sorted(set(names))
     assert all(hasattr(hcsos, name) for name in names)
-    assert len(names) <= 32
+    assert len(names) <= 30
     public = {
         name for name, value in vars(hcsos).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hcsos import sampler
 from hcsos.chain import TransitionKernel, kernel_of, stationary
 from hcsos.model import Branch, TisgmSolution, branch_of
-from hcsos.sampler import Configuration, TreeConfig, estimate_marginals, sample
+from hcsos.sampler import TreeConfig, estimate_marginals
 from hcsos.tisgm import (
     enumerate_solutions,
     solve_asymmetric,
@@ -24,7 +24,14 @@ from hcsos.tisgm import (
     theta_cr,
 )
 import reference
-from reference import count_inadmissible_edges, draw_spins, parents, spin_counts
+from reference import (
+    count_inadmissible_edges,
+    draw_spins,
+    level_offsets,
+    level_sizes,
+    parents,
+    spin_counts,
+)
 
 UNIFORM = TisgmSolution(x=1.0, y=1.0, branch=Branch.SYMMETRIC)
 
@@ -40,15 +47,13 @@ class TestTreeGeometry:
     )
     def test_vertex_count(self, k, depth, count):
         cfg = TreeConfig(k=k, depth=depth)
-        assert cfg.vertex_count == count
-        if depth >= 1:
-            # root has k+1 children, everyone else k
-            assert cfg.vertex_count == 1 + (k + 1) * (k**depth - 1) // (k - 1)
+        # the closed form against the level sum: root k + 1 children, others k
+        assert cfg.vertex_count == count == sum(level_sizes(cfg))
 
     def test_level_sizes(self):
         cfg = TreeConfig(k=2, depth=3)
-        assert cfg.level_sizes == (1, 3, 6, 12)
-        assert cfg.level_offsets == (0, 1, 4, 10, 22)
+        assert level_sizes(cfg) == (1, 3, 6, 12)
+        assert level_offsets(cfg) == (0, 1, 4, 10, 22)
 
     def test_parent_arithmetic(self):
         cfg = TreeConfig(k=2, depth=2)
@@ -64,23 +69,25 @@ class TestTreeGeometry:
 
 
 class TestSampling:
+    """Configurations of the oracle ``draw_spins``, the only per-vertex route."""
+
     def test_depth_zero(self):
         cfg = TreeConfig(k=2, depth=0, seed=5)
-        config = sample(_uniform_kernel(), cfg)
-        assert config.spins.shape == (1,)
-        assert config.spins[0] in (0, 1, 2)
+        spins = draw_spins(_uniform_kernel(), cfg, 1)[0]
+        assert spins.shape == (1,)
+        assert spins[0] in (0, 1, 2)
 
     def test_seed_determinism(self):
         cfg = TreeConfig(k=2, depth=4, seed=123)
-        a = sample(_uniform_kernel(), cfg)
-        b = sample(_uniform_kernel(), cfg)
-        assert np.array_equal(a.spins, b.spins)
+        a = draw_spins(_uniform_kernel(), cfg, 1)[0]
+        b = draw_spins(_uniform_kernel(), cfg, 1)[0]
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         kern = _uniform_kernel()
-        a = sample(kern, TreeConfig(k=2, depth=5, seed=1))
-        b = sample(kern, TreeConfig(k=2, depth=5, seed=2))
-        assert not np.array_equal(a.spins, b.spins)
+        a = draw_spins(kern, TreeConfig(k=2, depth=5, seed=1), 1)[0]
+        b = draw_spins(kern, TreeConfig(k=2, depth=5, seed=2), 1)[0]
+        assert not np.array_equal(a, b)
 
     def test_no_inadmissible_edges_single_configs(self):
         for theta, sol in [
@@ -90,24 +97,27 @@ class TestSampling:
         ]:
             kern = kernel_of(sol, 2, theta)
             for seed in range(25):
-                config = sample(kern, TreeConfig(k=2, depth=5, seed=seed))
-                assert count_inadmissible_edges(config) == 0
+                cfg = TreeConfig(k=2, depth=5, seed=seed)
+                assert count_inadmissible_edges(draw_spins(kern, cfg, 1)[0], cfg) == 0
 
     def test_counts_forbidden_pairs(self):
         # root 0 with children 2, 1, 1: only the pair (0, 2) is forbidden
         cfg = TreeConfig(k=2, depth=1)
-        config = Configuration(spins=np.array([0, 2, 1, 1], dtype=np.int8), tree=cfg)
-        assert count_inadmissible_edges(config) == 1
+        spins = np.array([0, 2, 1, 1], dtype=np.int8)
+        assert count_inadmissible_edges(spins, cfg) == 1
+        # and row by row: root 1 with children 1, 0, 2 adds the pair (1, 1)
+        assert count_inadmissible_edges(np.stack([spins, [1, 1, 0, 2]]), cfg) == 2
         with pytest.raises(ValueError):
-            count_inadmissible_edges(config, m=3)
+            count_inadmissible_edges(spins, cfg, m=3)
+        with pytest.raises(ValueError):
+            count_inadmissible_edges(spins[:3], cfg)
 
     def test_no_inadmissible_edges_bulk(self):
         # 2000 sampled configurations at depth 6, checked edge by edge; the
         # pair table's forbidden entries are zero by construction
         kern = kernel_of(solve_asymmetric(2, 0.7)[1], 2, 0.7)
-        for seed in range(2000):
-            config = sample(kern, TreeConfig(k=2, depth=6, seed=seed))
-            assert count_inadmissible_edges(config) == 0
+        cfg = TreeConfig(k=2, depth=6, seed=0)
+        assert count_inadmissible_edges(draw_spins(kern, cfg, 2000), cfg) == 0
 
 
 class TestMarginals:
@@ -166,7 +176,7 @@ def _kernel(k, theta=0.5):
 
 def _level_counts(stats, cfg):
     """Per-level spin counts (depth + 1, 3) behind ``level_frequencies``."""
-    sizes = np.array(cfg.level_sizes)[:, None] * stats.n_samples
+    sizes = np.array(level_sizes(cfg))[:, None] * stats.n_samples
     return np.rint(np.array(stats.level_frequencies) * sizes).astype(np.int64)
 
 
@@ -178,7 +188,7 @@ def _assert_counts_valid(stats, cfg, n):
     assert (pc >= 0).all() and pc.sum() == n * (cfg.vertex_count - 1)
     levels = _level_counts(stats, cfg)
     assert (levels >= 0).all()
-    assert (levels.sum(axis=1) == n * np.array(cfg.level_sizes)).all()
+    assert (levels.sum(axis=1) == n * np.array(level_sizes(cfg))).all()
     # every child has one parent, every parent k + 1 (root) or k children
     assert (pc.sum(axis=0) == levels[1:].sum(axis=0)).all()
     per_parent = np.array([cfg.k + (level == 0) for level in range(cfg.depth)])
@@ -221,10 +231,11 @@ def _assert_same_law(kern, cfg, n, reps=400):
 
 
 class TestStreamingMatchesOneShotDraw:
-    """``sample`` against the one-shot sampler kept in reference.py, bit for
-    bit, and the counts of ``estimate_marginals`` against its law."""
+    """The counts that ``estimate_marginals`` draws level by level against
+    the one-shot sampler kept in reference.py: their law, and what holds
+    exactly on both sides."""
 
-    # per k, a depth whose last level spans several of sample's blocks
+    # per k, a depth whose last level holds more than 2^17 vertices
     DEEP = {2: 17, 3: 11, 5: 8}
 
     @classmethod
@@ -241,26 +252,10 @@ class TestStreamingMatchesOneShotDraw:
         theta = 0.9 * theta_cr(k)
         kernels = [_kernel(k), kernel_of(solve_asymmetric(k, theta)[0], k, theta)]
         for kern in kernels:
+            for cfg, n in self._cases(k):
+                _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
             for cfg, n in self._cases(k)[:3]:
                 _assert_same_law(kern, cfg, n)
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_sample_equals_oracle_row(self, k, monkeypatch):
-        deep = TreeConfig(k=k, depth=self.DEEP[k])
-        assert deep.level_sizes[-1] > 2 * sampler._UNIFORMS_AT_ONCE
-        kern = _kernel(k)
-        for cfg, n in self._cases(k):
-            want = draw_spins(kern, cfg, 1)[0]
-            got = sample(kern, cfg).spins
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
-        # blocks of one parent's children and blocks that end inside a level
-        for block in (1, 5, 64):
-            monkeypatch.setattr(sampler, "_UNIFORMS_AT_ONCE", block)
-            for depth in range(5):
-                cfg = TreeConfig(k=k, depth=depth, seed=depth)
-                want = draw_spins(kern, cfg, 1)[0]
-                assert np.array_equal(sample(kern, cfg).spins, want)
 
     # Hand-built wand kernels whose rows sit at 0 or 1, the edges of the
     # one-comparison rule and of the oracle's inverse CDF, as
@@ -296,13 +291,17 @@ class TestStreamingMatchesOneShotDraw:
 
     @staticmethod
     def _assert_matches_oracle(kern, cfg, n):
-        """``sample`` is the oracle's first row bit for bit; the counts of n
-        samples are consistent (their law is checked by the two-sample and
-        exact-law tests)."""
-        want = draw_spins(kern, cfg, 1)[0]
-        got = sample(kern, cfg).spins
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        _assert_counts_valid(estimate_marginals(kern, cfg, n), cfg, n)
+        """The counts of n samples are consistent, the oracle's n rows are
+        admissible edge by edge, and every pair the kernel gives probability
+        0 is 0 in both pair tables, bit for bit (the law of the counts is
+        checked by the two-sample and exact-law tests)."""
+        stats = estimate_marginals(kern, cfg, n)
+        _assert_counts_valid(stats, cfg, n)
+        spins = draw_spins(kern, cfg, n)
+        assert count_inadmissible_edges(spins, cfg) == 0
+        never = kern.p == 0.0
+        assert not np.array(stats.pair_counts)[never].any()
+        assert not spin_counts(spins, cfg)[1][never].any()
 
     @pytest.mark.usefixtures("uniform_root")
     @pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
@@ -348,8 +347,8 @@ class TestStreamingMatchesOneShotDraw:
 
     def test_zero_pattern_fixes_one_comparison_per_row(self):
         # each row has two live states (P02 = P11 = P20 = 0), so the
-        # oracle's inverse CDF makes the one comparison sample makes and
-        # the aggregate law relies on: in the snapped rows c01 = 1 (row 0
+        # oracle's inverse CDF makes the one comparison per row that the
+        # aggregate law relies on: in the snapped rows c01 = 1 (row 0
         # compares u with P00 alone), c11 = c10 (row 1 with P10) and
         # c20 = 0 (row 2 with P21)
         checked = 0
@@ -397,7 +396,7 @@ class TestAggregateLaw:
         prob = np.array(stationary(kern))[spins[:, 0]] * np.prod(
             kern.p[spins[:, parent], spins[:, child]], axis=1
         )
-        offsets = cfg.level_offsets
+        offsets = level_offsets(cfg)
         levels = [
             (spins[:, offsets[lv] : offsets[lv + 1], None] == np.arange(3)).sum(axis=1)
             for lv in range(cfg.depth + 1)
@@ -634,9 +633,9 @@ def _on_threads(calls):
 
 
 class TestParallelDraw:
-    """Calls made on several threads at once.  Neither function keeps state
-    between calls, so every thread gets what a lone call gets: ``sample``
-    the oracle's row, ``estimate_marginals`` the same counts."""
+    """Calls made on several threads at once.  ``estimate_marginals`` keeps
+    no state between calls, so every thread gets the counts a lone call
+    gets."""
 
     @pytest.fixture(autouse=True)
     def frequent_switches(self):
@@ -648,12 +647,9 @@ class TestParallelDraw:
         sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
-    @pytest.mark.parametrize("n,block", [(64, 7), (200, 40), (200, 1 << 16)])
-    def test_small_chunks_and_blocks_equal_oracle(self, monkeypatch, workers, n, block):
-        # each thread counts n samples and draws one sample in blocks of
-        # `block` uniforms: a few parents' rows, blocks ending inside a
-        # level, a whole level
-        monkeypatch.setattr(sampler, "_UNIFORMS_AT_ONCE", block)
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_threads_equal_lone_call(self, workers, n):
+        # each thread counts n samples of its own seed
         for cfg in [
             TreeConfig(k=2, depth=0, seed=1),
             TreeConfig(k=2, depth=3, seed=2),
@@ -662,12 +658,8 @@ class TestParallelDraw:
         ]:
             kern = _kernel(cfg.k)
             cfgs = [dataclasses.replace(cfg, seed=cfg.seed + i) for i in range(workers)]
-            got = _on_threads(
-                [lambda c=c: (sample(kern, c), estimate_marginals(kern, c, n)) for c in cfgs]
-            )
-            for c, (config, stats) in zip(cfgs, got, strict=True):
-                want = draw_spins(kern, c, 1)[0]
-                assert np.array_equal(config.spins, want)
+            got = _on_threads([lambda c=c: estimate_marginals(kern, c, n) for c in cfgs])
+            for c, stats in zip(cfgs, got, strict=True):
                 alone = estimate_marginals(kern, c, n)
                 assert np.array_equal(stats.pair_counts, alone.pair_counts)
                 for a, b in zip(
@@ -676,19 +668,10 @@ class TestParallelDraw:
                     assert np.array_equal(a, b)
                 _assert_counts_valid(stats, c, n)
 
-    def test_sample_equals_oracle_with_two_workers(self):
-        kern = _kernel(3)
-        for depth in (0, 1, 4, 11):
-            cfgs = [TreeConfig(k=3, depth=depth, seed=depth + i) for i in range(2)]
-            got = _on_threads([lambda c=c: sample(kern, c) for c in cfgs])
-            for c, config in zip(cfgs, got, strict=True):
-                want = draw_spins(kern, c, 1)[0]
-                assert config.spins.dtype == want.dtype
-                assert np.array_equal(config.spins, want)
-
 
 class TestThreadHygiene:
-    """Both functions draw on the calling thread and leave no thread behind."""
+    """``estimate_marginals`` draws on the calling thread and leaves no
+    thread behind."""
 
     CFG = TreeConfig(k=3, depth=4, seed=0)
 
@@ -696,28 +679,16 @@ class TestThreadHygiene:
     def baseline(self):
         self.baseline = threading.active_count()
 
-    @staticmethod
-    def _record_threads(monkeypatch, name):
-        """The set of threads that call ``sampler.<name>`` from now on."""
+    def test_pool_ends_with_estimate(self, monkeypatch):
         threads = set()
-        original = getattr(sampler, name)
+        binomial = sampler._binomial
 
         def record(*args):
             threads.add(threading.get_ident())
-            return original(*args)
+            return binomial(*args)
 
-        monkeypatch.setattr(sampler, name, record)
-        return threads
-
-    def test_pool_ends_with_estimate(self, monkeypatch):
-        threads = self._record_threads(monkeypatch, "_binomial")
+        monkeypatch.setattr(sampler, "_binomial", record)
         estimate_marginals(_kernel(3), self.CFG, 40_000)
-        assert threads == {threading.get_ident()}
-        assert threading.active_count() == self.baseline
-
-    def test_sample_runs_on_calling_thread(self, monkeypatch):
-        threads = self._record_threads(monkeypatch, "stationary")
-        sample(_kernel(3), self.CFG)
         assert threads == {threading.get_ident()}
         assert threading.active_count() == self.baseline
 
@@ -753,24 +724,17 @@ class TestMemoryBound:
         assert peak < 16 * 2**20
 
     def test_large_tree_row_not_held_as_uniforms(self):
-        # the counts of the largest tree hold O(depth) numbers, no row;
-        # sample holds its int8 spins and one block of uniforms (V = 3145726:
-        # one level of float64 uniforms would be 12.6 MB)
-        kern = _kernel(2)
-        cfg = TreeConfig(k=2, depth=20, seed=5)
+        # the counts of the largest tree hold O(depth) numbers, no row (one
+        # row of float64 uniforms would be 400 MB)
         largest = TreeConfig(k=2, depth=24)
         n = sampler.MAX_VERTEX_SAMPLES // largest.vertex_count
-        for draw, bound in [
-            (lambda: estimate_marginals(kern, largest, n), 2**16),
-            (lambda: sample(kern, cfg), cfg.vertex_count + 2**22),
-        ]:
-            tracemalloc.start()
-            try:
-                draw()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+        tracemalloc.start()
+        try:
+            estimate_marginals(_kernel(2), largest, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestSizeLimit:

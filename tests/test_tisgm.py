@@ -126,7 +126,7 @@ class TestEta:
         assert math.isfinite(value) and value > 0.0
         assert value == eta(1.0 / 1.3e22, 16)
 
-    @pytest.mark.parametrize("k", [170, 400])
+    @pytest.mark.parametrize("k", [161, 170, 400])
     def test_peak_overflow_raises(self, k):
         # (k-1) k^k / 2^k leaves the double range; 1/x = x gives no way out
         with pytest.raises(OverflowError, match=f"k = {k}"):
@@ -134,6 +134,7 @@ class TestEta:
 
     def test_peak_finite_below_overflow(self):
         assert math.isfinite(eta(1.0, 150))
+        assert eta(1.0, 160) == pytest.approx(4.9635801950024e306, rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 8, 16])
     def test_lanes_equal_scalar(self, k):
@@ -572,6 +573,9 @@ class TestBoundaryLawIteration:
             iterate_boundary_law(
                 ModelParams(k=2, theta=1.0, m=4), BoundaryLaw.ones(2)
             )
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                iterate_boundary_law(ModelParams(k=2, theta=1.0, m=2), tol=tol)
 
     def test_overflow_is_a_domain_error(self):
         init = BoundaryLaw((1e200, 1.0, 1.0))
