@@ -647,9 +647,10 @@ class TestParallelDraw:
         sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
-    @pytest.mark.parametrize("n", [64, 200])
+    @pytest.mark.parametrize("n", [64, 200, 1 << 16])
     def test_threads_equal_lone_call(self, workers, n):
-        # each thread counts n samples of its own seed
+        # each thread counts n samples of its own seed; at n = 2^16 every
+        # binomial with n p >= 10 takes the rejection branch
         for cfg in [
             TreeConfig(k=2, depth=0, seed=1),
             TreeConfig(k=2, depth=3, seed=2),
