@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import TisgmSolution, array_text
+from .model import TisgmSolution
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,9 +130,7 @@ def stationary(kern: TransitionKernel) -> tuple[float, float, float]:
         pi = tuple(m / total for m in mass)
         if math.isfinite(total) and all(v > 0.0 for v in pi):
             return pi
-    raise RuntimeError(
-        f"non-positive stationary vector for kernel {array_text(kern.p)}"
-    )
+    raise RuntimeError(f"non-positive stationary vector for kernel {kern!r}")
 
 
 def kappa_of(entries, largest=max):

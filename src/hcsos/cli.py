@@ -100,18 +100,13 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
     ks, thetas, tcs, *fields = columns
     ends: list[int] = []
     width = len(CSV_HEADER)
-    branches, verdicts = _NAMES["branch"], _NAMES["verdict"]
     for line in reader:
         if len(line) != width:
             raise ValueError(f"line {reader.line_num}: {len(line)} fields, not {width}")
         try:
-            k, theta, tc = int(line[0]), float(line[1]), float(line[2])
-            row = (line[3], *map(float, line[4:10]), line[10])
-        except ValueError:
-            row = None
-        if (row is None or row[0] not in branches or row[-1] not in verdicts
-                or k < 2 or not all(map(math.isfinite, (theta, tc, *row[1:-1])))):
-            raise ValueError(f"line {reader.line_num}: {_bad_field(line)}")
+            k, theta, tc, *row = map(_field, CSV_HEADER, line)
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         symmetric = row[0] == Branch.SYMMETRIC.value
         if not ends or symmetric or (ks[-1], thetas[-1]) != (k, theta):
             ks.append(k)
@@ -124,22 +119,28 @@ def read_phase_csv(stream: io.TextIOBase) -> SweepTable:
     return SweepTable(columns, ends)
 
 
-def _bad_field(line: list[str]) -> str:
-    """Names the first field of ``line`` that no sweep writes, and why."""
-    for name, text in zip(CSV_HEADER, line):
-        if name in _NAMES:
-            if text not in _NAMES[name]:
-                return f"{name} {text!r} is not one of {', '.join(_NAMES[name])}"
-            continue
+def _field(name: str, text: str):
+    """The value of field ``name`` of a sweep row, or ValueError naming the
+    field and why no sweep writes it."""
+    if name in _NAMES:
+        if text not in _NAMES[name]:
+            raise ValueError(f"{name} {text!r} is not one of {', '.join(_NAMES[name])}")
+        return text
+    if name == "k":
         try:
-            value = int(text) if name == "k" else float(text)
+            k = int(text)
         except ValueError:
-            kind = "an integer" if name == "k" else "a number"
-            return f"{name} {text!r} is not {kind}"
-        if not math.isfinite(value):
-            return f"{name} {text!r} is not a finite number"
-        if name == "k" and value < 2:
-            return f"k {text!r} is less than 2"
+            raise ValueError(f"k {text!r} is not an integer") from None
+        if k < 2:
+            raise ValueError(f"k {text!r} is less than 2")
+        return k
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {text!r} is not a finite number")
+    return value
 
 
 def write_phase_jsonl(table: SweepTable, stream: io.TextIOBase) -> None:
@@ -163,11 +164,22 @@ def write_phase_jsonl(table: SweepTable, stream: io.TextIOBase) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _order_type(text: str) -> int:
-    k = int(text)
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"tree order k must be >= 2, got {k}")
-    return k
+def _int_at_least(low: int, name: str = ""):
+    """An int type that refuses values below ``low``, naming the option."""
+
+    def check(text: str) -> int:
+        v = int(text)
+        if v < low:
+            rule = f"must be >= {low}, got {v}"
+            raise argparse.ArgumentTypeError(f"{name} {rule}" if name else rule)
+        return v
+
+    # argparse names the type in its "invalid int value" message
+    check.__name__ = "int"
+    return check
+
+
+_k_type = _int_at_least(2, "tree order k")
 
 
 def _positive_float(text: str) -> float:
@@ -182,27 +194,6 @@ def _even_m(text: str) -> int:
     if m < 2 or m % 2 != 0:
         raise argparse.ArgumentTypeError(f"m must be even and >= 2, got {m}")
     return m
-
-
-def _nonneg_int(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _steps_type(text: str) -> int:
-    v = int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"steps must be >= 2, got {v}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tisgm", help="enumerate fixed points at one (k, theta)")
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--theta", type=_positive_float, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_tisgm)
 
     p = sub.add_parser("classify", help="extremality verdict for a measure")
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--theta", type=_positive_float, required=True)
     p.add_argument(
         "--measure", choices=["mu0", "mu1", "mu2", "all"], default="all"
@@ -443,34 +434,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="phase records over a theta grid")
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--theta-min", type=_positive_float, required=True)
     p.add_argument("--theta-max", type=_positive_float, required=True)
-    p.add_argument("--steps", type=_steps_type, required=True)
+    p.add_argument("--steps", type=_int_at_least(2, "steps"), required=True)
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("thresholds", help="classification thresholds for k in {2,3}")
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", help="sample configurations, report statistics")
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--theta", type=_positive_float, required=True)
     p.add_argument("--measure", choices=["mu0", "mu1", "mu2"], default="mu0")
-    p.add_argument("--depth", type=_nonneg_int, default=4)
-    p.add_argument("--samples", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("iterate", help="forward boundary-law iteration (any even m)")
     p.add_argument("--m", type=_even_m, default=2)
-    p.add_argument("--k", type=_order_type, required=True)
+    p.add_argument("--k", type=_k_type, required=True)
     p.add_argument("--theta", type=_positive_float, required=True)
-    p.add_argument("--max-iter", type=_positive_int, default=10_000)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument(
         "--init", default=None, help="comma-separated start law (default all ones)"

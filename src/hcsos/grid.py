@@ -57,7 +57,6 @@ from .model import BRANCH_TOL, Branch, check_params
 from .rootfind import (
     _EPS,
     _TINY,
-    Bracket,
     BracketError,
     ConvergenceError,
     expand_bracket_decreasing,
@@ -188,13 +187,10 @@ def _find_roots(
             moved = x - a
             d, e = np.where(cross, moved, d), np.where(cross, moved, e)
     # report the first unfinished lane as find_root would
-    ends = sorted([(float(x[0]), float(fx[0])), (float(c[0]), float(fc[0]))])
-    (lo0, f_lo0), (hi0, f_hi0) = ends
+    lo0, hi0 = sorted((float(x[0]), float(c[0])))
     raise ConvergenceError(
         f"{lanes.size} lane(s) did not converge after {rootfind._MAX_ITER} steps; "
-        f"lane {lanes[0]} has bracket [{lo0}, {hi0}]",
-        best=float(x[0]) if abs(fx[0]) <= abs(fc[0]) else float(c[0]),
-        bracket=Bracket(lo0, hi0, f_lo0, f_hi0),
+        f"lane {lanes[0]} has bracket [{lo0}, {hi0}]"
     )
 
 

@@ -6,6 +6,8 @@ graph: a path with loops attached to the even spins).  Each admissible
 pair carries an activity weight: 1 on even loops, theta on unit steps.
 ``activity_matrix`` holds both: a pair is admissible iff its weight is
 positive.  ``check_params`` is the one validator of k, theta and m.
+Only ``activity_matrix`` builds an array; every message states its
+numbers as Python reprs.
 
 For m = 2 a translation-invariant splitting Gibbs measure is described
 by a positive pair (x, y), the k-th roots of the boundary-law entries;
@@ -88,18 +90,6 @@ def activity_matrix(m: int, theta: float) -> np.ndarray:
             elif abs(i - j) == 1:
                 lam[i, j] = theta
     return lam
-
-
-def array_text(values) -> str:
-    """``str`` of ``values`` as an array under numpy's default print options,
-    so an error text does not depend on options set elsewhere in the process."""
-    import numpy as np
-
-    with np.printoptions(
-        precision=8, threshold=1000, edgeitems=3, linewidth=75, suppress=False,
-        nanstr="nan", infstr="inf", sign="-", floatmode="maxprec", legacy=False,
-    ):
-        return str(np.asarray(values))
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,7 @@ class UnboundedBracketError(BracketError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best estimate and its bracket."""
-
-    def __init__(self, message: str, best: float, bracket: Bracket):
-        super().__init__(message)
-        self.best = best
-        self.bracket = bracket
+    """Iteration budget exhausted; the message names the final bracket."""
 
 
 def _sign(v: float) -> int:
@@ -95,8 +90,8 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
     most 2 eps |x| plus the subnormal floor, or when f(x) == 0.  The
     result always lies inside the certified bracket.
 
-    Raises ConvergenceError, carrying the best estimate and the final
-    bracket, if _MAX_ITER steps do not reach the stop rule.
+    Raises ConvergenceError, naming the final bracket, if _MAX_ITER
+    steps do not reach the stop rule.
     """
     if _sign(b.f_lo) == 0:
         return b.lo
@@ -146,11 +141,9 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
             # x crossed to c's side: the bracket is now [a, x]
             c, fc = a, fa
             d = e = x - a
-    (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (c, fc)])
+    lo, hi = sorted((x, c))
     raise ConvergenceError(
-        f"no convergence after {_MAX_ITER} steps; bracket [{lo}, {hi}]",
-        best=x if abs(fx) <= abs(fc) else c,
-        bracket=Bracket(lo, hi, f_lo, f_hi),
+        f"no convergence after {_MAX_ITER} steps; bracket [{lo}, {hi}]"
     )
 
 

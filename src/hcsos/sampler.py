@@ -25,8 +25,9 @@ Processes*, 1972): the counts have exactly the law they have under n
 independent vertex-by-vertex samples, and forbidden pairs are zero by
 construction.  The variates come from one ``random.Random`` seeded with
 the tree's seed, through ``_binomial``, so the counts are fixed by the
-seed and the request on every supported Python.  A request of more than
-``MAX_VERTEX_SAMPLES`` vertex-samples is refused before drawing.  The
+seed and the request on every supported Python.  The one bound on a
+request is ``MAX_VERTEX_SAMPLES``: more vertex-samples than that are
+refused before drawing, and a tree of any size is accepted.  The
 counts are ints and the frequencies floats; no array is built.
 """
 
@@ -38,11 +39,6 @@ from dataclasses import dataclass
 
 from .chain import TransitionKernel, stationary
 
-# Largest vertex count of a tree that ``TreeConfig`` accepts, and so of
-# every tree ``simulate`` samples.  ``estimate_marginals`` needs O(depth)
-# memory whatever the tree, so this is no memory bound: it leaves every
-# accepted tree at least 2^14 samples under ``MAX_VERTEX_SAMPLES``.
-MAX_VERTICES = 1 << 26
 # Largest n_samples * V that ``estimate_marginals`` counts, which bounds the
 # n of every binomial it draws.  ``_binomial``'s rejection test subtracts
 # lgamma values of size n log n, whose rounding (ulp 0.004 at 2^40, 0.25 at
@@ -52,7 +48,10 @@ MAX_VERTEX_SAMPLES = 1 << 40
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Finite subtree: branching k, depth (levels below the root), RNG seed."""
+    """Finite subtree: branching k, depth (levels below the root), RNG seed.
+
+    Any size is accepted; ``estimate_marginals`` bounds the work of a request.
+    """
 
     k: int
     depth: int
@@ -65,17 +64,6 @@ class TreeConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        # V > k^depth, so past 2^60 the exact count is never needed
-        if self.depth * math.log2(self.k) > 60:
-            size = f"more than {self.k}^{self.depth}"
-        elif self.vertex_count > MAX_VERTICES:
-            size = str(self.vertex_count)
-        else:
-            return
-        raise ValueError(
-            f"tree too large to sample: k={self.k}, depth={self.depth} has "
-            f"V = {size} vertices, above the limit of {MAX_VERTICES} per sample"
-        )
 
     @property
     def vertex_count(self) -> int:
@@ -176,10 +164,13 @@ def estimate_marginals(
     drawn from the exact law of the counts (see the module docstring)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if n_samples * cfg.vertex_count > MAX_VERTEX_SAMPLES:
+    # V > k^depth, so past 2^60 the exact count is never needed
+    huge = cfg.depth * math.log2(cfg.k) > 60
+    if huge or n_samples * cfg.vertex_count > MAX_VERTEX_SAMPLES:
+        size = f"more than {cfg.k}^{cfg.depth}" if huge else cfg.vertex_count
         raise ValueError(
             f"too many vertex-samples to count: {n_samples} samples of "
-            f"V = {cfg.vertex_count} vertices exceed the limit of 2^40"
+            f"V = {size} vertices exceed the limit of 2^40"
         )
     rng = random.Random(cfg.seed)
     pi0, pi1, pi2 = stationary(kern)

@@ -40,7 +40,6 @@ from .model import (
     ModelParams,
     TisgmSolution,
     activity_matrix,
-    array_text,
     check_params,
 )
 from .rootfind import Bracket, expand_bracket_decreasing, find_root
@@ -332,7 +331,7 @@ def iterate_boundary_law(
         z_new = _map_once(lam, params.k, z)
         if not np.all(np.isfinite(z_new)) or np.any(z_new <= 0.0):
             raise NumericalDomainError(
-                f"iterate left the positive orthant at step {it}: {array_text(z_new)}"
+                f"iterate left the positive orthant at step {it}: {z_new.tolist()}"
             )
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new

@@ -9,15 +9,19 @@ its argv, its exit code and the SHA-256 of its stdout and of its stderr.
 A call that raises out of ``main`` records ``raised-<type>`` as its exit
 code and the exception's text after its stderr.
 
-    python tests/golden.py record       # rewrite tests/golden.tsv from src/
-    python tests/golden.py diff A B     # commands whose output differs
+    python tests/golden.py record         # rewrite tests/golden.tsv from src/
+    python tests/golden.py diff A B       # commands whose output differs
+    python tests/golden.py without-numpy  # the numpy-free commands, checked
 
 ``diff`` runs the corpus on two trees, each a directory holding
 ``src/hcsos`` or a git revision of this repository (extracted to a
 temporary directory), and prints every differing command and the count
 per class; it exits 1 if any command differs.  ``run`` prints the lines
 for the ``hcsos`` on ``sys.path``; ``record`` and ``diff`` start it in a
-fresh interpreter per tree.  ``tests/test_golden.py`` replays a
+fresh interpreter per tree.  ``without-numpy`` blocks the import of
+numpy and replays every manifest command that runs without it, for the
+``hcsos`` on ``sys.path``; it prints every command whose record differs
+from its row and exits 1 if any does, or if none ran.  ``tests/test_golden.py`` replays a
 stratified subset of the manifest in tier 1.
 """
 
@@ -245,6 +249,25 @@ def _run(stream) -> None:
         stream.write("\t".join((cls, command, *run_command(main, command))) + "\n")
 
 
+def without_numpy() -> int:
+    """Replay, with numpy blocked, each manifest command that needs no numpy."""
+    sys.modules["numpy"] = None  # every later import of numpy raises
+    from hcsos.cli import main
+
+    rows = read_manifest()
+    ran = differ = 0
+    for row in rows:
+        record = run_command(main, row[1])
+        if record[0] == "raised-ModuleNotFoundError":
+            continue  # the command needs numpy
+        ran += 1
+        if (*row[:2], *record) != row:
+            differ += 1
+            print(f"{row[0]}\t{row[1]}\texit {row[2]} -> {record[0]}")
+    print(f"# {ran} of {len(rows)} commands need no numpy; {differ} of them differ")
+    return 1 if differ or not ran else 0
+
+
 def _tree(spec: str, target: Path) -> Path:
     """The directory of a tree: ``spec`` itself, or revision ``spec`` of this
     repository, extracted to ``target``."""
@@ -305,6 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("diff", help="commands whose output differs between two trees")
     p.add_argument("a")
     p.add_argument("b")
+    sub.add_parser("without-numpy", help="check the numpy-free commands, numpy blocked")
     args = parser.parse_args(argv)
     if args.command == "run":
         import hcsos
@@ -321,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("the corpus did not run")
         partial.replace(MANIFEST)
         return 0
+    if args.command == "without-numpy":
+        return without_numpy()
     return diff(args.a, args.b)
 
 

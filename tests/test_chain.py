@@ -251,6 +251,19 @@ class TestStationary:
         with pytest.raises(RuntimeError, match="non-positive stationary vector"):
             stationary(TransitionKernel(*entries))
 
+    def test_refusal_names_the_exact_entries(self):
+        # the message holds the kernel's repr, whose entries read back bit
+        # for bit whatever numpy's print options are
+        kern = TransitionKernel(1.0 - 2**-53, 5e-324, 0.1 + 0.2, 1 / 3, 2 / 7, 1e-300)
+        with pytest.raises(RuntimeError) as err:
+            stationary(kern)
+        head, text = str(err.value).split(" kernel ")
+        assert head == "non-positive stationary vector for"
+        assert text.startswith("TransitionKernel(") and text.endswith(")")
+        fields = [item.split("=") for item in text[17:-1].split(", ")]
+        assert [name for name, _ in fields] == list(TransitionKernel._fields)
+        assert [float(v).hex() for _, v in fields] == [v.hex() for v in kern]
+
 
 class TestRowDistances:
     def test_uniform_kappa(self):

@@ -405,6 +405,21 @@ class TestSweepCommand:
             read_phase_csv(stream)
         assert str(raised.value) == f"line 4: {message}"
 
+    def test_huge_k_beside_a_bad_field(self):
+        # each field is parsed by its own rule in column order, so a k past
+        # float range never meets math.isfinite (which raises OverflowError)
+        buffer = io.StringIO()
+        write_phase_csv(sweep_table(2, 0.5, 0.9, 2), buffer)
+        lines = buffer.getvalue().splitlines()
+        row = lines[3].split(",")
+        row[0], row[3] = "1" + "0" * 400, "Sideways"
+        lines[3] = ",".join(row)
+        with pytest.raises(ValueError) as raised:
+            read_phase_csv(io.StringIO("".join(line + "\n" for line in lines)))
+        assert str(raised.value) == (
+            "line 4: branch 'Sideways' is not one of Symmetric, Upper, Lower"
+        )
+
     def test_every_name_a_sweep_writes_reads_back(self):
         # each branch and verdict name appears in some sweep; the reader
         # accepts exactly the names those sweeps hold
@@ -927,17 +942,39 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().out)["inadmissible_edges"] == 7
 
     @pytest.mark.parametrize(
-        "argv", [["--k", "2", "--depth", "60"], ["--k", "3", "--depth", "20"]]
+        "argv",
+        [["--k", "2", "--depth", "60", "--samples", "1"],
+         ["--k", "3", "--depth", "20", "--samples", "158"]],
     )
     def test_over_large_tree_refused_before_sampling(self, capsys, monkeypatch, argv):
+        # past the vertex-sample budget (V = 3.5e18, and 158 samples of
+        # V = 7.0e9) no count is drawn
         def never(*args):
-            raise AssertionError("the sampler was reached")
+            raise AssertionError("a count was drawn")
 
-        monkeypatch.setattr(cli, "estimate_marginals", never)
-        assert run(["simulate", "--theta", "0.5", *argv, "--samples", "1"]) == 1
+        monkeypatch.setattr(sampler, "_binomial", never)
+        assert run(["simulate", "--theta", "0.5", *argv]) == 1
         err = capsys.readouterr().err
-        assert "tree too large to sample" in err and "V = " in err
+        assert "too many vertex-samples to count" in err and "V = " in err
         assert "array is too big" not in err
+
+    def test_tree_of_any_size_under_the_budget(self, capsys):
+        # one sample of a tree of 1.0e8 vertices is within the budget
+        argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "25",
+                "--samples", "1"]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["level_frequencies"]) == 26
+        assert payload["inadmissible_edges"] == 0
+
+    def test_absurd_depth_refused_at_once(self, capsys):
+        argv = ["simulate", "--k", "2", "--theta", "1.0", "--depth", "1000000000",
+                "--samples", "1"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: too many vertex-samples to count: 1 samples of "
+            "V = more than 2^1000000000 vertices exceed the limit of 2^40\n"
+        )
 
     def test_memory_error_is_a_domain_error(self, capsys, monkeypatch):
         def out_of_memory(*args):
@@ -982,10 +1019,9 @@ class TestSimulateFuzz:
     )
     def test_exit_code_and_messages(self, k, depth, theta, measure, samples):
         # the counts are drawn in O(depth) whatever the tree and the sample
-        # count; refused trees allocate nothing
+        # count; a request past the one vertex-sample budget exits 1
         v = 1 + sum((k + 1) * k**level for level in range(depth))
-        if v <= sampler.MAX_VERTICES:
-            assert TreeConfig(k=k, depth=depth).vertex_count == v
+        assert TreeConfig(k=k, depth=depth).vertex_count == v
         out, err = io.StringIO(), io.StringIO()
         argv = ["simulate", "--k", str(k), "--theta", theta, "--measure", measure,
                 "--depth", str(depth), "--samples", str(samples)]
@@ -997,10 +1033,14 @@ class TestSimulateFuzz:
         for numpy_text in ("array is too big", "Unable to allocate", "numpy",
                            "int too large"):
             assert numpy_text not in text
-        if v > sampler.MAX_VERTICES:
-            assert rc == 1 and "tree too large to sample" in text
-        elif samples * v > sampler.MAX_VERTEX_SAMPLES:
+        over = samples * v > sampler.MAX_VERTEX_SAMPLES
+        if over:
             assert rc == 1
+        # a missing measure may exit first; the budget text comes only past
+        # the budget, with V exact unless depth log2 k > 60
+        if "too many vertex-samples" in text:
+            size = f"more than {k}^{depth}" if depth * math.log2(k) > 60 else v
+            assert over and f"{samples} samples of V = {size} vertices" in text
 
 
 class TestEveryVerbFuzz:

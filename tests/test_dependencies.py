@@ -126,6 +126,9 @@ _SIMULATE = ["simulate", "--k", "3", "--theta", "0.5", "--measure", "mu1",
         # a domain failure through the bracket ladder
         (["simulate", "--k", "100", "--theta", "0.5", "--measure", "mu1",
           "--depth", "1", "--samples", "1"], 1),
+        # a refused kernel, whose message states its entries
+        (["simulate", "--k", "20", "--theta", "1e-20", "--measure", "mu0",
+          "--depth", "2", "--samples", "10"], 1),
     ],
 )
 def test_simulate_leaves_numpy_and_grid_unloaded(argv, code):

@@ -43,8 +43,8 @@ def test_replay(row):
     "simulate --k 20 --theta 1e-20 --measure mu0 --depth 2 --samples 10",
 ])
 def test_error_texts_ignore_numpy_print_options(command):
-    # both errors print an array, in numpy's default format whatever the
-    # process has set
+    # both errors print their numbers as Python reprs, which numpy's print
+    # options cannot reach
     recorded = {row[1]: list(row[2:]) for row in golden.read_manifest()}[command]
     with np.printoptions(precision=4, suppress=True, floatmode="fixed", sign="+"):
         assert list(golden.run_command(main, command)) == recorded

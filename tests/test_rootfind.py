@@ -30,6 +30,12 @@ def _y_closed_form_k2(theta: float) -> float:
     return u ** (1.0 / 3.0) / (3.0 * theta) - u ** (-1.0 / 3.0)
 
 
+def _bracket_in(message):
+    # the final bracket "[lo, hi]" that ends a ConvergenceError message
+    lo, hi = message[message.rindex("[") + 1 : -1].split(", ")
+    return float(lo), float(hi)
+
+
 class TestFindRoot:
     def test_sqrt_two(self):
         f = lambda t: t * t - 2.0
@@ -77,10 +83,13 @@ class TestFindRoot:
         b = Bracket.certify(f, -1.0, 2.0)
         with pytest.raises(ConvergenceError) as err:
             find_root(f, b)
-        final = err.value.bracket
-        assert b.lo <= final.lo <= err.value.best <= final.hi <= b.hi
-        assert final.hi - final.lo < b.hi - b.lo
-        assert Bracket.certify(f, final.lo, final.hi) == final
+        # the message names the final bracket, inside the first and narrower
+        text = str(err.value)
+        assert text.startswith("no convergence after 3 steps; bracket [")
+        lo, hi = _bracket_in(text)
+        assert b.lo <= lo < hi <= b.hi
+        assert hi - lo < b.hi - b.lo
+        Bracket.certify(f, lo, hi)
 
     def test_large_scale_root_terminates(self):
         # pure abs_tol would stall below one ulp of the root; the
@@ -234,8 +243,15 @@ class TestLockstep:
         f, lo, hi, f_lo, f_hi = _lanes([(0.3, 1.3, 1.7, 1.0, 1.0)])
         with pytest.raises(ConvergenceError) as err:
             _find_roots(f, lo, hi, f_lo, f_hi)
-        final = err.value.bracket
-        assert lo[0] <= final.lo <= err.value.best <= final.hi <= hi[0]
+        text = str(err.value)
+        assert text.startswith("1 lane(s) did not converge after 3 steps; lane 0 ")
+        final = _bracket_in(text)
+        assert lo[0] <= final[0] < final[1] <= hi[0]
+        # the lane stops where find_root stops, so both messages name one bracket
+        g = lambda t: f(np.array([0]), np.array([t]))[0]
+        with pytest.raises(ConvergenceError) as scalar:
+            find_root(g, Bracket(float(lo[0]), float(hi[0]), float(f_lo[0]), float(f_hi[0])))
+        assert _bracket_in(str(scalar.value)) == final
 
     def test_shared_ladder_equals_expansion(self):
         k = 3

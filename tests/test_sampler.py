@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from collections import defaultdict
 
@@ -725,23 +726,37 @@ class TestMemoryBound:
         assert peak < 16 * 2**20
 
     def test_large_tree_row_not_held_as_uniforms(self):
-        # the counts of the largest tree hold O(depth) numbers, no row (one
-        # row of float64 uniforms would be 400 MB)
-        largest = TreeConfig(k=2, depth=24)
-        n = sampler.MAX_VERTEX_SAMPLES // largest.vertex_count
+        # the counts of a tree of 3.2e9 vertices hold O(depth) numbers, no
+        # row (one row of float64 uniforms would be 26 GB)
+        cfg = TreeConfig(k=2, depth=30)
+        assert cfg.vertex_count == 3 * 2**30 - 2
+        n = sampler.MAX_VERTEX_SAMPLES // cfg.vertex_count
         tracemalloc.start()
         try:
-            estimate_marginals(_kernel(2), largest, n)
+            stats = estimate_marginals(_kernel(2), cfg, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+        _assert_counts_valid(stats, cfg, n)
 
 
 class TestSizeLimit:
+    # MAX_VERTEX_SAMPLES is the one bound on a request: any tree is
+    # accepted, and estimate_marginals refuses n * V above 2^40
+
+    @staticmethod
+    def _never(*args):
+        raise AssertionError("a count was drawn")
+
     def test_largest_allowed_tree(self):
-        cfg = TreeConfig(k=2, depth=24)
-        assert cfg.vertex_count == 50_331_646 <= sampler.MAX_VERTICES
+        # V = 3 * 2^38 - 2 is the largest k = 2 tree one sample may cover
+        cfg = TreeConfig(k=2, depth=38, seed=4)
+        assert cfg.vertex_count == 824_633_720_830 <= sampler.MAX_VERTEX_SAMPLES
+        _assert_counts_valid(estimate_marginals(_kernel(2), cfg, 1), cfg, 1)
+        deeper = TreeConfig(k=2, depth=39)
+        with pytest.raises(ValueError, match="V = 1649267441662 vertices"):
+            estimate_marginals(_kernel(2), deeper, 1)
 
     @pytest.mark.parametrize(
         "k,depth,size",
@@ -753,23 +768,33 @@ class TestSizeLimit:
             (2, 10**9, "more than 2^1000000000"),
         ],
     )
-    def test_refuses_over_large_tree(self, k, depth, size):
+    def test_refuses_over_large_tree(self, monkeypatch, k, depth, size):
+        # the tree is accepted; the fewest samples past the budget are
+        # refused before a count is drawn, and V is never formed when
+        # depth log2 k > 60
+        cfg = TreeConfig(k=k, depth=depth)
+        monkeypatch.setattr(sampler, "_binomial", self._never)
+        n = sampler.MAX_VERTEX_SAMPLES // int(size) + 1 if size.isdigit() else 1
+        start = time.perf_counter()
         with pytest.raises(ValueError) as err:
-            TreeConfig(k=k, depth=depth)
-        msg = str(err.value)
-        assert f"k={k}, depth={depth}" in msg and f"V = {size} vertices" in msg
+            estimate_marginals(_kernel(2), cfg, n)
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == (
+            f"too many vertex-samples to count: {n} samples of V = {size} "
+            "vertices exceed the limit of 2^40"
+        )
 
     def test_refuses_too_many_vertex_samples(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("a count was drawn")
-
-        monkeypatch.setattr(sampler, "_binomial", never)
-        cfg = TreeConfig(k=2, depth=4)  # V = 46
-        for n in (sampler.MAX_VERTEX_SAMPLES // 46 + 1, 10**30):
+        # one past the largest count test_largest_vertex_sample_count draws;
+        # at depth 0, V = 1 and n itself is the vertex-sample count
+        monkeypatch.setattr(sampler, "_binomial", self._never)
+        cases = [(4, 46, sampler.MAX_VERTEX_SAMPLES // 46 + 1), (4, 46, 10**30),
+                 (0, 1, sampler.MAX_VERTEX_SAMPLES + 1)]
+        for depth, v, n in cases:
             with pytest.raises(ValueError) as err:
-                estimate_marginals(_kernel(2), cfg, n)
+                estimate_marginals(_kernel(2), TreeConfig(k=2, depth=depth), n)
             assert str(err.value) == (
-                f"too many vertex-samples to count: {n} samples of V = 46 "
+                f"too many vertex-samples to count: {n} samples of V = {v} "
                 "vertices exceed the limit of 2^40"
             )
 

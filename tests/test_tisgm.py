@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hcsos import tisgm
 from hcsos.grid import BRANCHES, _eta_lanes, _powers, enumerate_solution_grid, sweep_table
-from hcsos.model import BRANCH_TOL, Branch, ModelParams, TisgmSolution
+from hcsos.model import BRANCH_TOL, Branch, ModelParams, TisgmSolution, activity_matrix
 from hcsos.tisgm import (
     CRITICAL_TOL,
     RESIDUAL_TOL,
@@ -581,3 +581,18 @@ class TestBoundaryLawIteration:
         init = BoundaryLaw((1e200, 1.0, 1.0))
         with pytest.raises(NumericalDomainError):
             iterate_boundary_law(ModelParams(k=2, theta=1.5, m=2), init)
+
+    def test_orthant_exit_names_the_exact_iterate(self):
+        # the message holds the offending iterate as a list of float reprs,
+        # which read back bit for bit: one map step from the last iterate kept
+        params = ModelParams(k=5, theta=0.10298929806153578, m=6)
+        with pytest.raises(NumericalDomainError) as err:
+            iterate_boundary_law(params, max_iter=500)
+        head, values = str(err.value).split(": ", 1)
+        assert head == "iterate left the positive orthant at step 27"
+        before = iterate_boundary_law(params, max_iter=26).tail[-1]
+        want = tisgm._map_once(activity_matrix(6, params.theta), 5, np.array(before))
+        assert values[0] == "[" and values[-1] == "]"
+        got = [float(v) for v in values[1:-1].split(", ")]
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        assert min(got) == 0.0
