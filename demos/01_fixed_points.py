@@ -5,12 +5,8 @@ import math
 
 import numpy as np
 
-from hcsos import (
-    compatibility_residual,
-    enumerate_solutions,
-    eta,
-    theta_cr,
-)
+from hcsos import enumerate_solutions, theta_cr
+from hcsos.tisgm import compatibility_residual, eta
 
 for k in (2, 3, 5):
     print(f"k = {k}: theta_cr = {theta_cr(k):.6f} "

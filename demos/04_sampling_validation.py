@@ -36,5 +36,6 @@ print(f"inadmissible parent-child pairs: {pc[0, 2] + pc[1, 1] + pc[2, 0]} "
 print("\nedge-pair frequencies (rows: parent spin, cols: child spin):")
 print(np.array(stats.pair_frequencies))
 print("analytic edge law pi_i P_ij:")
-print(pi[:, None] * kern.p)
+p00, p01, p10, p12, p21, p22 = kern
+print(pi[:, None] * np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]]))
 print("\nnote the exact zeros on the inadmissible pairs (0,2), (1,1), (2,0)")

@@ -7,7 +7,7 @@ criteria, with reproducible level and edge statistics of sampled
 configurations for validation.
 """
 
-from .chain import TransitionKernel, kappa_of, kernel_of, stationary
+from .chain import TransitionKernel, kernel_of, stationary
 from .extremality import (
     ExtremalityVerdict,
     Measure,
@@ -29,10 +29,7 @@ from .tisgm import (
     IterationOutcome,
     NumericalDomainError,
     SolutionSet,
-    boundary_law_residual,
-    compatibility_residual,
     enumerate_solutions,
-    eta,
     iterate_boundary_law,
     solve_asymmetric,
     solve_symmetric,
@@ -57,14 +54,10 @@ __all__ = [
     "TransitionKernel",
     "TreeConfig",
     "Verdict",
-    "boundary_law_residual",
     "classify_solution",
-    "compatibility_residual",
     "enumerate_solutions",
     "estimate_marginals",
-    "eta",
     "iterate_boundary_law",
-    "kappa_of",
     "kernel_of",
     "solution_of",
     "solve_asymmetric",

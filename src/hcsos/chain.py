@@ -31,19 +31,16 @@ k * kappa * gamma < 1 is evaluated as k * kappa^2 < 1 and gamma is
 reported equal to kappa.
 
 ``s2_of`` and ``kappa_of`` take the six entries: a kernel, or ``grid``'s
-tuple of entry columns with their ``sqrt`` and ``largest`` hooks.  Only
-``TransitionKernel.p`` builds an array.
+tuple of entry columns with their ``sqrt`` and ``largest`` hooks.  No
+function here builds an array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .model import TisgmSolution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class TransitionKernel(NamedTuple):
@@ -59,16 +56,6 @@ class TransitionKernel(NamedTuple):
     p12: float
     p21: float
     p22: float
-
-    @property
-    def p(self) -> np.ndarray:
-        """The whole matrix, read-only, built on each read."""
-        import numpy as np
-
-        p00, p01, p10, p12, p21, p22 = self
-        p = np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
-        p.setflags(write=False)
-        return p
 
 
 def kernel_of(sol: TisgmSolution, k: int, theta: float) -> TransitionKernel:
@@ -102,8 +89,9 @@ def s2_of(entries, sqrt=math.sqrt):
     The non-unit eigenvalues solve lambda^2 - t lambda - d = 0, so
     s2 = (|t| + sqrt(t^2 + 4 d)) / 2.  No step subtracts nearly equal
     numbers on the way, so s2 keeps full relative accuracy however
-    small it is.  On columns of entries pass ``np.sqrt`` as ``sqrt``,
-    with the same bits (IEEE square roots are correctly rounded).
+    small it is.  On columns of entries ``grid`` passes the array square
+    root as ``sqrt``, with the same bits (IEEE square roots are correctly
+    rounded).
     """
     p00, p01, p10, p12, p21, p22 = entries
     t = p00 * p22 - p01 * p21

@@ -196,6 +196,10 @@ def _even_m(text: str) -> int:
     return m
 
 
+# argparse names a type in its "invalid <name> value" message
+_positive_float.__name__, _even_m.__name__ = "float", "int"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

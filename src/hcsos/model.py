@@ -6,8 +6,8 @@ graph: a path with loops attached to the even spins).  Each admissible
 pair carries an activity weight: 1 on even loops, theta on unit steps.
 ``activity_matrix`` holds both: a pair is admissible iff its weight is
 positive.  ``check_params`` is the one validator of k, theta and m.
-Only ``activity_matrix`` builds an array; every message states its
-numbers as Python reprs.
+No function here builds an array; every message states its numbers as
+Python reprs.
 
 For m = 2 a translation-invariant splitting Gibbs measure is described
 by a positive pair (x, y), the k-th roots of the boundary-law entries;
@@ -19,10 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Below this distance from x = 1 the asymmetric branches cannot be told
 # apart from the symmetric one at root-finder accuracy.
@@ -72,24 +68,21 @@ class ModelParams:
         check_params(self.k, self.theta, self.m)
 
 
-def activity_matrix(m: int, theta: float) -> np.ndarray:
+def activity_matrix(m: int, theta: float) -> tuple[tuple[float, ...], ...]:
     """(m+1) x (m+1) edge weights: 1 on even loops, theta on unit steps.
 
-    The entry is zero exactly off the wand graph, so spins i, j may sit
-    on neighboring vertices iff the (i, j) entry is positive.
+    A tuple of m + 1 rows.  The entry is zero exactly off the wand
+    graph, so spins i, j may sit on neighboring vertices iff the (i, j)
+    entry is positive.
     """
-    import numpy as np
-
     check_params(theta=theta, m=m)
-    n = m + 1
-    lam = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j and i % 2 == 0:
-                lam[i, j] = 1.0
-            elif abs(i - j) == 1:
-                lam[i, j] = theta
-    return lam
+    return tuple(
+        tuple(
+            1.0 if i == j and i % 2 == 0 else theta if abs(i - j) == 1 else 0.0
+            for j in range(m + 1)
+        )
+        for i in range(m + 1)
+    )
 
 
 @dataclass(frozen=True)

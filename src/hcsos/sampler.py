@@ -78,12 +78,12 @@ class EmpiricalStats:
     ``pair_counts[a][b]`` is the number of parent-child edges with parent
     spin a and child spin b over all samples; ``pair_frequencies`` is it
     normalised.  Counts are ints and each frequency is count / total,
-    rounded once as in float64, since no count reaches 2^53.
+    rounded once as in float64, since no count reaches 2^53.  The number
+    of samples is the caller's own argument and is not stored.
     """
 
     level_frequencies: tuple[tuple[float, float, float], ...]
     pair_frequencies: tuple[tuple[float, float, float], ...]
-    n_samples: int
     pair_counts: tuple[tuple[int, int, int], ...]
 
 
@@ -201,6 +201,5 @@ def estimate_marginals(
             tuple(c / sum(counts) for c in counts) for counts in level_counts
         ),
         pair_frequencies=tuple(tuple(c / edges for c in row) for row in pair_counts),
-        n_samples=n_samples,
         pair_counts=pair_counts,
     )

@@ -323,7 +323,7 @@ def iterate_boundary_law(
     if init.m != params.m:
         raise ValueError(f"init has m = {init.m}, params have m = {params.m}")
 
-    lam = activity_matrix(params.m, params.theta)
+    lam = np.array(activity_matrix(params.m, params.theta))
     z = np.asarray(init.z, dtype=float)
     tail: list[tuple[float, ...]] = [tuple(float(v) for v in z)]
     delta = math.inf
@@ -341,12 +341,3 @@ def iterate_boundary_law(
         if delta < tol:
             return IterationOutcome(True, BoundaryLaw(tail[-1]), it, delta, tuple(tail))
     return IterationOutcome(False, None, max_iter, delta, tuple(tail))
-
-
-def boundary_law_residual(params: ModelParams, law: BoundaryLaw) -> float:
-    """Max-norm distance between a law and its image under one map step."""
-    import numpy as np
-
-    lam = activity_matrix(params.m, params.theta)
-    z = np.asarray(law.z, dtype=float)
-    return float(np.max(np.abs(_map_once(lam, params.k, z) - z)))

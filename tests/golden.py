@@ -96,6 +96,8 @@ USAGE_ERRORS = (
     "iterate --k 2 --theta 0.5 --tol 0",
     "iterate --k 2 --theta 0.5 --init 1,0,1",
     "iterate --k 2 --theta 0.5 --init 1,2",
+    "classify --k 2 --theta abc",
+    "iterate --k 2 --theta 1 --m two",
 )
 
 

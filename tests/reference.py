@@ -142,13 +142,20 @@ def theta_cr_product(k: int) -> float:
     return ((k - 1) * float(k) ** k / 2.0**k) ** (1.0 / (k + 1))
 
 
+def kernel_matrix(kern) -> np.ndarray:
+    """The whole 3x3 matrix of a kernel, built from its six entries, with
+    +0.0 at the three pairs off the wand graph."""
+    p00, p01, p10, p12, p21, p22 = kern
+    return np.array([[p00, p01, 0.0], [p10, 0.0, p12], [0.0, p21, p22]])
+
+
 def gamma_of(kern) -> float:
     """Largest of the three pairwise half-L1 row distances of a kernel.
 
     Written independently of ``kappa_of``; their equality is checked by
     the tests, not assumed.
     """
-    p = kern.p
+    p = kernel_matrix(kern)
     return max(
         0.5 * float(np.sum(np.abs(p[i] - p[j]))) for i, j in ((0, 1), (1, 2), (0, 2))
     )
@@ -315,7 +322,7 @@ def count_inadmissible_edges(spins: np.ndarray, cfg: TreeConfig, m: int = 2) -> 
     """Number of parent-child spin pairs violating wand admissibility,
     checked edge by edge against the activity matrix, in one spin vector
     of ``cfg``'s tree or in every row of a ``draw_spins`` matrix."""
-    allowed = activity_matrix(m, 1.0) > 0.0
+    allowed = np.array(activity_matrix(m, 1.0)) > 0.0
     if spins.shape[-1] != cfg.vertex_count:
         raise ValueError(f"expected {cfg.vertex_count} spins, got {spins.shape}")
     child = np.arange(1, cfg.vertex_count)
@@ -353,7 +360,7 @@ def draw_spins(kern: TransitionKernel, cfg: TreeConfig, n: int) -> np.ndarray:
     uniforms = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, v))
     pi_cum = np.cumsum(stationary(kern))
     pi_cum[-1] = 1.0
-    row_cum = _snapped_cumulative(kern.p)
+    row_cum = _snapped_cumulative(kernel_matrix(kern))
     par = parents(cfg)
 
     spins = np.empty((n, v), dtype=np.int8)

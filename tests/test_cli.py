@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1146,3 +1147,34 @@ class TestIterateCommand:
         with pytest.raises(SystemExit) as err:
             run(["iterate", "--m", "3", "--k", "2", "--theta", "0.5"])
         assert err.value.code == 2
+
+
+class TestUsageMessages:
+    # every typed option of every verb, given a value of the wrong type and
+    # values its type refuses, after the verb's required options
+    REQUIRED = {
+        "tisgm": ["--k", "2", "--theta", "0.5"],
+        "classify": ["--k", "2", "--theta", "0.5"],
+        "sweep": ["--k", "2", "--theta-min", "0.5", "--theta-max", "0.6", "--steps", "3"],
+        "thresholds": ["--k", "2"],
+        "simulate": ["--k", "2", "--theta", "0.5"],
+        "iterate": ["--k", "2", "--theta", "0.5"],
+    }
+    TYPED = {
+        "tisgm": ["--k", "--theta"],
+        "classify": ["--k", "--theta"],
+        "sweep": ["--k", "--theta-min", "--theta-max", "--steps"],
+        "thresholds": ["--k"],
+        "simulate": ["--k", "--theta", "--depth", "--samples", "--seed"],
+        "iterate": ["--m", "--k", "--theta", "--max-iter", "--tol"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(TYPED))
+    def test_no_private_name_in_usage_messages(self, capsys, verb):
+        for option, value in itertools.product(self.TYPED[verb], ["abc", "-1", "3"]):
+            with pytest.raises(SystemExit) as err:
+                run([verb, *self.REQUIRED[verb], option, value, "--bogus"])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert "error: " in message
+            assert re.search(r"(?<!\w)_\w", message) is None, message

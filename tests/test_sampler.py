@@ -28,6 +28,7 @@ import reference
 from reference import (
     count_inadmissible_edges,
     draw_spins,
+    kernel_matrix,
     level_offsets,
     level_sizes,
     parents,
@@ -126,7 +127,6 @@ class TestMarginals:
         stats = estimate_marginals(
             _uniform_kernel(), TreeConfig(k=2, depth=1, seed=3), 1
         )
-        assert stats.n_samples == 1
         root_freq = stats.level_frequencies[0]
         assert sorted(root_freq) == [0.0, 0.0, 1.0]
 
@@ -157,13 +157,14 @@ class TestMarginals:
         for freq in stats.level_frequencies:
             assert np.max(np.abs(freq - pi)) <= 4.0 * sigma
         # stationarity pushes through one step: level-1 marginal is pi P = pi
-        assert np.max(np.abs(stats.level_frequencies[1] - pi @ kern.p)) <= 4 * sigma
+        step = pi @ kernel_matrix(kern)
+        assert np.max(np.abs(stats.level_frequencies[1] - step)) <= 4 * sigma
 
     def test_pair_frequencies_track_edge_law(self):
         kern = _uniform_kernel()
         pi = np.array(stationary(kern))
         stats = estimate_marginals(kern, TreeConfig(k=2, depth=3, seed=21), 30_000)
-        expected = pi[:, None] * kern.p
+        expected = pi[:, None] * kernel_matrix(kern)
         assert np.max(np.abs(stats.pair_frequencies - expected)) <= 0.01
 
     def test_sample_count_validation(self):
@@ -175,9 +176,10 @@ def _kernel(k, theta=0.5):
     return kernel_of(solve_symmetric(k, theta), k, theta)
 
 
-def _level_counts(stats, cfg):
-    """Per-level spin counts (depth + 1, 3) behind ``level_frequencies``."""
-    sizes = np.array(level_sizes(cfg))[:, None] * stats.n_samples
+def _level_counts(stats, cfg, n):
+    """Per-level spin counts (depth + 1, 3) behind the ``level_frequencies``
+    of n samples."""
+    sizes = np.array(level_sizes(cfg))[:, None] * n
     return np.rint(np.array(stats.level_frequencies) * sizes).astype(np.int64)
 
 
@@ -187,7 +189,7 @@ def _assert_counts_valid(stats, cfg, n):
     pc = np.array(stats.pair_counts)
     assert pc[0, 2] == pc[1, 1] == pc[2, 0] == 0
     assert (pc >= 0).all() and pc.sum() == n * (cfg.vertex_count - 1)
-    levels = _level_counts(stats, cfg)
+    levels = _level_counts(stats, cfg, n)
     assert (levels >= 0).all()
     assert (levels.sum(axis=1) == n * np.array(level_sizes(cfg))).all()
     # every child has one parent, every parent k + 1 (root) or k children
@@ -205,7 +207,7 @@ def _oracle_stats(kern, cfg, n):
 
 def _route_stats(kern, cfg, n):
     stats = estimate_marginals(kern, cfg, n)
-    return np.concatenate([_level_counts(stats, cfg).ravel(), np.ravel(stats.pair_counts)])
+    return np.concatenate([_level_counts(stats, cfg, n).ravel(), np.ravel(stats.pair_counts)])
 
 
 def _assert_same_law(kern, cfg, n, reps=400):
@@ -300,7 +302,7 @@ class TestStreamingMatchesOneShotDraw:
         _assert_counts_valid(stats, cfg, n)
         spins = draw_spins(kern, cfg, n)
         assert count_inadmissible_edges(spins, cfg) == 0
-        never = kern.p == 0.0
+        never = kernel_matrix(kern) == 0.0
         assert not np.array(stats.pair_counts)[never].any()
         assert not spin_counts(spins, cfg)[1][never].any()
 
@@ -310,7 +312,8 @@ class TestStreamingMatchesOneShotDraw:
     def test_edge_kernels_equal_oracle_bitwise(self, name, k):
         kern = self._edge_kernel(name)
         if name == "row 0 one ulp short":
-            assert kern.p[0, 0] + kern.p[0, 1] == np.nextafter(1.0, 0.0)
+            p = kernel_matrix(kern)
+            assert p[0, 0] + p[0, 1] == np.nextafter(1.0, 0.0)
         if name == "p10 rounds to one":
             assert kern.p10 == 1.0 and kern.p12 > 0.0
         for cfg, n in self._cases(k):
@@ -360,7 +363,7 @@ class TestStreamingMatchesOneShotDraw:
                 except (ValueError, ArithmeticError):
                     continue  # known solver defects at extreme theta
                 for sol in sols:
-                    p = kernel_of(sol, k, theta).p
+                    p = kernel_matrix(kernel_of(sol, k, theta))
                     assert p[0, 2] == p[1, 1] == p[2, 0] == 0.0
                     cum = reference._snapped_cumulative(p)
                     assert cum[0, 1] == 1.0
@@ -395,7 +398,7 @@ class TestAggregateLaw:
         child = np.arange(1, v)
         parent = parents(cfg)[child]
         prob = np.array(stationary(kern))[spins[:, 0]] * np.prod(
-            kern.p[spins[:, parent], spins[:, child]], axis=1
+            kernel_matrix(kern)[spins[:, parent], spins[:, child]], axis=1
         )
         offsets = level_offsets(cfg)
         levels = [
@@ -425,7 +428,7 @@ class TestAggregateLaw:
         at the root, then per level and parent state a, n_a ~ Bin(m_a, q_a)
         children in the larger of their two states."""
         pi = stationary(kern)
-        p = kern.p.tolist()
+        p = kernel_matrix(kern).tolist()
         q = (p[0][1], p[1][2], p[2][2])
 
         def binom(m, x, r):
@@ -484,6 +487,7 @@ class TestAggregateLaw:
         cases = [(TreeConfig(k=2, depth=0, seed=1), 9), (self.CFG, 3)]
         cases += [(TreeConfig(k=k, depth=5, seed=k), 1000) for k in (2, 3, 7)]
         for name, kern in _measure_kernels().items():
+            matrix = kernel_matrix(kern)
             for cfg, n in cases:
                 calls.clear()
                 stats = estimate_marginals(kern, cfg, n)
@@ -497,13 +501,13 @@ class TestAggregateLaw:
                 for level in range(1, cfg.depth + 1):
                     (m0, q0, x0), (m1, q1, x1), (m2, q2, x2) = calls[3 * level - 1 : 3 * level + 2]
                     assert [m0, m1, m2] == ((cfg.k + (level == 1)) * above).tolist()
-                    assert (q0, q1, q2) == (kern.p[0, 1], kern.p[1, 2], kern.p[2, 2])
+                    assert (q0, q1, q2) == (matrix[0, 1], matrix[1, 2], matrix[2, 2])
                     table = np.array([[m0 - x0, x0, 0], [m1 - x1, 0, x1], [0, m2 - x2, x2]])
                     pairs += table
                     above = table.sum(axis=0)
                     want_levels.append(above)
                 assert np.array_equal(stats.pair_counts, pairs), name
-                assert np.array_equal(_level_counts(stats, cfg), np.array(want_levels))
+                assert np.array_equal(_level_counts(stats, cfg, n), np.array(want_levels))
 
     def test_seed_determinism(self):
         kern = _kernel(3)
