@@ -53,7 +53,7 @@ from enum import Enum
 
 from .chain import kappa_of, kernel_of, s2_of
 from .model import Branch, TisgmSolution, check_params
-from .rootfind import Bracket, find_root
+from .rootfind import find_root
 from .tisgm import solve_asymmetric, solve_symmetric, theta_cr
 
 DEFAULT_BOUNDARY_TOL = 1e-9
@@ -210,8 +210,8 @@ def thresholds(k: int) -> dict[str, Threshold]:
     if k >= 4:
         return {}
     ks = lambda t: classify_solution(k, t, solve_symmetric(k, t)).ks_value - 1.0
-    below = find_root(ks, Bracket.certify(ks, 0.01, 1.0))
-    above = find_root(ks, Bracket.certify(ks, 1.0, 4.0))
+    below = find_root(ks, 0.01, 1.0, ks(0.01), ks(1.0))
+    above = find_root(ks, 1.0, 4.0, ks(1.0), ks(4.0))
     if k == 3:
         entries = (
             Threshold("theta3", below, None),
@@ -227,7 +227,7 @@ def thresholds(k: int) -> dict[str, Threshold]:
             Threshold("theta2", above, 0.5 * (28.0 + 20.0 * r2) ** (1.0 / 3.0)),
             Threshold(
                 "theta5",
-                find_root(msw, Bracket.certify(msw, 0.5, 0.999)),
+                find_root(msw, 0.5, 0.999, msw(0.5), msw(0.999)),
                 ((2.0 + s) / (2.0 + 2.0 * r2)) ** (1.0 / 3.0),
             ),
         )

@@ -126,14 +126,14 @@ def _find_roots(
 ) -> np.ndarray:
     """``find_root`` on every lane of certified brackets, in lockstep.
 
-    Lane i returns the float ``find_root`` returns for the bracket
-    ``Bracket(lo[i], hi[i], f_lo[i], f_hi[i])``.  ``f(lanes, x)`` gives
-    the values at the points ``x`` of the lanes whose indices are
-    ``lanes``, each as the scalar function of that lane would; ``lanes``
-    is always ascending, so lanes of different equations placed in
-    blocks split at one index.  Raises ConvergenceError if some lane
-    does not stop within ``rootfind._MAX_ITER`` steps, the cap of
-    ``find_root``.
+    A bracket is four numbers, and lane i returns by construction what
+    ``find_root(f_i, lo[i], hi[i], f_lo[i], f_hi[i])`` returns, f_i
+    being lane i's scalar function.  ``f(lanes, x)`` gives the values at
+    the points ``x`` of the lanes whose indices are ``lanes``, each as
+    f_i would; ``lanes`` is always ascending, so lanes of different
+    equations placed in blocks split at one index.  Raises
+    ConvergenceError if some lane does not stop within
+    ``rootfind._MAX_ITER`` steps, the cap of ``find_root``.
     """
     # a zero at an end is the root, lo first, as in find_root
     lo_zero = _zero_sign(f_lo)

@@ -1,7 +1,8 @@
 """Certified scalar root finding on sign-change brackets.
 
 ``find_root`` runs Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973) on a certified bracket.  Each
+Minimization without Derivatives*, 1973) on a bracket, which is four
+numbers: ends lo < hi and f's values there, of opposite signs.  Each
 step is an inverse-quadratic or secant step, taken only if it lands well
 inside the bracket and shrinks it fast enough; otherwise it bisects.  The
 bracket keeps a sign change at every step, so the estimate always lies
@@ -20,7 +21,6 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 _EPS = math.ulp(1.0)
@@ -54,36 +54,13 @@ def _sign(v: float) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Interval [lo, hi] with a certified sign change of the target function.
+def find_root(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
+) -> float:
+    """Root of f on the bracket lo < hi, by Brent's method.
 
-    f_lo and f_hi are the function's values at the ends, kept so that
-    ``find_root`` need not evaluate them again.
-    """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise BracketError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        signs = _sign(self.f_lo), _sign(self.f_hi)
-        if signs[0] == signs[1]:
-            raise BracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: signs {signs}"
-            )
-
-    @classmethod
-    def certify(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        """Evaluate f at the endpoints and certify the sign change."""
-        return cls(lo, hi, f(lo), f(hi))
-
-
-def find_root(f: Callable[[float], float], b: Bracket) -> float:
-    """Root of f inside the certified bracket b, by Brent's method.
+    f_lo and f_hi are f at lo and hi, of opposite signs (zero and NaN
+    count as sign 0), else BracketError; a zero end is the root.
 
     The estimate is the end of the current sign-change bracket [x, c]
     with the smaller |f|.  It stops when the bracket's half-width is at
@@ -93,14 +70,17 @@ def find_root(f: Callable[[float], float], b: Bracket) -> float:
     Raises ConvergenceError, naming the final bracket, if _MAX_ITER
     steps do not reach the stop rule.
     """
-    if _sign(b.f_lo) == 0:
-        return b.lo
-    if _sign(b.f_hi) == 0:
-        return b.hi
+    if not lo < hi:
+        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
+    signs = _sign(f_lo), _sign(f_hi)
+    if signs[0] == signs[1]:
+        raise BracketError(f"no sign change on [{lo}, {hi}]: signs {signs}")
+    if 0 in signs:
+        return lo if signs[0] == 0 else hi
 
     # x is the estimate, c the far end of the bracket, a the previous x
-    a, fa = b.lo, b.f_lo
-    x, fx = b.hi, b.f_hi
+    a, fa = lo, f_lo
+    x, fx = hi, f_hi
     c, fc = a, fa
     d = e = x - a
     for _ in range(_MAX_ITER):
@@ -158,9 +138,9 @@ def expand_bracket_decreasing(
     is computed once, and only as far up as the lowest target needs:
     f(x) - t <= 0 exactly when f(x) <= t, so every lane has crossed
     once that one has.  Each lane's hi is then its first crossing.
-    Returns the brackets as lists (lo, hi, f_lo, f_hi), one entry per
-    target.  Raises UnboundedBracketError, naming the first open lane's
-    target, after 60 doublings.
+    Returns lane i's bracket, ``find_root``'s four numbers, as entry i of
+    four lists (lo, hi, f_lo, f_hi).  Raises UnboundedBracketError after
+    60 doublings, naming the first open lane's target and x = 2^60.
     """
     f_one = f(1.0)
     g_lo = [f_one - t for t in targets]
@@ -180,6 +160,6 @@ def expand_bracket_decreasing(
         step *= 2.0
     open_ = next(t for t in targets if not any(v - t <= 0.0 for v in values))
     raise UnboundedBracketError(
-        f"f stayed above target {float(open_)} out to x = {step}; "
+        f"f stayed above target {float(open_)} out to x = {steps[-1]}; "
         "no bracket found"
     )

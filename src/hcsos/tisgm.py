@@ -42,7 +42,7 @@ from .model import (
     activity_matrix,
     check_params,
 )
-from .rootfind import Bracket, expand_bracket_decreasing, find_root
+from .rootfind import expand_bracket_decreasing, find_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,7 +176,7 @@ def solve_symmetric(k: int, theta: float) -> TisgmSolution:
     while f_hi < 0.0:
         hi = math.nextafter(hi, math.inf)
         f_hi = f(hi)
-    y = find_root(f, Bracket(0.0, hi, f(0.0), f_hi))
+    y = find_root(f, 0.0, hi, f(0.0), f_hi)
     return _checked(k, theta, 1.0, y, Branch.SYMMETRIC)
 
 
@@ -196,8 +196,7 @@ def solve_asymmetric(k: int, theta: float) -> list[TisgmSolution]:
 
     target = theta ** (k + 1)
     ladder = expand_bracket_decreasing(lambda x: eta(x, k), [target])
-    bracket = Bracket(*(v[0] for v in ladder))
-    x1 = find_root(lambda x: eta(x, k) - target, bracket)
+    x1 = find_root(lambda x: eta(x, k) - target, *(v[0] for v in ladder))
     x2 = 1.0 / x1
     upper = _checked(k, theta, x1, _recover_y(k, theta, x1), Branch.UPPER)
     lower = _checked(k, theta, x2, _recover_y(k, theta, x2), Branch.LOWER)

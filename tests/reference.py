@@ -34,7 +34,7 @@ from hcsos.chain import TransitionKernel, stationary
 from hcsos.cli import CSV_HEADER, SweepTable
 from hcsos.extremality import DEFAULT_BOUNDARY_TOL, Verdict, classify_solution
 from hcsos.model import Branch, TisgmSolution, activity_matrix
-from hcsos.rootfind import Bracket, BracketError, UnboundedBracketError
+from hcsos.rootfind import BracketError, UnboundedBracketError
 from hcsos.sampler import TreeConfig
 from hcsos.tisgm import (
     RESIDUAL_TOL,
@@ -519,14 +519,16 @@ def build_phase_table(k: int, thetas) -> SweepTable:
     return SweepTable(columns, ends)
 
 
-def expand_bracket_scalar(f, lo: float, target: float) -> Bracket:
+def expand_bracket_scalar(f, lo: float, target: float) -> tuple[float, ...]:
     """Bracket the solution of f(x) = target for f strictly decreasing on [lo, inf).
 
     The one-target doubling ladder, float by float: doubles the upper
-    endpoint from lo until f drops to the target.  The production
-    ``rootfind.expand_bracket_decreasing`` starts at 1 and runs many
-    targets at once; lane by lane it must give this bracket, or raise
-    UnboundedBracketError with this message after 60 doublings.
+    endpoint from lo until f drops to the target, and returns the
+    bracket's four numbers (lo, hi, f(lo) - target, f(hi) - target).  The
+    production ``rootfind.expand_bracket_decreasing`` starts at 1 and
+    runs many targets at once; lane by lane it must give this bracket, or
+    raise UnboundedBracketError with this message, which names the last
+    x tried, after 60 doublings.
     """
     if lo < 0.0:
         raise BracketError(f"expansion by doubling needs lo >= 0, got {lo}")
@@ -539,10 +541,10 @@ def expand_bracket_scalar(f, lo: float, target: float) -> Bracket:
     for _ in range(60):
         g_hi = f(hi) - target
         if g_hi <= 0.0:
-            return Bracket(lo, hi, g_lo, g_hi)
-        hi *= 2.0
+            return lo, hi, g_lo, g_hi
+        tried, hi = hi, 2.0 * hi
     raise UnboundedBracketError(
-        f"f stayed above target {target} out to x = {hi}; no bracket found"
+        f"f stayed above target {target} out to x = {tried}; no bracket found"
     )
 
 

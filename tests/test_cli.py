@@ -639,17 +639,17 @@ class TestSweepSolvesGridInLockstep:
         [
             (_sweep(20, 0.05, 3.0, 1500),
              "error: f stayed above target 4.768371582031256e-28 out to "
-             "x = 2.305843009213694e+18; no bracket found\n"),
+             "x = 1.152921504606847e+18; no bracket found\n"),
             (_sweep(8, 0.001, 0.05, 200),
              "error: f stayed above target 1.0000000000000002e-27 out to "
-             "x = 2.305843009213694e+18; no bracket found\n"),
+             "x = 1.152921504606847e+18; no bracket found\n"),
             (_sweep(144, 0.1, 2.5, 64),
              "error: (34, 'Numerical result out of range')\n"),
             # the lockstep pass meets a later point's symmetric bracket
             # failure first; the first point fails in the doubling search
             (_sweep(3, 1e-6, 1e18, 64),
              "error: f stayed above target 9.999999999999997e-25 out to "
-             "x = 2.305843009213694e+18; no bracket found\n"),
+             "x = 1.152921504606847e+18; no bracket found\n"),
         ],
     )
     def test_failing_sweep_reports_first_failing_point(

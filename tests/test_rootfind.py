@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hcsos import rootfind
 from hcsos.rootfind import (
-    Bracket,
     BracketError,
     ConvergenceError,
     UnboundedBracketError,
@@ -39,84 +38,86 @@ def _bracket_in(message):
 class TestFindRoot:
     def test_sqrt_two(self):
         f = lambda t: t * t - 2.0
-        root = find_root(f, Bracket.certify(f, 1.0, 2.0))
+        root = find_root(f, 1.0, 2.0, f(1.0), f(2.0))
         assert abs(root - math.sqrt(2.0)) <= 1e-12
 
     def test_linear(self):
         f = lambda t: t - 1.0
-        assert find_root(f, Bracket.certify(f, 0.0, 2.0)) == pytest.approx(
+        assert find_root(f, 0.0, 2.0, f(0.0), f(2.0)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_symmetric_equation_k2(self):
         theta, k = 0.5, 2
         f = lambda y: theta * y ** (k + 1) + y - 2.0 * theta
-        root = find_root(f, Bracket.certify(f, 0.0, 2.0 ** (1.0 / 3.0)))
+        hi = 2.0 ** (1.0 / 3.0)
+        root = find_root(f, 0.0, hi, f(0.0), f(hi))
         assert abs(root - Y_STAR_2_05) <= 1e-10
         assert abs(root - _y_closed_form_k2(theta)) <= 1e-10
 
     def test_root_stays_in_bracket(self):
         f = lambda t: math.tanh(3.0 * (t - 0.3))
-        b = Bracket.certify(f, -1.0, 2.0)
-        root = find_root(f, b)
-        assert b.lo <= root <= b.hi
+        lo, hi = -1.0, 2.0
+        root = find_root(f, lo, hi, f(lo), f(hi))
+        assert lo <= root <= hi
 
     def test_deterministic(self):
         f = lambda t: t**3 - t - 1.0
-        b = Bracket.certify(f, 1.0, 2.0)
-        first = find_root(f, b)
-        second = find_root(f, b)
+        b = 1.0, 2.0, f(1.0), f(2.0)
+        first = find_root(f, *b)
+        second = find_root(f, *b)
         assert first == second  # bit-identical
 
     def test_endpoint_root_short_circuits(self):
         f = lambda t: t - 1.0
-        assert find_root(f, Bracket(1.0, 2.0, 0, 1)) == 1.0
+        assert find_root(f, 1.0, 2.0, 0, 1) == 1.0
 
     def test_no_sign_change_rejected(self):
         f = lambda t: t * t + 1.0
         with pytest.raises(BracketError):
-            Bracket.certify(f, -1.0, 1.0)
+            find_root(f, -1.0, 1.0, f(-1.0), f(1.0))
+
+    def test_empty_bracket_rejected(self):
+        # lo == hi is no bracket, even with a sign change in its values
+        f = lambda t: t - 1.0
+        with pytest.raises(BracketError, match=r"^need lo < hi, got \[1\.0, 1\.0\]$"):
+            find_root(f, 1.0, 1.0, -1.0, 1.0)
 
     def test_cap_raises_with_best_inside_final_bracket(self, monkeypatch):
         monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
         f = lambda t: math.tanh(3.0 * (t - 0.3))
-        b = Bracket.certify(f, -1.0, 2.0)
+        b_lo, b_hi = -1.0, 2.0
         with pytest.raises(ConvergenceError) as err:
-            find_root(f, b)
+            find_root(f, b_lo, b_hi, f(b_lo), f(b_hi))
         # the message names the final bracket, inside the first and narrower
         text = str(err.value)
         assert text.startswith("no convergence after 3 steps; bracket [")
         lo, hi = _bracket_in(text)
-        assert b.lo <= lo < hi <= b.hi
-        assert hi - lo < b.hi - b.lo
-        Bracket.certify(f, lo, hi)
+        assert b_lo <= lo < hi <= b_hi
+        assert hi - lo < b_hi - b_lo
+        assert rootfind._sign(f(lo)) != rootfind._sign(f(hi))
 
     def test_large_scale_root_terminates(self):
         # pure abs_tol would stall below one ulp of the root; the
         # relative floor must kick in
         f = lambda t: t - 3.0e9
-        root = find_root(f, Bracket.certify(f, 1.0, 1.0e10))
+        root = find_root(f, 1.0, 1.0e10, f(1.0), f(1.0e10))
         assert root == pytest.approx(3.0e9, rel=1e-12)
 
     def test_multiple_root_at_zero_ends(self):
         # linear convergence down to the subnormal floor, where f = 0
         f = lambda t: t * abs(t)
-        root = find_root(f, Bracket.certify(f, -1.0, 3.0))
+        root = find_root(f, -1.0, 3.0, f(-1.0), f(3.0))
         assert abs(root) <= 1e-160
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-3.0, 3.0))
     def test_cubic_single_root_property(self, a):
         f = lambda t: (t - a) * (t * t + 1.0)
-        b = Bracket.certify(f, a - 2.0, a + 3.0)
-        root = find_root(f, b)
-        assert b.lo <= root <= b.hi
+        lo, hi = a - 2.0, a + 3.0
+        root = find_root(f, lo, hi, f(lo), f(hi))
+        assert lo <= root <= hi
         assert abs(root - a) <= 1e-10
-
-
-def _lane(ladder, i=0):
-    # lane i of expand_bracket_decreasing's lists as a Bracket
-    return Bracket(*(float(v[i]) for v in ladder))
 
 
 def _same_outcome(f, targets):
@@ -146,26 +147,40 @@ def _same_outcome(f, targets):
     bits = lambda lanes: [[float(v).hex() for v in column] for column in lanes]
     assert bits(from_array) == bits(ladder)
     for i, target in enumerate(targets):
-        assert _lane(ladder, i) == expand_bracket_scalar(f, 1.0, target), target
+        assert tuple(v[i] for v in ladder) == expand_bracket_scalar(f, 1.0, target), target
     return None
 
 
 class TestExpandBracket:
     def test_reciprocal(self):
-        b = _lane(expand_bracket_decreasing(lambda x: 1.0 / x, np.array([0.25])))
-        assert b.lo <= 4.0 <= b.hi
-        assert b.f_lo == 1.0 - 0.25 and b.f_hi <= 0.0
+        ladder = expand_bracket_decreasing(lambda x: 1.0 / x, np.array([0.25]))
+        lo, hi, f_lo, f_hi = (v[0] for v in ladder)
+        assert lo <= 4.0 <= hi
+        assert f_lo == 1.0 - 0.25 and f_hi <= 0.0
 
     def test_level_set_of_eta(self):
         k, theta = 3, 1.5  # below the coexistence threshold for k = 3
         target = theta ** (k + 1)
-        b = _lane(expand_bracket_decreasing(lambda x: eta(x, k), np.array([target])))
-        assert b.lo == 1.0
-        assert eta(b.lo, k) > target >= eta(b.hi, k)
+        ladder = expand_bracket_decreasing(lambda x: eta(x, k), np.array([target]))
+        lo, hi = ladder[0][0], ladder[1][0]
+        assert lo == 1.0
+        assert eta(lo, k) > target >= eta(hi, k)
 
     def test_precondition_violation(self):
         with pytest.raises(BracketError):
             expand_bracket_decreasing(lambda x: 1.0 / x, np.array([2.0]))
+
+    def test_target_met_at_one_rejected(self):
+        # f(1) equal to the target is no sign change, so no ladder starts
+        with pytest.raises(BracketError, match="no expansion starts"):
+            expand_bracket_decreasing(lambda x: 1.0 / x, [1.0])
+
+    def test_stops_at_first_rung_meeting_target(self):
+        # f(4) == 0.25 exactly: the ladder stops there, after f at 1, 2, 4
+        at = []
+        ladder = expand_bracket_decreasing(lambda x: at.append(x) or 1.0 / x, [0.25])
+        assert at == [1.0, 2.0, 4.0]
+        assert [v[0] for v in ladder] == [1.0, 4.0, 0.75, 0.0]
 
     def test_unbounded_failure(self):
         f = lambda x: 1.0 + 1.0 / (1.0 + x)
@@ -174,6 +189,18 @@ class TestExpandBracket:
         with pytest.raises(UnboundedBracketError) as want:
             expand_bracket_scalar(f, 1.0, 0.5)
         assert str(err.value) == str(want.value)
+        # the message names the last x where f was evaluated, 2^60
+        assert str(err.value) == (
+            "f stayed above target 0.5 out to x = 1.152921504606847e+18; "
+            "no bracket found"
+        )
+
+    def test_unbounded_names_target_open_at_last_rung(self):
+        # f(2^60) == 2^-60 meets the first target exactly, so the open
+        # lane is the second
+        with pytest.raises(UnboundedBracketError) as err:
+            expand_bracket_decreasing(lambda x: 1.0 / x, [2.0**-60, 2.0**-70])
+        assert str(err.value).startswith(f"f stayed above target {2.0**-70} out to")
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(2, 120), share=st.floats(1e-3, 1.0, exclude_max=True))
@@ -221,7 +248,7 @@ class TestLockstep:
         got = _find_roots(f, lo, hi, f_lo, f_hi)
         for i, (c, _, _, q, b) in enumerate(params):
             g = lambda t: (t - c) * (q * t * t + b)
-            want = find_root(g, Bracket(float(lo[i]), float(hi[i]), float(f_lo[i]), float(f_hi[i])))
+            want = find_root(g, float(lo[i]), float(hi[i]), float(f_lo[i]), float(f_hi[i]))
             assert got[i] == want, (i, params[i])
 
     def test_exercises_every_stop(self):
@@ -236,7 +263,8 @@ class TestLockstep:
         assert f(np.array([2]), got[2:3])[0] == 0.0
         for i, (c, _, _, q, b) in enumerate(params):
             g = lambda t: (t - c) * (q * t * t + b)
-            assert got[i] == find_root(g, Bracket.certify(g, float(lo[i]), float(hi[i])))
+            a, z = float(lo[i]), float(hi[i])
+            assert got[i] == find_root(g, a, z, g(a), g(z))
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
@@ -250,7 +278,7 @@ class TestLockstep:
         # the lane stops where find_root stops, so both messages name one bracket
         g = lambda t: f(np.array([0]), np.array([t]))[0]
         with pytest.raises(ConvergenceError) as scalar:
-            find_root(g, Bracket(float(lo[0]), float(hi[0]), float(f_lo[0]), float(f_hi[0])))
+            find_root(g, float(lo[0]), float(hi[0]), float(f_lo[0]), float(f_hi[0]))
         assert _bracket_in(str(scalar.value)) == final
 
     def test_shared_ladder_equals_expansion(self):
